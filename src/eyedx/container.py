@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -58,6 +59,12 @@ class _Reader:
 
     def u8(self) -> int:
         return self.take(1)[0]
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: invalid utf-8 in container") from exc
 
     @property
     def done(self) -> bool:
@@ -108,11 +115,16 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
     version = r.u32()
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
+    try:
+        header = json.loads(r.text(r.u32()))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: malformed header JSON ({exc.msg})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
 
     tensors: dict = {}
     while not r.done:
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text(r.u32())
         rank = r.u32()
         shape = tuple(r.u32() for _ in range(rank))
         code = r.u8()
@@ -121,12 +133,20 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
             n_scales = r.u32()
             scales = np.frombuffer(r.take(4 * n_scales), dtype="<f4").copy()
             packed = np.frombuffer(r.take(r.u32()), dtype=np.uint8).copy()
+            n = math.prod(shape)
+            consistent = (
+                block_size >= 2
+                and n_scales == -(-n // block_size)
+                and packed.size == (n_scales * block_size + 1) // 2
+            )
+            if not consistent:
+                raise DataError(f"{path}: int4 tensor {name} payload does not match shape {shape}")
             tensors[name] = QuantTensor(
                 packed=packed, scales=scales, block_size=block_size, shape=shape
             )
         elif code in _DTYPE_OF:
             dt = np.dtype(_DTYPE_OF[code]).newbyteorder("<")
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
             arr = np.frombuffer(r.take(n * dt.itemsize), dtype=dt).copy()
             tensors[name] = arr.astype(arr.dtype.newbyteorder("=")).reshape(shape)
         else:
@@ -147,13 +167,19 @@ def _config_header(config: ModelConfig, kind: str, vocab: Vocabulary | None) -> 
 def _config_of(header: dict, path, kind: str) -> ModelConfig:
     if header.get("kind") != kind:
         raise DataError(f"{path}: expected a {kind} container, got {header.get('kind')!r}")
-    return ModelConfig(**header["config"])
+    try:
+        return ModelConfig(**header["config"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: bad config in header: {exc}") from exc
 
 
-def _vocab_of(header: dict) -> Vocabulary | None:
+def _vocab_of(header: dict, path) -> Vocabulary | None:
     if "vocab" not in header:
         return None
-    return Vocabulary(tokens=SPECIAL_TOKENS + tuple(header["vocab"]))
+    words = header["vocab"]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise DataError(f"{path}: header vocab must be a list of strings")
+    return Vocabulary(tokens=SPECIAL_TOKENS + tuple(words))
 
 
 def save_model(model: Model, path: str | Path, vocab: Vocabulary | None = None) -> None:
@@ -190,4 +216,4 @@ def load_bundle(path: str | Path):
         model = QuantizedModel(_config_of(header, path, kind), tensors)
     else:
         raise DataError(f"{path}: expected a model or quant-model container, got {kind!r}")
-    return model, _vocab_of(header)
+    return model, _vocab_of(header, path)

@@ -160,4 +160,10 @@ def load_adapter(path) -> LoraAdapter:
             raise DataError(f"{path}: unexpected tensor {name} in adapter file")
     if set(a) != set(b):
         raise DataError(f"{path}: unpaired adapter tensors")
-    return LoraAdapter(rank=int(header["rank"]), alpha=float(header["alpha"]), a=a, b=b)
+    try:
+        rank, alpha = int(header["rank"]), float(header["alpha"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: adapter header needs numeric rank and alpha") from exc
+    if rank < 1 or not alpha > 0:
+        raise DataError(f"{path}: adapter rank {rank} / alpha {alpha} out of range")
+    return LoraAdapter(rank=rank, alpha=alpha, a=a, b=b)

@@ -13,6 +13,7 @@ finite-difference oracle in numerics.py keeps it honest.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class ModelConfig:
     rmsnorm_eps: float = 1e-5
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "vocab_size",
+                     "max_seq_len"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DataError(f"{name} must be an integer")
         for name in ("d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "vocab_size"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive")
@@ -162,6 +167,21 @@ def rope_vector(vec: np.ndarray, position: int, base: float = 10000.0) -> np.nda
     return _apply_rope(vec.reshape(1, 1, -1), cos, sin).reshape(vec.shape)
 
 
+def _group_heads(x: np.ndarray, n_kv: int) -> np.ndarray:
+    """(B, T, H, hd) -> (B, KV, G*T, hd): the G query heads of each kv head
+    stacked along time, head h = kv * G + g at rows g*T .. g*T + T-1."""
+    B, T, H, hd = x.shape
+    G = H // n_kv
+    return x.reshape(B, T, n_kv, G, hd).transpose(0, 2, 3, 1, 4).reshape(B, n_kv, G * T, hd)
+
+
+def _ungroup_heads(x: np.ndarray, T: int) -> np.ndarray:
+    """Inverse of _group_heads: (B, KV, G*T, hd) -> (B, T, H, hd)."""
+    B, KV, GT, hd = x.shape
+    G = GT // T
+    return x.reshape(B, KV, G, T, hd).transpose(0, 3, 1, 2, 4).reshape(B, T, KV * G, hd)
+
+
 def ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
     """Gated unit: w_down( silu(x w_gate) * (x w_up) )."""
     return (silu(x @ w_gate) * (x @ w_up)) @ w_down
@@ -204,9 +224,18 @@ class Model:
     """
 
     def __init__(self, config: ModelConfig, params: dict):
-        missing = set(param_shapes(config)) - set(params)
+        shapes = param_shapes(config)
+        missing = set(shapes) - set(params)
         if missing:
             raise DataError(f"params missing tensors: {sorted(missing)[:4]}")
+        unknown = set(params) - set(shapes)
+        if unknown:
+            raise DataError(f"params hold unknown tensors: {sorted(unknown)[:4]}")
+        for name, shape in shapes.items():
+            w = params[name]
+            if not isinstance(w, np.ndarray) or w.dtype.kind != "f" or w.shape != shape:
+                got = f"{w.dtype} {w.shape}" if isinstance(w, np.ndarray) else type(w).__name__
+                raise DataError(f"tensor {name}: expected floating {shape}, got {got}")
         self.config = config
         self.params = params
         self.adapter = None
@@ -313,14 +342,15 @@ class Model:
             k_all, v_all = k, v
         S = past + T
 
-        group = H // KV
-        k_exp = np.repeat(k_all, group, axis=2)  # (B, S, H, hd)
-        v_exp = np.repeat(v_all, group, axis=2)
-        scores = np.einsum("bthd,bshd->bhts", q, k_exp) / math.sqrt(hd)
+        # query head h = kv * G + g shares kv head kv; stacking each group's
+        # G query heads along the time axis makes one batched matmul per kv head
+        G = H // KV
+        qg = _group_heads(q, KV)  # (B, KV, G*T, hd)
+        scores = (qg @ k_all.transpose(0, 2, 3, 1)).reshape(B, KV, G, T, S) / math.sqrt(hd)
         allowed = np.arange(S)[None, :] <= (past + np.arange(T))[:, None]
-        scores = np.where(allowed[None, None], scores, -np.inf)
-        probs = softmax(scores, axis=-1)
-        ctx = np.einsum("bhts,bshd->bthd", probs, v_exp).reshape(B, T, H * hd)
+        scores = np.where(allowed, scores, -np.inf)
+        probs = softmax(scores, axis=-1).reshape(B, KV, G * T, S)
+        ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
         out = self._project(ctx, p + "wo")
 
         if tape is not None:
@@ -331,7 +361,7 @@ class Model:
                     "x": x,
                     "xn": xn,
                     "inv": inv,
-                    "q": q,
+                    "qg": qg,
                     "k": k,
                     "v": v,
                     "probs": probs,
@@ -438,25 +468,23 @@ class Model:
         p = f"layers.{rec['layer']}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
         B, T, _ = rec["x"].shape
-        group = H // KV
 
         dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads)
-        dctx = dctx.reshape(B, T, H, hd)
+        dctx = _group_heads(dctx.reshape(B, T, H, hd), KV)  # (B, KV, G*T, hd)
+        probs = rec["probs"]  # (B, KV, G*T, S)
+        k = rec["k"].transpose(0, 2, 1, 3)  # (B, KV, S, hd)
 
-        k_exp = np.repeat(rec["k"], group, axis=2)
-        v_exp = np.repeat(rec["v"], group, axis=2)
-        dprobs = np.einsum("bthd,bshd->bhts", dctx, v_exp)
-        dv_exp = np.einsum("bhts,bthd->bshd", rec["probs"], dctx)
-        dscores = softmax_backward(rec["probs"], dprobs, axis=-1)
+        # contracting over the G*T axis sums each group onto its shared kv head
+        dprobs = dctx @ rec["v"].transpose(0, 2, 3, 1)
+        dv = probs.transpose(0, 1, 3, 2) @ dctx
+        dscores = softmax_backward(probs, dprobs, axis=-1)
         dscores /= math.sqrt(hd)
-        dq = np.einsum("bhts,bshd->bthd", dscores, k_exp)
-        dk_exp = np.einsum("bhts,bthd->bshd", dscores, rec["q"])
-        # collapse each query-head group back onto its shared kv head
-        dk = dk_exp.reshape(B, T, KV, group, hd).sum(axis=3)
-        dv = dv_exp.reshape(B, T, KV, group, hd).sum(axis=3)
+        dq = _ungroup_heads(dscores @ k, T)
+        dk = dscores.transpose(0, 1, 3, 2) @ rec["qg"]
 
         dq = _apply_rope_inverse(dq, rec["cos"], rec["sin"])
-        dk = _apply_rope_inverse(dk, rec["cos"], rec["sin"])
+        dk = _apply_rope_inverse(dk.transpose(0, 2, 1, 3), rec["cos"], rec["sin"])
+        dv = dv.transpose(0, 2, 1, 3)
 
         dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(B, T, H * hd), grads)
         dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(B, T, KV * hd), grads)

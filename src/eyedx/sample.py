@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .model import Model
 from .numerics import softmax
 from .tokenizer import EOS_ID
@@ -71,6 +71,11 @@ def filter_logits(logits: np.ndarray, seen_ids, params: DecodeParams) -> np.ndar
     return probs / probs.sum()
 
 
+def _check_finite(logits: np.ndarray, step: int) -> None:
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite logits at generation step {step}")
+
+
 def decode(model: Model, prompt_ids, params: DecodeParams) -> list[int]:
     """Sample a continuation of the prompt; stops at eos or max_new_tokens.
     Returns generated ids only, eos excluded."""
@@ -89,6 +94,7 @@ def decode(model: Model, prompt_ids, params: DecodeParams) -> list[int]:
     seen = set(prompt_ids)
     out: list[int] = []
     for _ in range(params.max_new_tokens):
+        _check_finite(logits, len(out))
         probs = filter_logits(logits, seen, params)
         nxt = int(rng.choice(probs.shape[0], p=probs))
         if nxt == EOS_ID:
@@ -113,6 +119,7 @@ def decode_greedy(model: Model, prompt_ids, max_new_tokens: int) -> list[int]:
     logits = model.forward(np.asarray(prompt_ids), cache)[-1]
     out: list[int] = []
     for _ in range(max_new_tokens):
+        _check_finite(logits, len(out))
         nxt = int(np.argmax(logits))
         if nxt == EOS_ID:
             break

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from eyedx.cli import main
+from eyedx.container import read_container, write_container
 from eyedx.corpus import synthesize, write_jsonl
 from eyedx.lora import load_adapter
 
@@ -181,6 +182,40 @@ def test_infer_missing_model_file(tmp_path, capsys):
         "--report", FINDINGS,
     ])
     assert code == 2
+
+
+def assert_one_line_data_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_infer_rejects_unknown_config_key(workspace, tmp_path, capsys):
+    header, tensors = read_container(workspace["model"])
+    header["config"]["n_experts"] = 4
+    bad = tmp_path / "model.olm"
+    write_container(bad, header, tensors)
+    code = main(["infer", "--model", str(bad), "--modality", "OSA", "--report", FINDINGS])
+    assert_one_line_data_error(code, capsys)
+
+
+def test_infer_rejects_malformed_header_json(workspace, tmp_path, capsys):
+    data = workspace["model"].read_bytes()
+    header_len = int.from_bytes(data[8:12], "little")
+    bad = tmp_path / "model.olm"
+    bad.write_bytes(data[:12] + b"{" * header_len + data[12 + header_len :])
+    code = main(["infer", "--model", str(bad), "--modality", "OSA", "--report", FINDINGS])
+    assert_one_line_data_error(code, capsys)
+
+
+def test_infer_rejects_adapter_without_rank(workspace, tmp_path, capsys):
+    header, tensors = read_container(workspace["adapter"])
+    del header["rank"]
+    bad = tmp_path / "adapter.olm"
+    write_container(bad, header, tensors)
+    code = main(infer_args(workspace, "--report", FINDINGS, "--adapter", str(bad)))
+    assert_one_line_data_error(code, capsys)
 
 
 # -- evaluate -----------------------------------------------------------------

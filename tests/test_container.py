@@ -6,6 +6,7 @@ import pytest
 from eyedx import DataError
 from eyedx.container import (
     MAGIC,
+    load_bundle,
     load_model,
     load_quantized,
     read_container,
@@ -14,7 +15,7 @@ from eyedx.container import (
     write_container,
 )
 from eyedx.model import Model, ModelConfig, init_params
-from eyedx.quant import QuantizedModel, codes_of, quantize, quantize_model
+from eyedx.quant import QuantizedModel, QuantTensor, codes_of, quantize, quantize_model
 
 RNG = np.random.default_rng(5)
 
@@ -115,3 +116,58 @@ def test_kind_mixups_rejected(tmp_path):
     save_model(model, path)
     with pytest.raises(DataError, match="quant-model"):
         load_quantized(path)
+
+
+def test_wrongly_shaped_tensor_rejected_at_load(tmp_path):
+    params = init_params(CFG)
+    params["layers.0.wq"] = params["layers.0.wq"][:, :-1]  # a truncated float tensor
+    path = tmp_path / "model.bin"
+    write_container(path, {"kind": "model", "config": vars(CFG)}, params)
+    with pytest.raises(DataError, match="layers.0.wq"):
+        load_bundle(path)
+
+
+def test_wrongly_shaped_quant_tensor_rejected_at_load(tmp_path):
+    tensors = quantize_model(init_params(CFG), CFG)
+    # a self-consistent int4 payload of the wrong shape, so only the model check sees it
+    tensors["layers.0.wv"] = quantize(init_params(CFG)["layers.0.wv"][:-1])
+    path = tmp_path / "model.q4"
+    write_container(path, {"kind": "quant-model", "config": vars(CFG)}, tensors)
+    with pytest.raises(DataError, match="layers.0.wv"):
+        load_bundle(path)
+
+
+def test_int4_payload_inconsistent_with_shape_rejected(tmp_path):
+    q = quantize(RNG.standard_normal(200).astype(np.float32), block_size=32)
+    for bad in (
+        QuantTensor(q.packed, q.scales, q.block_size, (300,)),
+        QuantTensor(q.packed[:-1], q.scales, q.block_size, q.shape),
+        QuantTensor(q.packed, q.scales[:-1], q.block_size, q.shape),
+        QuantTensor(q.packed, q.scales, 0, q.shape),
+    ):
+        path = tmp_path / "q.bin"
+        write_container(path, {"kind": "test"}, {"q": bad})
+        with pytest.raises(DataError, match="payload"):
+            read_container(path)
+
+
+def test_header_errors_raise_data_error(tmp_path):
+    params = init_params(CFG)
+    path = tmp_path / "h.bin"
+    for header in (
+        {"kind": "model", "config": {**vars(CFG), "n_experts": 4}},
+        {"kind": "model", "config": {**vars(CFG), "d_model": "16"}},
+        {"kind": "model", "config": {**vars(CFG), "d_model": 16.0}},
+        {"kind": "model"},
+    ):
+        write_container(path, header, params)
+        with pytest.raises(DataError, match="config|integer"):
+            load_bundle(path)
+    for vocab in (5, [["a"]], ["a", 3]):
+        write_container(path, {"kind": "model", "config": vars(CFG), "vocab": vocab}, params)
+        with pytest.raises(DataError, match="vocab"):
+            load_bundle(path)
+    for raw in (b"{not json", b"[1, 2]", b"\xff\xfe"):
+        path.write_bytes(MAGIC + (1).to_bytes(4, "little") + len(raw).to_bytes(4, "little") + raw)
+        with pytest.raises(DataError, match="header|utf-8"):
+            read_container(path)

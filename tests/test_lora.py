@@ -246,6 +246,19 @@ def test_load_adapter_rejects_model_container(tmp_path):
         load_adapter(path)
 
 
+def test_load_adapter_rejects_bad_rank_or_alpha(tmp_path):
+    from eyedx.container import read_container, write_container
+
+    good = tmp_path / "adapter.bin"
+    save_adapter(init_adapter(CFG, rank=4, alpha=16.0), good)
+    header, tensors = read_container(good)
+    for change in ({"rank": None}, {"rank": "four"}, {"rank": 0}, {"alpha": -1.0}, {"alpha": []}):
+        path = tmp_path / "bad.bin"
+        write_container(path, {**header, **change}, tensors)
+        with pytest.raises(DataError, match="rank|alpha"):
+            load_adapter(path)
+
+
 def test_loaded_adapter_attaches_and_matches(tmp_path):
     model = fresh_model(seed=2)
     adapter = randomized(attach(model, rank=4, alpha=16.0))

@@ -9,6 +9,11 @@ from eyedx import DataError
 from eyedx.model import (
     Model,
     ModelConfig,
+    _apply_rope,
+    _apply_rope_inverse,
+    _rmsnorm_bwd,
+    _rmsnorm_fwd,
+    _rope_tables,
     ffn,
     init_params,
     matmul_weight_names,
@@ -16,7 +21,13 @@ from eyedx.model import (
     rmsnorm,
     rope_vector,
 )
-from eyedx.numerics import cross_entropy, finite_difference, grad_relative_error, softmax
+from eyedx.numerics import (
+    cross_entropy,
+    finite_difference,
+    grad_relative_error,
+    softmax,
+    softmax_backward,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -60,6 +71,27 @@ def test_param_shapes_default_config():
     assert shapes["layers.3.w_gate"] == (256, 688)
     assert shapes["lm_head"] == (256, 4096)
     assert len(matmul_weight_names(ModelConfig())) == 4 * 7
+
+
+def test_model_rejects_wrongly_shaped_or_typed_tensors():
+    for name, bad in [
+        ("layers.0.wq", np.zeros((16, 15), dtype=np.float32)),
+        ("layers.1.attn_norm", np.ones((16, 1), dtype=np.float32)),
+        ("lm_head", np.zeros((16, 13), dtype=np.int32)),
+        ("tok_embed", [[0.0] * 16] * 13),
+    ]:
+        params = init_params(TINY)
+        params[name] = bad
+        with pytest.raises(DataError, match=name):
+            Model(TINY, params)
+    params = init_params(TINY)
+    params["layers.0.wq.lora_a"] = np.zeros((16, 2), dtype=np.float32)
+    with pytest.raises(DataError, match="unknown"):
+        Model(TINY, params)
+    params = init_params(TINY)
+    del params["final_norm"]
+    with pytest.raises(DataError, match="missing"):
+        Model(TINY, params)
 
 
 # ------------------------------------------------------------- rmsnorm
@@ -198,11 +230,11 @@ def test_single_position_attends_fully_to_itself():
 
 def reference_attention(model, tokens, kv_of_head):
     """Per-head loop attention over the first layer, an oracle independent of
-    the einsum/repeat implementation. kv_of_head maps query head -> kv head."""
+    the grouped batched-matmul implementation. kv_of_head maps query head ->
+    kv head."""
     cfg = model.config
     p = "layers.0."
     hd = cfg.head_dim
-    from eyedx.model import _apply_rope, _rmsnorm_fwd, _rope_tables
 
     x = model.params["tok_embed"][np.asarray(tokens)[None, :]]
     xn, _ = _rmsnorm_fwd(x, model.params[p + "attn_norm"], cfg.rmsnorm_eps)
@@ -245,6 +277,139 @@ def test_grouped_attention_matches_per_head_reference(n_kv):
     group = cfg.n_heads // n_kv
     expect = reference_attention(model, tokens, kv_of_head=[h // group for h in range(cfg.n_heads)])
     assert np.max(np.abs(got - expect)) < 1e-6
+
+
+# ------------------------------------------------------------- repeat/einsum oracle
+
+
+def oracle_attention(q, k, v, past):
+    """The attention core the grouped batched matmuls replaced: kv heads
+    copied out to every query head with np.repeat, then einsum. q is
+    (B, T, H, hd) and k, v are (B, S, KV, hd), all rotated; the T queries sit
+    at positions past .. past + T - 1. Returns ctx (B, T, H*hd) and probs
+    (B, H, T, S)."""
+    B, T, H, hd = q.shape
+    S = k.shape[1]
+    group = H // k.shape[2]
+    k_exp = np.repeat(k, group, axis=2)  # (B, S, H, hd)
+    v_exp = np.repeat(v, group, axis=2)
+    scores = np.einsum("bthd,bshd->bhts", q, k_exp) / math.sqrt(hd)
+    allowed = np.arange(S)[None, :] <= (past + np.arange(T))[:, None]
+    scores = np.where(allowed[None, None], scores, -np.inf)
+    probs = softmax(scores, axis=-1)
+    ctx = np.einsum("bhts,bshd->bthd", probs, v_exp).reshape(B, T, H * hd)
+    return ctx, probs
+
+
+def oracle_attention_bwd(q, k, v, probs, dctx):
+    """Backward of oracle_attention for a full causal segment (past = 0):
+    gradients of rotated q, k, v given dctx (B, T, H, hd)."""
+    B, T, H, hd = q.shape
+    KV = k.shape[2]
+    group = H // KV
+    k_exp = np.repeat(k, group, axis=2)
+    v_exp = np.repeat(v, group, axis=2)
+    dprobs = np.einsum("bthd,bshd->bhts", dctx, v_exp)
+    dv_exp = np.einsum("bhts,bthd->bshd", probs, dctx)
+    dscores = softmax_backward(probs, dprobs, axis=-1) / math.sqrt(hd)
+    dq = np.einsum("bhts,bshd->bthd", dscores, k_exp)
+    dk_exp = np.einsum("bhts,bthd->bshd", dscores, q)
+    # collapse each query-head group back onto its shared kv head
+    dk = dk_exp.reshape(B, T, KV, group, hd).sum(axis=3)
+    dv = dv_exp.reshape(B, T, KV, group, hd).sum(axis=3)
+    return dq, dk, dv
+
+
+def gqa_model(n_kv):
+    cfg = ModelConfig(
+        d_model=16, n_layers=1, n_heads=4, n_kv_heads=n_kv, d_ff=24, vocab_size=13, max_seq_len=16
+    )
+    return tiny_model(cfg, dtype=np.float64)
+
+
+def first_layer_qkv(model, tokens):
+    """Normed input, rotated q, k, v and rope tables of layer 0 for a
+    (B, T) token batch starting at position 0."""
+    cfg = model.config
+    p = "layers.0."
+    x = model.params["tok_embed"][tokens]
+    xn, inv = _rmsnorm_fwd(x, model.params[p + "attn_norm"], cfg.rmsnorm_eps)
+    B, T, _ = xn.shape
+    cos, sin = _rope_tables(np.arange(T), cfg.head_dim, cfg.rope_base, xn.dtype)
+
+    def heads(name, n):
+        return (xn @ model.params[p + name]).reshape(B, T, n, cfg.head_dim)
+
+    q = _apply_rope(heads("wq", cfg.n_heads), cos, sin)
+    k = _apply_rope(heads("wk", cfg.n_kv_heads), cos, sin)
+    return x, xn, inv, q, k, heads("wv", cfg.n_kv_heads), cos, sin
+
+
+def record_calls(model, method):
+    """Shadow a projection method on the instance and keep each call's
+    arguments, keyed by weight name (the second argument)."""
+    calls = {}
+    inner = getattr(model, method)
+
+    def wrapper(*args):
+        calls.setdefault(args[1], []).append(args)
+        return inner(*args)
+
+    setattr(model, method, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n_kv", [4, 2, 1])
+def test_taped_attention_and_backward_match_repeat_einsum_oracle(n_kv):
+    model = gqa_model(n_kv)
+    cfg = model.config
+    rng = np.random.default_rng(21)
+    tokens = rng.integers(0, cfg.vocab_size, (2, 7))
+    tape = []
+    model._run(tokens, None, tape)
+    rec = next(r for r in tape if r.get("kind") == "attn")
+
+    x, xn, inv, q, k, v, cos, sin = first_layer_qkv(model, tokens)
+    ctx, probs = oracle_attention(q, k, v, past=0)
+    assert np.max(np.abs(rec["ctx"] - ctx)) < 1e-10
+
+    p = "layers.0."
+    B, T, _ = x.shape
+    d_out = rng.standard_normal(x.shape)
+    calls = record_calls(model, "_project_bwd")
+    dx = model._attention_bwd(rec, d_out, {})
+
+    dctx = (d_out @ model.params[p + "wo"].T).reshape(B, T, cfg.n_heads, cfg.head_dim)
+    dq, dk, dv = oracle_attention_bwd(q, k, v, probs, dctx)
+    dq = _apply_rope_inverse(dq, cos, sin).reshape(B, T, -1)
+    dk = _apply_rope_inverse(dk, cos, sin).reshape(B, T, -1)
+    dv = dv.reshape(B, T, -1)
+    for name, expect in (("wq", dq), ("wk", dk), ("wv", dv)):
+        (_, _, got, _), = calls[p + name]
+        assert np.max(np.abs(got - expect)) < 1e-10, name
+    dxn = dq @ model.params[p + "wq"].T + dk @ model.params[p + "wk"].T
+    dxn += dv @ model.params[p + "wv"].T
+    dxin, _ = _rmsnorm_bwd(x, model.params[p + "attn_norm"], inv, dxn)
+    assert np.max(np.abs(dx - (d_out + dxin))) < 1e-10
+
+
+@pytest.mark.parametrize("n_kv", [4, 2, 1])
+def test_cached_attention_matches_repeat_einsum_oracle(n_kv):
+    model = gqa_model(n_kv)
+    tokens = np.random.default_rng(22).integers(0, model.config.vocab_size, 9)
+    calls = record_calls(model, "_project")
+    cache = model.new_cache()
+    model.forward(tokens[:5], cache)  # prefill, then one token per step
+    for t in range(5, 9):
+        model.forward(tokens[t : t + 1], cache)
+
+    _, _, _, q, k, v, _, _ = first_layer_qkv(model, tokens[None, :])
+    segments = [(0, 5), (5, 6), (6, 7), (7, 8), (8, 9)]
+    ctx_inputs = [args[0] for args in calls["layers.0.wo"]]
+    assert len(ctx_inputs) == len(segments)
+    for (lo, hi), got in zip(segments, ctx_inputs):
+        expect, _ = oracle_attention(q[:, lo:hi], k[:, :hi], v[:, :hi], past=lo)
+        assert np.max(np.abs(got - expect)) < 1e-10, (lo, hi)
 
 
 # ------------------------------------------------------------- KV cache

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -291,6 +292,15 @@ def test_evaluate_clamps_generation_to_context_window():
     report = evaluate(model, records[:2], vocab, params=params)
     assert len(report.records) == 2
     assert not any(row.failed for row in report.records)
+
+
+def test_nan_weights_flag_every_record_instead_of_aborting():
+    model, records, vocab = eval_fixture_model()
+    model.params["lm_head"][:, 7] = np.nan
+    for params in (DecodeParams(max_new_tokens=4), DecodeParams(max_new_tokens=4, top_k=1)):
+        report = evaluate(model, records[:3], vocab, params=params)
+        assert [row.failed for row in report.records] == [True, True, True]
+        assert report.rouge1.f1 == 0.0
 
 
 # -- report emission ----------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eyedx import DataError
+from eyedx import DataError, NumericError
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
 from eyedx.sample import DecodeParams, decode, decode_greedy, filter_logits
@@ -249,3 +249,12 @@ def test_greedy_with_cache_matches_full_recompute():
         cached_logits = model.forward(np.array([tok]), cache)[-1]
     full_logits = model.forward(np.asarray(seq))[-1]
     assert np.max(np.abs(cached_logits - full_logits)) < 1e-5
+
+
+def test_non_finite_logits_raise_numeric_error():
+    model = tiny_model()
+    model.params["lm_head"][:, 5] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        decode(model, [1, 2, 3], neutral(max_new_tokens=3))
+    with pytest.raises(NumericError, match="non-finite"):
+        decode_greedy(model, [1, 2, 3], 3)
