@@ -15,7 +15,7 @@ import statistics
 import sys
 import time
 import typing
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .container import load_bundle, save_model
@@ -37,7 +37,7 @@ from .model import Model, ModelConfig, init_params
 from .quant import QuantizedModel, quantize_model
 from .rouge import evaluate as evaluate_corpus
 from .rouge import format_table, write_report
-from .sample import DecodeParams, decode
+from .sample import DecodeParams, decode_batch
 from .tokenizer import BOS_ID, build
 from .train import TrainConfig, train
 
@@ -107,17 +107,6 @@ def _decode_params(args) -> DecodeParams:
         if value is not None:
             values[name] = value
     return DecodeParams(**values)
-
-
-def _generate(model, vocab, prompt_text: str, params: DecodeParams) -> list[int]:
-    ids = [BOS_ID] + vocab.encode(prompt_text)
-    room = model.config.max_seq_len - len(ids)
-    if room <= 0:
-        raise DataError(
-            f"prompt needs {len(ids)} tokens but the context window is {model.config.max_seq_len}"
-        )
-    budget = min(params.max_new_tokens, room)
-    return decode(model, ids, replace(params, max_new_tokens=budget))
 
 
 def _parse_config_file(path) -> dict:
@@ -247,8 +236,9 @@ def _cmd_infer(args):
         template.instruction.format(modality=args.modality, findings=findings)
         + template.response_prefix
     )
-    out_ids = _generate(model, vocab, prompt_text, _decode_params(args))
-    print(vocab.decode(out_ids))
+    ids = [BOS_ID] + vocab.encode(prompt_text)
+    [generation] = decode_batch(model, [ids], _decode_params(args))
+    print(vocab.decode(generation.unwrap()))
 
 
 def _cmd_evaluate(args):
@@ -299,10 +289,11 @@ def _cmd_bench(args):
     generated = 0
     for record in test_records:
         prompt_text, _ = render_prompt(record, template)
-        start = time.perf_counter()
-        out_ids = _generate(model, vocab, prompt_text, params)
+        start = time.perf_counter()  # one record per call: latency per report
+        ids = [BOS_ID] + vocab.encode(prompt_text)
+        [generation] = decode_batch(model, [ids], params)
         latencies.append(time.perf_counter() - start)
-        generated += len(out_ids)
+        generated += len(generation.unwrap())
     mean = statistics.fmean(latencies)
     spread = statistics.stdev(latencies) if len(latencies) > 1 else 0.0
 

@@ -1,8 +1,9 @@
 """Mini decoder-only transformer.
 
 Pre-norm blocks: x + attn(rmsnorm(x)) then x + ffn(rmsnorm(x)), rotary
-positions on queries and keys, grouped-query attention with an append-only
-KV cache, SiLU-gated feed-forward, final norm, untied output projection.
+positions on queries and keys, grouped-query attention with a batched KV
+cache whose rows advance on their own, SiLU-gated feed-forward, final norm,
+untied output projection.
 
 Weights live in a flat dict keyed "tok_embed", "layers.{i}.wq", ...,
 "final_norm", "lm_head"; every 2D weight W acts as y = x @ W with W shaped
@@ -138,13 +139,13 @@ def _rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype):
     # angles in float64; only the final cos/sin values are cast down
     i = np.arange(head_dim // 2, dtype=np.float64)
     freqs = base ** (-2.0 * i / head_dim)
-    angles = positions.astype(np.float64)[:, None] * freqs[None, :]
+    angles = positions.astype(np.float64)[..., None] * freqs
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
 def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate consecutive pairs (x_2i, x_2i+1); x is (..., T, n_heads, head_dim),
-    cos/sin are (T, head_dim/2) and broadcast over the head axis."""
+    cos/sin are (..., T, head_dim/2) and broadcast over the head axis."""
     e, o = x[..., 0::2], x[..., 1::2]
     c = cos[..., :, None, :]
     s = sin[..., :, None, :]
@@ -191,25 +192,45 @@ def ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarray)
 
 
 class KVCache:
-    """Per-layer rotated keys and values for positions [0, length)."""
+    """Per-layer rotated keys and values for a batch of sequences; row b holds
+    positions [0, lengths[b]). Slots at or past a row's length are free: the
+    attention mask hides them and the row's next tokens overwrite them."""
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
-        shape = (config.max_seq_len, config.n_kv_heads, config.head_dim)
+    def __init__(self, config: ModelConfig, dtype=np.float32, batch: int = 1):
+        shape = (batch, config.max_seq_len, config.n_kv_heads, config.head_dim)
         self.k = [np.zeros(shape, dtype=dtype) for _ in range(config.n_layers)]
         self.v = [np.zeros(shape, dtype=dtype) for _ in range(config.n_layers)]
-        self.length = 0
+        self.lengths = np.zeros(batch, dtype=np.int64)
         self.max_seq_len = config.max_seq_len
 
+    @property
+    def batch(self) -> int:
+        return self.lengths.shape[0]
+
+    @property
+    def length(self) -> int:
+        """The longest row's length; the length of a one-row cache."""
+        return int(self.lengths.max())
+
     def store(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        t = k_new.shape[0]
-        self.k[layer][self.length : self.length + t] = k_new
-        self.v[layer][self.length : self.length + t] = v_new
+        """Write (B, T, KV, hd) keys/values at each row's own next T slots."""
+        slots = self.lengths[:, None] + np.arange(k_new.shape[1])
+        rows = np.arange(self.batch)[:, None]
+        self.k[layer][rows, slots] = k_new
+        self.v[layer][rows, slots] = v_new
 
     def advance(self, t: int) -> None:
-        self.length += t
+        self.lengths += t
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.k = [k[rows] for k in self.k]
+        self.v = [v[rows] for v in self.v]
+        self.lengths = self.lengths[rows]
 
     def reset(self) -> None:
-        self.length = 0
+        self.lengths[:] = 0
 
 
 # ------------------------------------------------------------------ model
@@ -245,8 +266,8 @@ class Model:
     def dtype(self):
         return self.params["tok_embed"].dtype
 
-    def new_cache(self) -> KVCache:
-        return KVCache(self.config, self.dtype)
+    def new_cache(self, batch: int = 1) -> KVCache:
+        return KVCache(self.config, self.dtype, batch)
 
     # -- projections (adapter-aware) --
 
@@ -278,8 +299,8 @@ class Model:
 
     def forward(self, tokens, cache: KVCache | None = None) -> np.ndarray:
         """Logits for each input position: (T, vocab) for a 1D token array,
-        (B, T, vocab) for a batch. With a cache, tokens are the new segment
-        appended after cache.length and only they get logits."""
+        (B, T, vocab) for a batch. With a cache, row b of tokens is the new
+        segment appended after cache.lengths[b] and only it gets logits."""
         tokens = np.asarray(tokens)
         single = tokens.ndim == 1
         tokens2d = tokens[None, :] if single else tokens
@@ -295,22 +316,24 @@ class Model:
             raise DataError(
                 f"token id out of range [0, {cfg.vocab_size}): {tokens.min()}..{tokens.max()}"
             )
-        past = 0
+        past = np.zeros(1, dtype=np.int64)  # without a cache every row starts at 0
         if cache is not None:
             if tape is not None:
                 raise NumericError("taped forward does not take a cache")
-            if B != 1:
-                raise DataError("cached decode handles one sequence at a time")
-            past = cache.length
-        if past + T > cfg.max_seq_len:
-            raise DataError(f"sequence length {past + T} exceeds max_seq_len {cfg.max_seq_len}")
+            if B != cache.batch:
+                held = "one sequence" if cache.batch == 1 else f"{cache.batch} sequences"
+                raise DataError(f"the cache holds {held}, got a batch of {B}")
+            past = cache.lengths
+        positions = past[:, None] + np.arange(T)  # (B, T), or (1, T) shared by every row
+        S = int(positions.max()) + 1
+        if S > cfg.max_seq_len:
+            raise DataError(f"sequence length {S} exceeds max_seq_len {cfg.max_seq_len}")
 
-        positions = np.arange(past, past + T)
         cos, sin = _rope_tables(positions, cfg.head_dim, cfg.rope_base, self.dtype)
         x = self.params["tok_embed"][tokens]
 
         for i in range(cfg.n_layers):
-            x = x + self._attention(x, i, cache, cos, sin, past, tape)
+            x = x + self._attention(x, i, cache, cos, sin, positions, tape)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
             cache.advance(T)
@@ -321,7 +344,7 @@ class Model:
             tape.append({"tokens": tokens, "x_final": x, "inv_final": inv, "xn_final": xn})
         return logits
 
-    def _attention(self, x, layer, cache, cos, sin, past, tape):
+    def _attention(self, x, layer, cache, cos, sin, positions, tape):
         cfg = self.config
         B, T, _ = x.shape
         p = f"layers.{layer}."
@@ -334,20 +357,22 @@ class Model:
         q = _apply_rope(q, cos, sin)
         k = _apply_rope(k, cos, sin)
 
+        # key s is visible to the query at position p when s <= p; a cached
+        # row's free slots past its own length fall outside that
+        S = int(positions.max()) + 1
         if cache is not None:
-            cache.store(layer, k[0], v[0])
-            k_all = cache.k[layer][None, : past + T]
-            v_all = cache.v[layer][None, : past + T]
+            cache.store(layer, k, v)
+            k_all = cache.k[layer][:, :S]
+            v_all = cache.v[layer][:, :S]
         else:
             k_all, v_all = k, v
-        S = past + T
+        allowed = (np.arange(S) <= positions[..., None])[:, None, None]  # (B|1, 1, 1, T, S)
 
         # query head h = kv * G + g shares kv head kv; stacking each group's
         # G query heads along the time axis makes one batched matmul per kv head
         G = H // KV
         qg = _group_heads(q, KV)  # (B, KV, G*T, hd)
         scores = (qg @ k_all.transpose(0, 2, 3, 1)).reshape(B, KV, G, T, S) / math.sqrt(hd)
-        allowed = np.arange(S)[None, :] <= (past + np.arange(T))[:, None]
         scores = np.where(allowed, scores, -np.inf)
         probs = softmax(scores, axis=-1).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)

@@ -113,8 +113,8 @@ class QuantizedModel:
     def forward(self, tokens, cache=None):
         return self._model.forward(tokens, cache)
 
-    def new_cache(self):
-        return self._model.new_cache()
+    def new_cache(self, batch: int = 1):
+        return self._model.new_cache(batch)
 
     @property
     def weight_bytes(self) -> int:

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_TEMPLATE, PromptTemplate, render_prompt
 from .errors import DataError, EyedxError
-from .sample import DecodeParams, decode
+from .sample import DecodeParams, decode_batch
+
+# Nothing here calls decode any more; the binding stays because
+# benchmark/probes.py traces decoding by wrapping eyedx.rouge.decode.
+from .sample import decode  # noqa: F401
 from .tokenizer import BOS_ID, segment
 
 
@@ -138,7 +142,11 @@ def rouge_l(candidate, reference, beta: float = 1.0) -> RougeScore:
 
 @dataclass(frozen=True)
 class RecordScore:
-    """Per-record evaluation row: what the model wrote and how it scored."""
+    """Per-record evaluation row: what the model wrote and how it scored.
+
+    ``stop`` is "eos", "budget" or "error"; with a custom ``generate`` it is
+    "error" or None, and ``n_generated`` is None.
+    """
 
     record_id: str
     modality: str
@@ -147,6 +155,8 @@ class RecordScore:
     rouge2: RougeScore
     rouge_l: RougeScore
     failed: bool = False
+    n_generated: int | None = None
+    stop: str | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -154,6 +164,8 @@ class RecordScore:
             "modality": self.modality,
             "candidate": self.candidate,
             "failed": self.failed,
+            "n_generated": self.n_generated,
+            "stop": self.stop,
             "rouge1": self.rouge1.as_dict(),
             "rouge2": self.rouge2.as_dict(),
             "rouge_l": self.rouge_l.as_dict(),
@@ -211,23 +223,6 @@ def score_pair(candidate_text: str, reference_text: str) -> tuple[RougeScore, Ro
     return rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref)
 
 
-def _model_generator(model, vocab, params: DecodeParams):
-    limit = model.config.max_seq_len
-
-    def generate(record, prompt_text: str) -> str:
-        ids = [BOS_ID] + vocab.encode(prompt_text)
-        room = limit - len(ids)
-        if room <= 0:
-            raise DataError(
-                f"prompt for record {record.id} fills the {limit}-token context"
-            )
-        budget = min(params.max_new_tokens, room)
-        out = decode(model, ids, replace(params, max_new_tokens=budget))
-        return vocab.decode(out)
-
-    return generate
-
-
 def evaluate(
     model,
     records,
@@ -238,32 +233,42 @@ def evaluate(
 ) -> EvalReport:
     """Decode every test record and score it against its reference diagnosis.
 
-    ``generate`` defaults to sampling from the model with ``params`` (the
-    token budget is clamped to the model's context window per record); pass a
-    callable ``generate(record, prompt_text) -> str`` to substitute another
-    text source. A record whose generation raises is scored zero, flagged,
-    and evaluation continues.
+    ``generate`` defaults to sampling from the model with ``params``: all
+    records decode together in one batch, each with its token budget clamped
+    to the room its prompt leaves in the context window. Pass a callable
+    ``generate(record, prompt_text) -> str`` to substitute another text
+    source. A record whose generation fails is scored zero, flagged, and
+    evaluation continues.
     """
     if not records:
         raise DataError("cannot evaluate an empty test split")
     if params is None:
         params = DecodeParams()
+    if generate is None and (model is None or vocab is None):
+        raise DataError("evaluate needs a model and vocabulary unless generate is given")
+
+    rendered = [render_prompt(record, template) for record in records]
     if generate is None:
-        if model is None or vocab is None:
-            raise DataError("evaluate needs a model and vocabulary unless generate is given")
-        generate = _model_generator(model, vocab, params)
+        prompts = [[BOS_ID] + vocab.encode(prompt_text) for prompt_text, _ in rendered]
+        generations = decode_batch(model, prompts, params)
 
     zero = RougeScore(0.0, 0.0, 0.0, degenerate=True)
     rows = []
-    for record in records:
-        prompt_text, reference_text = render_prompt(record, template)
+    for i, (record, (prompt_text, reference_text)) in enumerate(zip(records, rendered)):
+        n_generated = stop = None
         try:
-            candidate = generate(record, prompt_text)
+            if generate is None:
+                n_generated, stop = len(generations[i].tokens), generations[i].stop
+                candidate = vocab.decode(generations[i].unwrap())
+            else:
+                candidate = generate(record, prompt_text)
         except EyedxError:
-            rows.append(RecordScore(record.id, record.modality, "", zero, zero, zero, failed=True))
+            rows.append(RecordScore(record.id, record.modality, "", zero, zero, zero, failed=True,
+                                    n_generated=n_generated, stop="error"))
             continue
         r1, r2, rl = score_pair(candidate, reference_text)
-        rows.append(RecordScore(record.id, record.modality, candidate, r1, r2, rl))
+        rows.append(RecordScore(record.id, record.modality, candidate, r1, r2, rl,
+                                n_generated=n_generated, stop=stop))
 
     by_modality = {}
     for modality in sorted({row.modality for row in rows}):

@@ -449,6 +449,47 @@ def test_cache_rejects_batches():
         model.forward(RNG.integers(0, TINY.vocab_size, (2, 4)), model.new_cache())
 
 
+def test_batched_cache_rows_advance_on_their_own():
+    model = tiny_model()
+    tokens = RNG.integers(0, TINY.vocab_size, (3, 6))
+    cache = model.new_cache(3)
+    model.forward(tokens[:, :4], cache)
+    assert cache.lengths.tolist() == [4, 4, 4]
+    cache.lengths[:] = [1, 4, 2]  # rows 0 and 2 drop their tail
+    logits = model.forward(tokens[:, 4:], cache)
+    assert cache.lengths.tolist() == [3, 6, 4]
+    for row, kept in enumerate((1, 4, 2)):
+        seq = np.concatenate([tokens[row, :kept], tokens[row, 4:]])
+        full = model.forward(seq)[-2:]
+        assert np.max(np.abs(logits[row] - full)) < 1e-5
+
+
+def test_cache_keep_leaves_surviving_rows_bit_identical():
+    model = tiny_model()
+    cache = model.new_cache(3)
+    model.forward(RNG.integers(0, TINY.vocab_size, (3, 5)), cache)
+    cache.lengths[:] = [5, 2, 3]
+    k, v = [a.copy() for a in cache.k], [a.copy() for a in cache.v]
+    cache.keep([2, 0])
+    assert cache.batch == 2 and cache.lengths.tolist() == [3, 5]
+    for layer in range(TINY.n_layers):
+        assert np.array_equal(cache.k[layer], k[layer][[2, 0]])
+        assert np.array_equal(cache.v[layer], v[layer][[2, 0]])
+    model.forward(RNG.integers(0, TINY.vocab_size, (2, 1)), cache)  # still usable
+    assert cache.lengths.tolist() == [4, 6]
+
+
+def test_batched_cache_overflow():
+    model = tiny_model()
+    cache = model.new_cache(2)
+    model.forward(RNG.integers(0, TINY.vocab_size, (2, 4)), cache)
+    cache.lengths[:] = [2, TINY.max_seq_len]  # one row full, the other not
+    with pytest.raises(DataError, match="max_seq_len"):
+        model.forward(RNG.integers(0, TINY.vocab_size, (2, 1)), cache)
+    with pytest.raises(DataError, match="2 sequences"):
+        model.forward(RNG.integers(0, TINY.vocab_size, (3, 1)), cache)
+
+
 # ------------------------------------------------------------- gradients
 
 

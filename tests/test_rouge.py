@@ -2,13 +2,14 @@
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eyedx.corpus import synthesize
+from eyedx.corpus import render_prompt, synthesize
 from eyedx.errors import DataError
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.rouge import (
@@ -22,8 +23,8 @@ from eyedx.rouge import (
     score_pair,
     write_report,
 )
-from eyedx.sample import DecodeParams
-from eyedx.tokenizer import build
+from eyedx.sample import DecodeParams, decode
+from eyedx.tokenizer import BOS_ID, build, segment
 
 CAND = "retinal detachment left eye".split()
 REF = "retinal detachment right eye".split()
@@ -301,6 +302,64 @@ def test_nan_weights_flag_every_record_instead_of_aborting():
         report = evaluate(model, records[:3], vocab, params=params)
         assert [row.failed for row in report.records] == [True, True, True]
         assert report.rouge1.f1 == 0.0
+
+
+def one_record_at_a_time(model, records, vocab, params):
+    """The candidates of decoding each record alone with its clamped budget."""
+    out = []
+    for record in records:
+        ids = [BOS_ID] + vocab.encode(render_prompt(record)[0])
+        budget = min(params.max_new_tokens, model.config.max_seq_len - len(ids))
+        out.append(vocab.decode(decode(model, ids, replace(params, max_new_tokens=budget))))
+    return out
+
+
+def test_evaluate_batch_matches_one_record_at_a_time():
+    model, records, vocab = eval_fixture_model()  # prompts of 28 to 35 tokens
+    greedy = DecodeParams(temperature=1.0, repetition_penalty=1.0, top_k=1, top_p=1.0,
+                          max_new_tokens=24)
+    for params in (greedy, DecodeParams(max_new_tokens=10_000, seed=3)):
+        report = evaluate(model, records, vocab, params=params)
+        got = [row.candidate for row in report.records]
+        assert got == one_record_at_a_time(model, records, vocab, params)
+
+
+def test_nan_token_and_overlong_prompt_fail_only_their_records():
+    model, records, vocab = eval_fixture_model()
+    records = list(records[:5])
+    prompts = [vocab.encode(render_prompt(r)[0]) for r in records]
+    # a word id in the first prompt and in no other
+    word = next(t for t in prompts[0] if t > 3 and not any(t in p for p in prompts[1:]))
+    model.params["tok_embed"][word] = np.nan
+    records[2] = replace(records[2], findings=records[2].findings * 20)
+    params = DecodeParams(max_new_tokens=6, seed=1)
+    report = evaluate(model, records, vocab, params=params)
+    assert [row.failed for row in report.records] == [True, False, True, False, False]
+    kept = [records[i] for i in (1, 3, 4)]
+    assert [report.records[i].candidate for i in (1, 3, 4)] == one_record_at_a_time(
+        model, kept, vocab, params
+    )
+
+
+def test_report_records_stop_reason_and_generated_count():
+    model, records, vocab = eval_fixture_model()
+    records = list(records[:4])
+    records[3] = replace(records[3], findings=records[3].findings * 20)  # fills the window
+    report = evaluate(model, records, vocab, params=DecodeParams(max_new_tokens=8, seed=0))
+    rows = [row.as_dict() for row in report.records]
+    for row in rows[:3]:
+        assert row["stop"] in ("eos", "budget")
+        assert (row["stop"] == "budget") == (row["n_generated"] == 8)
+        assert len(segment(row["candidate"])) <= row["n_generated"]
+    assert (rows[3]["failed"], rows[3]["stop"], rows[3]["n_generated"]) == (True, "error", 0)
+
+    def generate(record, prompt):
+        if record.id == records[0].id:
+            raise DataError("injected failure")
+        return record.diagnosis
+
+    custom = evaluate(None, records, None, generate=generate).records
+    assert [(row.stop, row.n_generated) for row in custom] == [("error", None)] + [(None, None)] * 3
 
 
 # -- report emission ----------------------------------------------------------

@@ -1,12 +1,15 @@
 """Decoding stages, neutrality guarantees, greedy/cache equivalences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from eyedx import DataError, NumericError
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
-from eyedx.sample import DecodeParams, decode, decode_greedy, filter_logits
+from eyedx.sample import DecodeParams, decode, decode_batch, decode_greedy, filter_logits
+from eyedx.tokenizer import PAD_ID
 
 RNG = np.random.default_rng(23)
 
@@ -258,3 +261,109 @@ def test_non_finite_logits_raise_numeric_error():
         decode(model, [1, 2, 3], neutral(max_new_tokens=3))
     with pytest.raises(NumericError, match="non-finite"):
         decode_greedy(model, [1, 2, 3], 3)
+
+
+# ------------------------------------------------------------- batched decode
+
+# Prompts of different lengths. The 60-token one leaves room for 4 new
+# tokens, so its budget is clamped below the others'.
+RAGGED = [
+    [5, 9, 2],
+    [3, 8, 1, 4, 7, 6, 10, 12, 0, 5, 5],
+    [11],
+    [int(t) for t in np.random.default_rng(5).integers(0, CFG.vocab_size, 60)],
+    [7, 2],
+    [5, 9, 2, 11],
+]
+
+
+def room(prompt, max_new_tokens):
+    return min(max_new_tokens, CFG.max_seq_len - len(prompt))
+
+
+def recompute_greedy(model, prompt, budget):
+    """Argmax decoding that reruns the whole prefix each step, no cache."""
+    seq, out = list(prompt), []
+    for _ in range(budget):
+        nxt = int(np.argmax(model.forward(np.array(seq))[-1]))
+        if nxt == 1:  # eos
+            break
+        out.append(nxt)
+        seq.append(nxt)
+    return out
+
+
+def test_batched_greedy_matches_one_row_decoding():
+    model = tiny_model()
+    got = decode_batch(model, RAGGED, DecodeParams(max_new_tokens=20), greedy=True)
+    for prompt, generation in zip(RAGGED, got):
+        alone = decode_greedy(model, prompt, room(prompt, 20))
+        assert generation.tokens == alone
+        assert alone == recompute_greedy(model, prompt, room(prompt, 20))
+    assert len(got[3].tokens) == 4  # the clamped row
+
+
+def test_batched_sampling_matches_one_row_decoding():
+    model = tiny_model()
+    params = DecodeParams()  # 512 new tokens: every budget clamps to its own room
+    got = decode_batch(model, RAGGED, params)
+    for prompt, generation in zip(RAGGED, got):
+        alone = decode(model, prompt, replace(params, max_new_tokens=room(prompt, 512)))
+        assert generation.tokens == alone
+    other = decode_batch(model, RAGGED, replace(params, seed=1))
+    assert [g.tokens for g in other] != [g.tokens for g in got]
+
+
+def test_batched_prefill_matches_one_row_prefill():
+    model = tiny_model()
+    prompts = RAGGED[:3]
+    lengths = np.array([len(p) for p in prompts])
+    batch = np.full((3, lengths.max()), PAD_ID)
+    for row, p in enumerate(prompts):
+        batch[row, : len(p)] = p
+    cache = model.new_cache(3)
+    logits = model.forward(batch, cache)
+    cache.lengths[:] = lengths
+    for row, p in enumerate(prompts):
+        alone = model.forward(np.array(p))[-1]
+        assert np.max(np.abs(logits[row, len(p) - 1] - alone)) < 1e-5
+    # one step on: each row sees its prompt and the new token, not the pads
+    step = model.forward(np.array([[4], [6], [8]]), cache)
+    for row, (p, tok) in enumerate(zip(prompts, (4, 6, 8))):
+        full = model.forward(np.array(p + [tok]))[-1]
+        assert np.max(np.abs(step[row, -1] - full)) < 1e-5
+
+
+def test_failing_rows_fail_alone():
+    model = tiny_model()
+    model.params["tok_embed"][12] = np.nan
+    # NaN embedding, too long for the window, empty, a token id past the vocabulary
+    prompts = [RAGGED[0], RAGGED[1], list(range(1, 11)) * 7, [], RAGGED[4], [3, 99]]
+    assert [12 in p for p in prompts] == [False, True, False, False, False, False]
+    params = DecodeParams(max_new_tokens=20, seed=2)
+    got = decode_batch(model, prompts, params)
+    assert [g.stop == "error" for g in got] == [False, True, True, True, False, True]
+    assert isinstance(got[1].error, NumericError)
+    assert "generation step 0" in str(got[1].error)
+    assert "context window" in str(got[2].error)
+    assert "non-empty" in str(got[3].error)
+    assert "out of range" in str(got[5].error)
+    for i in (0, 4):
+        assert got[i].tokens == decode(model, prompts[i], params)
+    with pytest.raises(NumericError, match="non-finite"):
+        got[1].unwrap()
+
+
+def test_stop_reasons_and_counts():
+    model = tiny_model()
+    for greedy in (True, False):
+        got = decode_batch(model, RAGGED, DecodeParams(max_new_tokens=20, seed=3), greedy=greedy)
+        for prompt, generation in zip(RAGGED, got):
+            budget = room(prompt, 20)
+            assert generation.error is None
+            assert (generation.stop == "budget") == (len(generation.tokens) == budget)
+            assert generation.stop in ("eos", "budget")
+        assert {g.stop for g in got} == {"eos", "budget"}
+    assert [g.stop for g in decode_batch(model, RAGGED[:2], DecodeParams(max_new_tokens=0))] == [
+        "budget", "budget"
+    ]
