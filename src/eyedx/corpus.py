@@ -23,7 +23,6 @@ MODALITIES = ("OSA", "CFP", "OCT")
 # Records carrying either flag are excluded at ingest: they mark cases that a
 # clinician judged unreliable as ground truth.
 EXCLUSION_FLAGS = frozenset({"possible_misdiagnosis", "needs_further_exam"})
-KNOWN_FLAGS = EXCLUSION_FLAGS
 
 # Identifier fields are stripped at ingest and never stored on the record.
 IDENTIFIER_FIELDS = ("name", "gender", "age")
@@ -129,7 +128,7 @@ def ingest(path: str | Path, format: str = "json-lines") -> list[ReportRecord]:
                 obj.pop(key, None)
             try:
                 flags = frozenset(obj.get("flags") or ())
-                unknown = flags - KNOWN_FLAGS
+                unknown = flags - EXCLUSION_FLAGS
                 if unknown:
                     raise DataError(f"unknown flags {sorted(unknown)}")
                 record = ReportRecord(

@@ -183,6 +183,14 @@ def _ungroup_heads(x: np.ndarray, T: int) -> np.ndarray:
     return x.reshape(B, KV, G, T, hd).transpose(0, 3, 1, 2, 4).reshape(B, T, KV * G, hd)
 
 
+def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """(1, N, ...) token rows -> (B, T, ...) grid holding them at the N True
+    positions of kept (B, T), in row-major order, and zeros elsewhere."""
+    grid = np.zeros(kept.shape + rows.shape[2:], dtype=rows.dtype)
+    grid[kept] = rows[0]
+    return grid
+
+
 def ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
     """Gated unit: w_down( silu(x w_gate) * (x w_up) )."""
     return (silu(x @ w_gate) * (x @ w_up)) @ w_down
@@ -307,7 +315,11 @@ class Model:
         logits = self._run(tokens2d, cache, tape=None)
         return logits[0] if single else logits
 
-    def _run(self, tokens, cache, tape):
+    def _run(self, tokens, cache, tape, kept=None):
+        """Logits for tokens (B, T). kept, a (B, T) bool mask given only with
+        a tape, selects the positions to compute: they run token-major as one
+        (1, N) row, so each token-wise op is one GEMM, and only attention
+        sees the (B, T) grid, with zeros where kept is False."""
         cfg = self.config
         B, T = tokens.shape
         if T == 0:
@@ -329,11 +341,14 @@ class Model:
         if S > cfg.max_seq_len:
             raise DataError(f"sequence length {S} exceeds max_seq_len {cfg.max_seq_len}")
 
-        cos, sin = _rope_tables(positions, cfg.head_dim, cfg.rope_base, self.dtype)
+        rope_positions = positions
+        if kept is not None:  # (1, N) token rows, each at its own position
+            tokens, rope_positions = tokens[kept][None], np.nonzero(kept)[1][None]
+        cos, sin = _rope_tables(rope_positions, cfg.head_dim, cfg.rope_base, self.dtype)
         x = self.params["tok_embed"][tokens]
 
         for i in range(cfg.n_layers):
-            x = x + self._attention(x, i, cache, cos, sin, positions, tape)
+            x = x + self._attention(x, i, cache, cos, sin, positions, tape, kept)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
             cache.advance(T)
@@ -344,18 +359,23 @@ class Model:
             tape.append({"tokens": tokens, "x_final": x, "inv_final": inv, "xn_final": xn})
         return logits
 
-    def _attention(self, x, layer, cache, cos, sin, positions, tape):
+    def _attention(self, x, layer, cache, cos, sin, positions, tape, kept):
         cfg = self.config
-        B, T, _ = x.shape
         p = f"layers.{layer}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
+        lead = x.shape[:2]  # (B, T), or (1, N) token rows
         xn, inv = _rmsnorm_fwd(x, self.params[p + "attn_norm"], cfg.rmsnorm_eps)
-        q = self._project(xn, p + "wq").reshape(B, T, H, hd)
-        k = self._project(xn, p + "wk").reshape(B, T, KV, hd)
-        v = self._project(xn, p + "wv").reshape(B, T, KV, hd)
+        q = self._project(xn, p + "wq").reshape(*lead, H, hd)
+        k = self._project(xn, p + "wk").reshape(*lead, KV, hd)
+        v = self._project(xn, p + "wv").reshape(*lead, KV, hd)
         q = _apply_rope(q, cos, sin)
         k = _apply_rope(k, cos, sin)
+        if kept is not None:
+            # token rows onto the (B, T) grid; a zero key past a row's end
+            # sits after every kept query of that row, so the mask hides it
+            q, k, v = _scatter(q, kept), _scatter(k, kept), _scatter(v, kept)
+        B, T = q.shape[:2]
 
         # key s is visible to the query at position p when s <= p; a cached
         # row's free slots past its own length fall outside that
@@ -376,6 +396,8 @@ class Model:
         scores = np.where(allowed, scores, -np.inf)
         probs = softmax(scores, axis=-1).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
+        if kept is not None:
+            ctx = ctx[kept][None]
         out = self._project(ctx, p + "wo")
 
         if tape is not None:
@@ -393,6 +415,7 @@ class Model:
                     "ctx": ctx,
                     "cos": cos,
                     "sin": sin,
+                    "kept": kept,
                 }
             )
         return out
@@ -432,12 +455,25 @@ class Model:
         per target while an adapter is attached. With adapter_only, the
         returned dict holds just the adapter entries and the base-weight
         accumulations are skipped (fine-tuning never reads them).
+
+        Under the causal mask a position past its row's last mask=True
+        position cannot reach the loss, so only the positions up to it are
+        computed; a row without a loss position drops out entirely.
         """
         cfg = self.config
         if adapter_only and self.adapter is None:
             raise NumericError("adapter_only gradients requested with no adapter attached")
+        inputs, labels, mask = np.asarray(inputs), np.asarray(labels), np.asarray(mask, dtype=bool)
+        if inputs.ndim != 2 or labels.shape != inputs.shape or mask.shape != inputs.shape:
+            raise NumericError(
+                f"loss_and_grads shape mismatch: inputs {inputs.shape}, "
+                f"labels {labels.shape}, mask {mask.shape}"
+            )
+        # kept[b, t]: some position s >= t of row b is a loss position
+        kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
+        labels, mask = labels[kept][None], mask[kept][None]
         tape: list = []
-        logits = self._run(np.asarray(inputs), None, tape)
+        logits = self._run(inputs, None, tape, kept)
         loss = cross_entropy(logits, labels, mask)
 
         grads = {} if adapter_only else {n: np.zeros_like(w) for n, w in self.params.items()}
@@ -492,10 +528,14 @@ class Model:
         cfg = self.config
         p = f"layers.{rec['layer']}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-        B, T, _ = rec["x"].shape
+        lead = rec["x"].shape[:2]  # (1, N) token rows, or the (B, T) grid itself
+        B, T = rec["k"].shape[:2]
+        kept = rec["kept"]
 
-        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads)
-        dctx = _group_heads(dctx.reshape(B, T, H, hd), KV)  # (B, KV, G*T, hd)
+        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads).reshape(*lead, H, hd)
+        if kept is not None:
+            dctx = _scatter(dctx, kept)
+        dctx = _group_heads(dctx, KV)  # (B, KV, G*T, hd)
         probs = rec["probs"]  # (B, KV, G*T, S)
         k = rec["k"].transpose(0, 2, 1, 3)  # (B, KV, S, hd)
 
@@ -505,15 +545,17 @@ class Model:
         dscores = softmax_backward(probs, dprobs, axis=-1)
         dscores /= math.sqrt(hd)
         dq = _ungroup_heads(dscores @ k, T)
-        dk = dscores.transpose(0, 1, 3, 2) @ rec["qg"]
+        dk = (dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3)
+        dv = dv.transpose(0, 2, 1, 3)
+        if kept is not None:
+            dq, dk, dv = dq[kept][None], dk[kept][None], dv[kept][None]
 
         dq = _apply_rope_inverse(dq, rec["cos"], rec["sin"])
-        dk = _apply_rope_inverse(dk.transpose(0, 2, 1, 3), rec["cos"], rec["sin"])
-        dv = dv.transpose(0, 2, 1, 3)
+        dk = _apply_rope_inverse(dk, rec["cos"], rec["sin"])
 
-        dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(B, T, H * hd), grads)
-        dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(B, T, KV * hd), grads)
-        dxn += self._project_bwd(rec["xn"], p + "wv", dv.reshape(B, T, KV * hd), grads)
+        dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(*lead, H * hd), grads)
+        dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(*lead, KV * hd), grads)
+        dxn += self._project_bwd(rec["xn"], p + "wv", dv.reshape(*lead, KV * hd), grads)
         dxin, dgain = _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)
         if p + "attn_norm" in grads:
             grads[p + "attn_norm"] += dgain

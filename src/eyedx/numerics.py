@@ -13,30 +13,6 @@ import numpy as np
 from .errors import NumericError
 
 
-def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape`, undoing broadcast expansion."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise NumericError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def matmul_backward(a: np.ndarray, b: np.ndarray, dc: np.ndarray):
-    """Gradients of c = a @ b. Handles the broadcast case of a stacked `a`
-    against a shared 2D `b` (the projection-weight pattern)."""
-    da = _reduce_to(dc @ np.swapaxes(b, -1, -2), a.shape)
-    db = _reduce_to(np.swapaxes(a, -1, -2) @ dc, b.shape)
-    return da, db
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eyedx import DataError
+from eyedx import DataError, NumericError
+from eyedx.lora import attach
 from eyedx.model import (
     Model,
     ModelConfig,
@@ -537,3 +540,98 @@ def test_grads_zero_from_masked_positions():
     # and the full mask genuinely differs
     loss_c, _ = model.loss_and_grads(inputs, labels, full_mask)
     assert loss_c != loss_a
+
+
+# ------------------------------------------------------------- pad-free training step
+
+
+def adapted_gqa_model():
+    """float64, GQA 4 query / 2 kv heads, with an adapter whose B is nonzero."""
+    cfg = ModelConfig(
+        d_model=16, n_layers=2, n_heads=4, n_kv_heads=2, d_ff=24, vocab_size=13, max_seq_len=16
+    )
+    model = tiny_model(cfg, dtype=np.float64)
+    adapter = attach(model, rank=2, alpha=4.0, seed=1)
+    rng = np.random.default_rng(2)
+    for t in adapter.targets:
+        adapter.b[t][:] = rng.standard_normal(adapter.b[t].shape) * 0.3
+    return model
+
+
+def ragged_batch(vocab_size):
+    """Four rows of 9, 6, 4 and 7 real tokens padded to 9 with trailing pads.
+    Loss positions follow a prompt; row 2 has none and row 3's last real
+    token is not one of them."""
+    rng = np.random.default_rng(3)
+    real = [9, 6, 4, 7]
+    first_loss = [3, 2, None, 1]
+    last_loss = [9, 6, None, 6]
+    inputs = np.zeros((4, 9), dtype=np.int64)
+    labels = np.zeros((4, 9), dtype=np.int64)
+    mask = np.zeros((4, 9), dtype=bool)
+    for row, n in enumerate(real):
+        inputs[row, :n] = rng.integers(1, vocab_size, n)
+        labels[row, :n] = rng.integers(1, vocab_size, n)
+        if first_loss[row] is not None:
+            mask[row, first_loss[row] : last_loss[row]] = True
+    return inputs, labels, mask, real
+
+
+@pytest.mark.parametrize("adapter_only", [False, True])
+def test_pad_free_step_matches_grid_forward_and_one_row_calls(adapter_only):
+    model = adapted_gqa_model()
+    inputs, labels, mask, real = ragged_batch(model.config.vocab_size)
+    loss, grads = model.loss_and_grads(inputs, labels, mask, adapter_only=adapter_only)
+    assert abs(loss - cross_entropy(model.forward(inputs), labels, mask)) < 1e-12
+
+    # the batch gradient is the loss-position-weighted mean of each row's own
+    expect = {name: np.zeros_like(g) for name, g in grads.items()}
+    for row, n in enumerate(real):
+        count = int(mask[row].sum())
+        if count == 0:
+            continue
+        _, g = model.loss_and_grads(
+            inputs[row : row + 1, :n], labels[row : row + 1, :n], mask[row : row + 1, :n],
+            adapter_only=adapter_only,
+        )
+        for name in expect:
+            expect[name] += count * g[name]
+    assert ("tok_embed" in grads) != adapter_only
+    for name, g in grads.items():
+        assert np.max(np.abs(g - expect[name] / mask.sum())) < 1e-10, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_positions_past_the_last_loss_position_change_nothing(data):
+    model = adapted_gqa_model()
+    vocab, B, T = model.config.vocab_size, 3, 8
+    ids = st.integers(0, vocab - 1)
+    inputs = np.array(data.draw(st.lists(st.lists(ids, min_size=T, max_size=T),
+                                         min_size=B, max_size=B)))
+    labels = np.array(data.draw(st.lists(st.lists(ids, min_size=T, max_size=T),
+                                         min_size=B, max_size=B)))
+    mask = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=T, max_size=T),
+                                       min_size=B, max_size=B)))
+    mask[data.draw(st.integers(0, B - 1)), data.draw(st.integers(0, T - 1))] = True
+
+    edited_inputs, edited_labels = inputs.copy(), labels.copy()
+    for row in range(B):
+        hits = np.flatnonzero(mask[row])
+        past = hits[-1] + 1 if hits.size else 0  # a row without a loss position: all of it
+        for t in range(past, T):
+            edited_inputs[row, t] = data.draw(ids)
+            edited_labels[row, t] = data.draw(ids)
+
+    loss_a, grads_a = model.loss_and_grads(inputs, labels, mask)
+    loss_b, grads_b = model.loss_and_grads(edited_inputs, edited_labels, mask)
+    assert loss_a == loss_b
+    for name in grads_a:
+        assert np.array_equal(grads_a[name], grads_b[name]), name
+
+
+def test_all_false_mask_raises_numeric_error():
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    with pytest.raises(NumericError, match="cross_entropy: mask selects no positions"):
+        model.loss_and_grads(inputs, labels, np.zeros_like(mask))

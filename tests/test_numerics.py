@@ -12,8 +12,6 @@ from eyedx.numerics import (
     cross_entropy_backward,
     finite_difference,
     grad_relative_error,
-    matmul,
-    matmul_backward,
     silu,
     silu_backward,
     softmax,
@@ -28,41 +26,6 @@ def test_oracle_agrees_with_known_analytic_gradient():
     x = RNG.standard_normal((4, 3))
     grad = finite_difference(lambda v: float((v**2).sum()), x)
     assert grad_relative_error(2 * x, grad) < 1e-8
-
-
-# ------------------------------------------------------------- matmul
-
-
-def test_matmul_identity():
-    b = RNG.standard_normal((5, 7))
-    assert np.array_equal(matmul(np.eye(5), b), b)
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(NumericError, match=r"\(2, 3\).*\(4, 5\)"):
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-
-
-def test_matmul_backward_vs_oracle_2d():
-    a = RNG.standard_normal((4, 6))
-    b = RNG.standard_normal((6, 3))
-    dc = RNG.standard_normal((4, 3))
-    da, db = matmul_backward(a, b, dc)
-    num_da = finite_difference(lambda v: float((matmul(v, b) * dc).sum()), a.copy())
-    num_db = finite_difference(lambda v: float((matmul(a, v) * dc).sum()), b.copy())
-    assert grad_relative_error(da, num_da) < 1e-6
-    assert grad_relative_error(db, num_db) < 1e-6
-
-
-def test_matmul_backward_vs_oracle_batched_against_shared_weight():
-    # stacked activations against one projection matrix: db must sum the batch
-    a = RNG.standard_normal((2, 4, 6))
-    b = RNG.standard_normal((6, 3))
-    dc = RNG.standard_normal((2, 4, 3))
-    da, db = matmul_backward(a, b, dc)
-    assert da.shape == a.shape and db.shape == b.shape
-    num_db = finite_difference(lambda v: float((matmul(a, v) * dc).sum()), b.copy())
-    assert grad_relative_error(db, num_db) < 1e-6
 
 
 # ------------------------------------------------------------- softmax
