@@ -49,8 +49,9 @@ print(f"max error {err.max():.3e} vs bound {bound.max():.3e} "
 #
 # quantize_model() converts every attention and feed-forward projection and
 # leaves norms, the embedding table, and lm_head in float; those tensors are
-# small and precision-critical. The quantized model serves the same forward
-# API by dequantizing per use.
+# small and precision-critical. QuantizedModel is a Model: it keeps the int4
+# tensors for saving and dequantizes them once, at construction, into the
+# float weights its forward pass reads.
 
 config = ModelConfig(d_model=256, n_layers=4, n_heads=8, n_kv_heads=2,
                      d_ff=688, vocab_size=312, max_seq_len=64)

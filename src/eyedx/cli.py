@@ -77,9 +77,7 @@ def _load_model_with_vocab(path):
     return model, vocab
 
 
-def _merge_adapter(model, model_path, adapter_path):
-    if not isinstance(model, Model):
-        raise DataError(f"{model_path} is quantized; adapters need a float checkpoint")
+def _merge_adapter(model, adapter_path):
     attach(model, adapter=load_adapter(adapter_path))
     merge(model)
 
@@ -178,8 +176,6 @@ def _cmd_train(args):
 
     if args.model:
         model, vocab = _load_model_with_vocab(args.model)
-        if not isinstance(model, Model):
-            raise DataError(f"{args.model} is quantized; fine-tuning needs a float checkpoint")
     else:
         texts = [" ".join(render_prompt(r, template)) for r in records]
         vocab = build(texts)
@@ -215,9 +211,9 @@ def _cmd_train(args):
 def _cmd_infer(args):
     model, vocab = _load_model_with_vocab(args.model)
     if args.adapter:
-        _merge_adapter(model, args.model, args.adapter)
+        _merge_adapter(model, args.adapter)
     if args.quant:
-        if not isinstance(model, Model):
+        if isinstance(model, QuantizedModel):
             raise DataError(f"{args.model} is already quantized")
         model = QuantizedModel(model.config, quantize_model(model.params, model.config))
 
@@ -258,7 +254,7 @@ def _cmd_evaluate(args):
         model, vocab = _load_model_with_vocab(model_path)
         name = Path(model_path).stem
         if adapter_path != "-":
-            _merge_adapter(model, model_path, adapter_path)
+            _merge_adapter(model, adapter_path)
             name += "+" + Path(adapter_path).stem
         report = evaluate_corpus(model, records, vocab, template=template, params=params)
         rows.append((name, report))
@@ -274,8 +270,6 @@ def _cmd_bench(args):
     template = _template_from(args)
 
     model, vocab = _load_model_with_vocab(args.model)
-    if not isinstance(model, Model):
-        raise DataError(f"{args.model} is quantized; bench fine-tunes a float checkpoint")
     tune_config = TrainConfig(epochs=1, grad_accum_steps=4, seed=args.seed)
     attach(model, rank=tune_config.lora_r, alpha=tune_config.lora_alpha, seed=tune_config.seed)
     tuned = train(model, train_records, vocab, tune_config, template=template)
@@ -283,7 +277,7 @@ def _cmd_bench(args):
     # Time inference on a fresh load so the throwaway adapter plays no part.
     model, vocab = _load_model_with_vocab(args.model)
     if args.adapter:
-        _merge_adapter(model, args.model, args.adapter)
+        _merge_adapter(model, args.adapter)
     params = DecodeParams(seed=args.seed)
     latencies = []
     generated = 0
@@ -329,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory written by prepare")
     p.add_argument("--out", required=True, help="adapter file to write")
     p.add_argument("--config", help="key = value file; keys mirror the training fields")
-    p.add_argument("--model", help="base model checkpoint (default: initialize a fresh one)")
+    p.add_argument("--model", help="base model checkpoint, float or quantized (default: initialize a fresh one)")
     p.add_argument("--model-out", help="where to write a fresh base model (default: model.olm beside the adapter)")
     p.add_argument("--log", help="loss log file (default: adapter path + .log)")
     p.add_argument("--template", help="prompt template file")
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("bench", help="time fine-tuning and per-report inference")
-    p.add_argument("--model", required=True, help="float model checkpoint")
+    p.add_argument("--model", required=True, help="model checkpoint (float or quantized)")
     p.add_argument("--adapter", help="adapter to merge for the inference timing")
     p.add_argument("--data", required=True, help="directory written by prepare")
     p.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")

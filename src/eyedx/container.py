@@ -186,26 +186,20 @@ def save_model(model: Model, path: str | Path, vocab: Vocabulary | None = None) 
     write_container(path, _config_header(model.config, "model", vocab), model.params)
 
 
-def load_model(path: str | Path) -> Model:
-    header, tensors = read_container(path)
-    return Model(_config_of(header, path, "model"), tensors)
-
-
 def save_quantized(
     qmodel: QuantizedModel, path: str | Path, vocab: Vocabulary | None = None
 ) -> None:
+    if qmodel.merged is not None:
+        # the int4 tensors predate the merge, so writing them would drop the adapter
+        raise DataError("cannot save a quantized model with a merged adapter; save the adapter")
     write_container(path, _config_header(qmodel.config, "quant-model", vocab), qmodel.tensors)
-
-
-def load_quantized(path: str | Path) -> QuantizedModel:
-    header, tensors = read_container(path)
-    return QuantizedModel(_config_of(header, path, "quant-model"), tensors)
 
 
 def load_bundle(path: str | Path):
     """Load a float or quantized model together with its stored vocabulary.
 
-    Returns (model, vocab) where vocab is None for checkpoints written
+    Returns (model, vocab): the model is a Model for both kinds (a
+    QuantizedModel for int4), and vocab is None for checkpoints written
     without one.
     """
     header, tensors = read_container(path)

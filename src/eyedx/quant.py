@@ -67,17 +67,6 @@ def quantize(w: np.ndarray, block_size: int = 64) -> QuantTensor:
     return QuantTensor(packed=packed, scales=scales, block_size=block_size, shape=tuple(w.shape))
 
 
-def dequantize(q: QuantTensor) -> np.ndarray:
-    low = (q.packed & 0x0F).astype(np.int8) - 8
-    high = (q.packed >> 4).astype(np.int8) - 8
-    codes = np.empty(q.packed.size * 2, dtype=np.int8)
-    codes[0::2] = low
-    codes[1::2] = high
-    codes = codes[: q.scales.size * q.block_size]
-    values = codes.reshape(q.scales.size, q.block_size).astype(np.float32) * q.scales[:, None]
-    return values.reshape(-1)[: q.n_elements].reshape(q.shape)
-
-
 def codes_of(q: QuantTensor) -> np.ndarray:
     """Unpacked int codes, trimmed to the tensor's true length."""
     low = (q.packed & 0x0F).astype(np.int8) - 8
@@ -86,6 +75,10 @@ def codes_of(q: QuantTensor) -> np.ndarray:
     codes[0::2] = low
     codes[1::2] = high
     return codes[: q.n_elements]
+
+
+def dequantize(q: QuantTensor) -> np.ndarray:
+    return codes_of(q).reshape(q.shape) * q.element_scales()
 
 
 def quantize_model(params: dict, config: ModelConfig, block_size: int = 64) -> dict:
@@ -97,27 +90,15 @@ def quantize_model(params: dict, config: ModelConfig, block_size: int = 64) -> d
     return out
 
 
-class QuantizedModel:
-    """Int4 weights plus the float leftovers; forward runs on a dequantized
-    float model materialized once at construction."""
+class QuantizedModel(Model):
+    """A Model whose projection weights are stored as int4: ``tensors`` keeps
+    the int4 form the checkpoint holds, and ``params`` are its float values,
+    dequantized once at construction."""
 
     def __init__(self, config: ModelConfig, tensors: dict):
-        self.config = config
         self.tensors = tensors
         params = {
             name: dequantize(t) if isinstance(t, QuantTensor) else t
             for name, t in tensors.items()
         }
-        self._model = Model(config, params)
-
-    def forward(self, tokens, cache=None):
-        return self._model.forward(tokens, cache)
-
-    def new_cache(self, batch: int = 1):
-        return self._model.new_cache(batch)
-
-    @property
-    def weight_bytes(self) -> int:
-        return sum(
-            t.nbytes if isinstance(t, QuantTensor) else t.nbytes for t in self.tensors.values()
-        )
+        super().__init__(config, params)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import DataError
 
@@ -129,25 +128,3 @@ def build(texts, max_vocab: int = 4096) -> Vocabulary:
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = tuple(tok for tok, _ in ranked[:max_vocab])
     return Vocabulary(tokens=SPECIAL_TOKENS + kept)
-
-
-def save(vocab: Vocabulary, path: str | Path) -> None:
-    """Write one corpus token per line; specials are implicit, so the token
-    on (zero-based) line k has id k + 4."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = "".join(tok + "\n" for tok in vocab.tokens[len(SPECIAL_TOKENS) :])
-    path.write_text(body, encoding="utf-8")
-
-
-def load(path: str | Path) -> Vocabulary:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"vocabulary file not found: {path}")
-    tokens = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-        tok = line.strip()
-        if not tok:
-            raise DataError(f"{path}: blank token on line {lineno}")
-        tokens.append(tok)
-    return Vocabulary(tokens=SPECIAL_TOKENS + tuple(tokens))

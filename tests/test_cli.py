@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from eyedx.cli import main
-from eyedx.container import read_container, write_container
+from eyedx.container import load_bundle, read_container, save_quantized, write_container
 from eyedx.corpus import synthesize, write_jsonl
 from eyedx.lora import load_adapter
+from eyedx.model import Model
+from eyedx.quant import QuantizedModel, quantize_model
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +263,58 @@ def test_evaluate_rejects_mismatched_adapter_count(workspace, tmp_path):
         "--adapter", str(workspace["adapter"]),
     ))
     assert code == 1
+
+
+# -- QLoRA: adapters on an int4 base -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def qlora(workspace):
+    """The workspace's base model stored as int4, and an adapter trained on it."""
+    model, vocab = load_bundle(workspace["model"])
+    qmodel = QuantizedModel(model.config, quantize_model(model.params, model.config))
+    qpath = workspace["root"] / "q.olm"
+    save_quantized(qmodel, qpath, vocab=vocab)
+    adapter = workspace["root"] / "q-adapter.olr"
+    code = main([
+        "train", "--data", str(workspace["data"]), "--out", str(adapter), "--model", str(qpath),
+        "--epochs", "1", "--grad-accum-steps", "2", "--max-seq-len", "96", "--lora-r", "2",
+    ])
+    return {"model": qpath, "adapter": adapter, "train_code": code}
+
+
+def test_load_bundle_gives_a_model_for_both_kinds(workspace, qlora):
+    assert isinstance(load_bundle(workspace["model"])[0], Model)
+    assert isinstance(load_bundle(qlora["model"])[0], Model)
+
+
+def test_train_on_int4_base_writes_adapter(qlora):
+    assert qlora["train_code"] == 0
+    assert load_adapter(qlora["adapter"]).rank == 2
+
+
+def test_infer_and_evaluate_int4_base_with_adapter(workspace, qlora, tmp_path, capsys):
+    code = main([
+        "infer", "--model", str(qlora["model"]), "--adapter", str(qlora["adapter"]),
+        "--modality", "OSA", "--max-new-tokens", "8", "--seed", "0", "--report", FINDINGS,
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.strip()
+    out = tmp_path / "report.json"
+    code = main(evaluate_args(
+        workspace, out, "--model", str(qlora["model"]), "--adapter", str(qlora["adapter"]),
+    ))
+    assert code == 0
+    assert set(json.loads(out.read_text())) == {"q+q-adapter"}
+
+
+def test_infer_quant_on_int4_model_rejected(qlora, capsys):
+    code = main([
+        "infer", "--model", str(qlora["model"]), "--quant",
+        "--modality", "OSA", "--report", FINDINGS,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {qlora['model']} is already quantized\n"
 
 
 # -- bench --------------------------------------------------------------------

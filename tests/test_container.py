@@ -7,13 +7,12 @@ from eyedx import DataError
 from eyedx.container import (
     MAGIC,
     load_bundle,
-    load_model,
-    load_quantized,
     read_container,
     save_model,
     save_quantized,
     write_container,
 )
+from eyedx.lora import attach, merge, save_adapter
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.quant import QuantizedModel, QuantTensor, codes_of, quantize, quantize_model
 
@@ -92,7 +91,7 @@ def test_model_checkpoint_round_trip(tmp_path):
     model = Model(CFG, init_params(CFG, seed=3))
     path = tmp_path / "model.bin"
     save_model(model, path)
-    back = load_model(path)
+    back, _ = load_bundle(path)
     assert back.config == CFG
     for name, w in model.params.items():
         assert np.array_equal(back.params[name], w)
@@ -105,17 +104,28 @@ def test_quantized_checkpoint_round_trip(tmp_path):
     qmodel = QuantizedModel(CFG, quantize_model(params, CFG))
     path = tmp_path / "model.q4"
     save_quantized(qmodel, path)
-    back = load_quantized(path)
+    back, _ = load_bundle(path)
     tokens = RNG.integers(0, CFG.vocab_size, 9)
     assert np.array_equal(qmodel.forward(tokens), back.forward(tokens))
 
 
 def test_kind_mixups_rejected(tmp_path):
     model = Model(CFG, init_params(CFG))
-    path = tmp_path / "model.bin"
-    save_model(model, path)
+    path = tmp_path / "adapter.olr"
+    save_adapter(attach(model, rank=2), path)
     with pytest.raises(DataError, match="quant-model"):
-        load_quantized(path)
+        load_bundle(path)
+
+
+def test_save_quantized_refuses_a_merged_adapter(tmp_path):
+    qmodel = QuantizedModel(CFG, quantize_model(init_params(CFG, seed=4), CFG))
+    adapter = attach(qmodel, rank=2)
+    adapter.b["layers.0.wq"][:] = 1.0  # a non-zero delta, so merging changes params
+    merge(qmodel)
+    path = tmp_path / "model.q4"
+    with pytest.raises(DataError, match="merged adapter"):
+        save_quantized(qmodel, path)
+    assert not path.exists()
 
 
 def test_wrongly_shaped_tensor_rejected_at_load(tmp_path):

@@ -140,4 +140,4 @@ def test_quantized_weight_bytes_fraction():
     qmodel = QuantizedModel(CFG, quantize_model(params, CFG))
     float_bytes = sum(v.nbytes for v in params.values())
     # projections go from 4 bytes/elem to 0.5 + 4/64; the rest stays float
-    assert qmodel.weight_bytes < 0.6 * float_bytes
+    assert sum(t.nbytes for t in qmodel.tensors.values()) < 0.6 * float_bytes

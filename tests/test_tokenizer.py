@@ -1,4 +1,4 @@
-"""Tokenizer segmentation, vocabulary build, encode/decode, file round-trip."""
+"""Tokenizer segmentation, vocabulary build, encode/decode."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +14,7 @@ from eyedx.tokenizer import (
     UNK_ID,
     Vocabulary,
     build,
-    load,
     normalize,
-    save,
     segment,
 )
 
@@ -149,25 +147,6 @@ def test_round_trip_property_with_self_vocab(text):
         return
     vocab = build([text], max_vocab=max(8, len(tokens)))
     assert vocab.decode(vocab.encode(text)) == normalize(text)
-
-
-# ------------------------------------------------------------- file format
-
-
-def test_save_load_round_trip(tmp_path, vocab):
-    path = tmp_path / "vocab.txt"
-    save(vocab, path)
-    assert load(path) == vocab
-    # line k (zero-based) holds the token with id k + 4
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == vocab.size - len(SPECIAL_TOKENS)
-    assert lines[0] == vocab.tokens[4]
-    assert lines[10] == vocab.tokens[14]
-
-
-def test_load_missing_file():
-    with pytest.raises(DataError, match="not found"):
-        load("/nonexistent/vocab.txt")
 
 
 def test_vocabulary_rejects_duplicates():
