@@ -4,17 +4,23 @@ Builds a deliberately tiny model and checks each architectural claim by
 direct computation: RMSNorm's scale behavior, the relative-offset property
 of rotary embeddings, that grouped-query attention shares key/value heads,
 that incremental decoding with the KV cache matches full recomputation, and
-that the hand-written backward pass agrees with finite differences.
+that the hand-written backward pass agrees with finite differences (the
+oracle in tests/oracles.py).
 
 Run from the repository root:
 
     python demos/02_decoder_anatomy.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from eyedx.model import Model, ModelConfig, init_params, rmsnorm, rope_vector
-from eyedx.numerics import finite_difference, grad_relative_error
+from eyedx.model import Model, ModelConfig, _apply_rope, _rmsnorm_fwd, _rope_tables, init_params
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import finite_difference, grad_relative_error  # noqa: E402
 
 rng = np.random.default_rng(0)
 
@@ -27,9 +33,9 @@ rng = np.random.default_rng(0)
 
 x = rng.standard_normal(16)
 gain = np.ones(16)
-base = rmsnorm(x, gain, eps=0.0)
+base, _ = _rmsnorm_fwd(x, gain, eps=0.0)
 for c in (2.0, 1024.0, 3.7):
-    scaled = rmsnorm(c * x, gain, eps=0.0)
+    scaled, _ = _rmsnorm_fwd(c * x, gain, eps=0.0)
     exact = "bit-exact" if np.array_equal(base, scaled) else "within 1e-12"
     print(f"rmsnorm({c:6.1f} * x) vs rmsnorm(x): "
           f"max diff {np.max(np.abs(base - scaled)):.2e} ({exact})")
@@ -41,13 +47,21 @@ for c in (2.0, 1024.0, 3.7):
 # vectors depends only on the distance between their positions, which is
 # what lets attention score by relative offset.
 
+cos, sin = _rope_tables(np.arange(10), 8, 10000.0, np.float64)
+
+
+def rope(vec):
+    """vec rotated to each of positions 0..9, one row per position."""
+    return _apply_rope(np.broadcast_to(vec, (10, 1, 8)), cos, sin)[:, 0]
+
+
 v = rng.standard_normal(8)
 w = rng.standard_normal(8)
 print(f"\nrope at position 0 changes nothing: "
-      f"max diff {np.max(np.abs(rope_vector(v, 0) - v)):.2e}")
+      f"max diff {np.max(np.abs(rope(v)[0] - v)):.2e}")
 
-dot_a = rope_vector(v, 5) @ rope_vector(w, 3)
-dot_b = rope_vector(v, 9) @ rope_vector(w, 7)
+dot_a = rope(v)[5] @ rope(w)[3]
+dot_b = rope(v)[9] @ rope(w)[7]
 print(f"dot at positions (5,3) = {dot_a:+.6f}")
 print(f"dot at positions (9,7) = {dot_b:+.6f}  (same offset, same score)")
 

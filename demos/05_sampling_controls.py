@@ -5,18 +5,25 @@ then nucleus (top-p) filtering, and returns the resulting probabilities.
 This script runs a hand-made logit vector through each stage so the effect
 of every knob is visible in isolation, then shows the two boundary cases
 that anchor the design: neutral settings reduce to a plain softmax, and
-top_k=1 reproduces greedy decoding exactly.
+top_k=1 reproduces greedy decoding exactly, checked against the cache-free
+argmax loop in tests/oracles.py.
 
 Run from the repository root:
 
     python demos/05_sampling_controls.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
-from eyedx.sample import DecodeParams, decode, decode_greedy, filter_logits
+from eyedx.sample import DecodeParams, decode, filter_logits
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import recompute_greedy  # noqa: E402
 
 names = ["<bos>", "<eos>", "<pad>", "<unk>", "dry", "eye", "macular", "edema"]
 logits = np.array([-9.0, -9.0, -9.0, -9.0, 2.0, 1.2, 0.8, -0.5])
@@ -68,20 +75,21 @@ print(f"\nneutral settings vs softmax: "
 # ------------------------------------------------------------------ greedy
 #
 # top_k=1 leaves a single candidate with probability one, so sampled decoding
-# collapses to argmax regardless of the seed.
+# collapses to argmax regardless of the seed and the temperature. That is how
+# eyedx decodes greedily: top_k=1 with the repetition penalty off.
 
 config = ModelConfig(d_model=32, n_layers=2, n_heads=4, n_kv_heads=2,
                      d_ff=48, vocab_size=64, max_seq_len=48)
 model = Model(config, init_params(config, seed=0, scale=0.3))
 prompt = [0, 10, 20, 30]
 
-greedy = decode_greedy(model, prompt, max_new_tokens=12)
-for seed in (0, 1, 99):
+greedy = recompute_greedy(model, prompt, 12)
+for seed, temperature in ((0, 1.0), (1, 0.5), (99, 2.0)):
     sampled = decode(model, prompt, DecodeParams(
-        temperature=1.0, max_new_tokens=12, repetition_penalty=1.0,
-        top_k=1, top_p=1.0, seed=seed))
+        temperature=temperature, max_new_tokens=12, repetition_penalty=1.0,
+        top_k=1, seed=seed))
     assert sampled == greedy
-print(f"top_k=1 equals greedy for every seed: {greedy}")
+print(f"top_k=1 equals the argmax loop for every seed and temperature: {greedy}")
 
 # With the defaults (temperature 0.9, penalty 1.3, top-k 40, top-p 0.9) the
 # seed matters again:

@@ -3,7 +3,7 @@
 Scores a small candidate/reference pair by hand and confirms the library
 agrees, shows why clipping matters when a candidate repeats itself, and
 cross-checks the linear-space LCS dynamic program against a brute-force
-oracle that enumerates subsequences.
+oracle that enumerates subsequences (tests/oracles.py).
 
 Run from the repository root:
 
@@ -11,8 +11,13 @@ Run from the repository root:
 """
 
 import random
+import sys
+from pathlib import Path
 
-from eyedx.rouge import lcs_length, lcs_oracle, rouge_l, rouge_n, score_pair
+from eyedx.rouge import lcs_length, rouge_l, rouge_n, score_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import lcs_oracle  # noqa: E402
 
 reference = "retinal detachment with macular involvement"
 candidate = "retinal detachment involving the macula"

@@ -13,7 +13,7 @@ Run from the repository root:
 
 from eyedx import corpus, lora, quant, rouge, tokenizer
 from eyedx.model import Model, ModelConfig, init_params
-from eyedx.sample import DecodeParams, decode_greedy
+from eyedx.sample import DecodeParams, decode
 from eyedx.tokenizer import BOS_ID
 from eyedx.train import TrainConfig, train
 
@@ -82,7 +82,7 @@ for modality, (r1, _, _) in sorted(tuned_report.by_modality.items()):
 record = parts.test[0]
 prompt_text, reference = corpus.render_prompt(record)
 ids = [BOS_ID] + vocab.encode(prompt_text)
-generated = vocab.decode(decode_greedy(model, ids, max_new_tokens=24))
+generated = vocab.decode(decode(model, ids, GREEDY))
 print(f"\nfindings:  {record.findings}")
 print(f"reference: {reference}")
 print(f"model:     {generated}")
@@ -99,8 +99,8 @@ agree = total = 0
 for record in parts.test[:10]:
     prompt_text, _ = corpus.render_prompt(record)
     ids = [BOS_ID] + vocab.encode(prompt_text)
-    a = decode_greedy(model, ids, max_new_tokens=24)
-    b = decode_greedy(qmodel, ids, max_new_tokens=24)
+    a = decode(model, ids, GREEDY)
+    b = decode(qmodel, ids, GREEDY)
     total += max(len(a), len(b))
     agree += sum(x == y for x, y in zip(a, b))
 print(f"\nint4 greedy agreement over 10 records: {agree}/{total} positions")

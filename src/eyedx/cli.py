@@ -4,7 +4,8 @@ Five subcommands: prepare (corpus ingestion/synthesis and splitting), train
 (LoRA fine-tuning), infer (single-report diagnosis), evaluate (ROUGE
 comparison across checkpoints), and bench (wall-time measurements).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (also a file that cannot
+be read or written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .corpus import (
     ingest,
     load_template,
     modality_counts,
+    read_text,
     render_prompt,
     split,
     synthesize,
@@ -114,7 +116,7 @@ def _parse_config_file(path) -> dict:
     hints = typing.get_type_hints(TrainConfig)
     valid = {f.name for f in fields(TrainConfig)}
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -222,7 +224,7 @@ def _cmd_infer(args):
         path = Path(findings[1:])
         if not path.exists():
             raise DataError(f"report file not found: {path}")
-        findings = path.read_text(encoding="utf-8")
+        findings = read_text(path)
     findings = findings.strip()
     if not findings:
         raise DataError("empty report text")
@@ -385,7 +387,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

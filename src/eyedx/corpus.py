@@ -89,9 +89,17 @@ def normalize_text(text: str) -> str:
     return _WS_RE.sub(" ", unicodedata.normalize("NFC", text)).strip()
 
 
+def read_text(path: Path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise DataError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_template(path: str | Path) -> PromptTemplate:
     """Read a template file: instruction text, last non-empty line = response prefix."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(Path(path))
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -100,51 +108,48 @@ def load_template(path: str | Path) -> PromptTemplate:
     return PromptTemplate(instruction="\n".join(lines[:-1]) + "\n", response_prefix=lines[-1])
 
 
-def ingest(path: str | Path, format: str = "json-lines") -> list[ReportRecord]:
+def ingest(path: str | Path) -> list[ReportRecord]:
     """Read report records from a JSON-lines file.
 
     Identifier fields (name/gender/age) are dropped, records carrying an
     exclusion flag are filtered out. Malformed lines raise DataError naming
     the line number.
     """
-    if format != "json-lines":
-        raise DataError(f"unsupported corpus format {format!r}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
 
     records: list[ReportRecord] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected an object per line")
-            for key in IDENTIFIER_FIELDS:
-                obj.pop(key, None)
-            try:
-                flags = frozenset(obj.get("flags") or ())
-                unknown = flags - EXCLUSION_FLAGS
-                if unknown:
-                    raise DataError(f"unknown flags {sorted(unknown)}")
-                record = ReportRecord(
-                    id=str(obj["id"]),
-                    modality=obj["modality"],
-                    findings=str(obj["findings"]).strip(),
-                    diagnosis=str(obj["diagnosis"]).strip(),
-                    flags=flags,
-                )
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if record.flags & EXCLUSION_FLAGS:
-                continue
-            records.append(record)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected an object per line")
+        for key in IDENTIFIER_FIELDS:
+            obj.pop(key, None)
+        try:
+            flags = frozenset(obj.get("flags") or ())
+            unknown = flags - EXCLUSION_FLAGS
+            if unknown:
+                raise DataError(f"unknown flags {sorted(unknown)}")
+            record = ReportRecord(
+                id=str(obj["id"]),
+                modality=obj["modality"],
+                findings=str(obj["findings"]).strip(),
+                diagnosis=str(obj["diagnosis"]).strip(),
+                flags=flags,
+            )
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if record.flags & EXCLUSION_FLAGS:
+            continue
+        records.append(record)
     return records
 
 

@@ -8,7 +8,7 @@ untied output projection.
 Weights live in a flat dict keyed "tok_embed", "layers.{i}.wq", ...,
 "final_norm", "lm_head"; every 2D weight W acts as y = x @ W with W shaped
 (d_in, d_out). The backward pass is wired by hand in loss_and_grads; the
-finite-difference oracle in numerics.py keeps it honest.
+finite-difference oracle in tests/oracles.py keeps it honest.
 """
 
 from __future__ import annotations
@@ -115,13 +115,8 @@ def init_params(config: ModelConfig, seed: int = 0, scale: float = 0.02, dtype=n
 # ------------------------------------------------------------------ ops
 
 
-def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """y_i = gain_i * x_i / sqrt(mean(x^2) + eps), over the last axis."""
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
-    return x * inv * gain
-
-
 def _rmsnorm_fwd(x, gain, eps):
+    """y = gain * x / sqrt(mean(x^2) + eps) over the last axis, and 1/rms."""
     inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
     return x * inv * gain, inv
 
@@ -160,14 +155,6 @@ def _apply_rope_inverse(x, cos, sin):
     return _apply_rope(x, cos, -sin)
 
 
-def rope_vector(vec: np.ndarray, position: int, base: float = 10000.0) -> np.ndarray:
-    """Rotary encoding of a single head vector at one position."""
-    if vec.shape[-1] % 2:
-        raise DataError(f"head dim {vec.shape[-1]} must be even for rotary positions")
-    cos, sin = _rope_tables(np.array([position]), vec.shape[-1], base, vec.dtype)
-    return _apply_rope(vec.reshape(1, 1, -1), cos, sin).reshape(vec.shape)
-
-
 def _group_heads(x: np.ndarray, n_kv: int) -> np.ndarray:
     """(B, T, H, hd) -> (B, KV, G*T, hd): the G query heads of each kv head
     stacked along time, head h = kv * G + g at rows g*T .. g*T + T-1."""
@@ -189,11 +176,6 @@ def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
     grid = np.zeros(kept.shape + rows.shape[2:], dtype=rows.dtype)
     grid[kept] = rows[0]
     return grid
-
-
-def ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray, w_down: np.ndarray) -> np.ndarray:
-    """Gated unit: w_down( silu(x w_gate) * (x w_up) )."""
-    return (silu(x @ w_gate) * (x @ w_up)) @ w_down
 
 
 # ------------------------------------------------------------------ cache

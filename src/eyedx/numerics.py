@@ -65,31 +65,3 @@ def silu(z: np.ndarray) -> np.ndarray:
 def silu_backward(z: np.ndarray, dy: np.ndarray) -> np.ndarray:
     s = 1.0 / (1.0 + np.exp(-z))
     return dy * s * (1.0 + z * (1.0 - s))
-
-
-def finite_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, elementwise.
-
-    The oracle for every hand-derived backward in this package. Runs in the
-    dtype of x; call with float64 for trustworthy digits.
-    """
-    x = np.asarray(x)
-    grad = np.zeros_like(x)
-    flat_x = x.reshape(-1)
-    flat_g = grad.reshape(-1)
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + h
-        f_plus = f(x)
-        flat_x[i] = orig - h
-        f_minus = f(x)
-        flat_x[i] = orig
-        flat_g[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
-
-
-def grad_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Norm-based relative error between two gradients of the same shape."""
-    diff = np.linalg.norm(analytic - numeric)
-    scale = max(np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-12)
-    return float(diff / scale)

@@ -2,8 +2,7 @@
 
 ROUGE-N counts clipped n-gram overlap; ROUGE-L measures the longest common
 subsequence. Both are computed on word-level tokens (per-codepoint for CJK),
-so scores are invariant to whitespace layout. An exhaustive-enumeration LCS
-oracle is included for verifying the dynamic-programming implementation.
+so scores are invariant to whitespace layout.
 """
 
 from __future__ import annotations
@@ -94,37 +93,6 @@ def lcs_length(a, b) -> int:
                 cur.append(cur[-1] if cur[-1] >= prev[j] else prev[j])
         prev = cur
     return prev[-1]
-
-
-def lcs_oracle(a, b) -> int:
-    """LCS length by exhaustive enumeration of subsequences.
-
-    Deliberately brute force, as an independent check on lcs_length; the
-    length cap keeps the 2**|a| enumeration tractable.
-    """
-    if len(a) > 12 or len(b) > 12:
-        raise DataError(
-            f"lcs_oracle is exponential; lengths {len(a)} and {len(b)} exceed the cap of 12"
-        )
-    if len(a) > len(b):
-        a, b = b, a
-    best = 0
-    for bits in range(1 << len(a)):
-        sub = [a[i] for i in range(len(a)) if bits >> i & 1]
-        if len(sub) > best and _is_subsequence(sub, b):
-            best = len(sub)
-    return best
-
-
-def _is_subsequence(sub, seq) -> bool:
-    pos = 0
-    for token in sub:
-        while pos < len(seq) and seq[pos] != token:
-            pos += 1
-        if pos == len(seq):
-            return False
-        pos += 1
-    return True
 
 
 def rouge_l(candidate, reference, beta: float = 1.0) -> RougeScore:

@@ -4,10 +4,10 @@ The stage order is fixed: penalty, then temperature, then top-k, then
 top-p, then renormalize and sample. Each stage at its neutral value
 (penalty 1, temperature 1, top_k >= vocab, top_p 1) is skipped outright, so
 neutral settings reproduce plain softmax sampling exactly rather than
-approximately.
+approximately. Greedy decoding is top_k=1 with repetition_penalty=1.
 
-decode_batch is the one decoding loop: it steps a batch of prompts in
-lockstep through one KV cache. decode and decode_greedy are one-row calls.
+decode_batch is the one way to decode: it steps a batch of prompts in
+lockstep through one KV cache.
 """
 
 from __future__ import annotations
@@ -90,16 +90,15 @@ class Generation:
         return self.tokens
 
 
-def decode_batch(model: Model, prompts, params: DecodeParams,
-                 greedy: bool = False) -> list[Generation]:
+def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation]:
     """Continue every prompt, all rows in lockstep through one batched cache.
 
     Each row's budget is params.max_new_tokens clamped to the room its prompt
     leaves in the context window. Rows sample from their own
-    default_rng(params.seed), so each gets the stream it would get alone;
-    ``greedy`` takes the argmax instead. A row retires at eos or at its
-    budget. A row that cannot start (empty prompt, bad token id, no room) or
-    meets non-finite logits fails alone with its error in its Generation.
+    default_rng(params.seed), so each gets the stream it would get alone. A
+    row retires at eos or at its budget. A row that cannot start (empty
+    prompt, bad token id, no room) or meets non-finite logits fails alone
+    with its error in its Generation.
     """
     limit, vocab = model.config.max_seq_len, model.config.vocab_size
     prompts = [list(p) for p in prompts]
@@ -134,7 +133,6 @@ def decode_batch(model: Model, prompts, params: DecodeParams,
     seen = [set(ids) for ids in prompts]
     while live:
         finite = np.isfinite(logits).all(axis=1)
-        picks = np.argmax(logits, axis=1) if greedy else None
         nxt, keep = [], []
         for row, i in enumerate(live):
             out = results[i].tokens
@@ -142,11 +140,8 @@ def decode_batch(model: Model, prompts, params: DecodeParams,
                 error = NumericError(f"non-finite logits at generation step {len(out)}")
                 results[i] = Generation(out, "error", error)
                 continue
-            if greedy:
-                tok = int(picks[row])
-            else:
-                probs = filter_logits(logits[row], seen[i], params)
-                tok = int(rngs[i].choice(probs.shape[0], p=probs))
+            probs = filter_logits(logits[row], seen[i], params)
+            tok = int(rngs[i].choice(probs.shape[0], p=probs))
             if tok == EOS_ID:
                 results[i].stop = "eos"
                 continue
@@ -163,27 +158,6 @@ def decode_batch(model: Model, prompts, params: DecodeParams,
     return results
 
 
-def _check_budget(prompt_ids, max_new_tokens: int, limit: int) -> None:
-    if not prompt_ids:
-        raise DataError("decode needs a non-empty prompt")
-    if len(prompt_ids) + max_new_tokens > limit:
-        raise DataError(
-            f"prompt ({len(prompt_ids)}) + max_new_tokens ({max_new_tokens}) "
-            f"exceeds max_seq_len {limit}"
-        )
-
-
 def decode(model: Model, prompt_ids, params: DecodeParams) -> list[int]:
-    """Sample a continuation of the prompt; stops at eos or max_new_tokens.
-    Returns generated ids only, eos excluded."""
-    prompt_ids = list(prompt_ids)
-    _check_budget(prompt_ids, params.max_new_tokens, model.config.max_seq_len)
+    """One prompt's generated ids, eos excluded; its error raised if it fails."""
     return decode_batch(model, [prompt_ids], params)[0].unwrap()
-
-
-def decode_greedy(model: Model, prompt_ids, max_new_tokens: int) -> list[int]:
-    """Argmax continuation; the deterministic oracle for equivalence tests."""
-    prompt_ids = list(prompt_ids)
-    _check_budget(prompt_ids, max_new_tokens, model.config.max_seq_len)
-    params = DecodeParams(max_new_tokens=max(max_new_tokens, 0))
-    return decode_batch(model, [prompt_ids], params, greedy=True)[0].unwrap()

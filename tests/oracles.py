@@ -1,0 +1,81 @@
+"""Reference implementations the tests and demos check eyedx against.
+
+Each one is deliberately naive (brute force, or no cache) so that it shares
+no code path with what it checks.
+"""
+
+import numpy as np
+
+from eyedx import DataError
+from eyedx.tokenizer import EOS_ID
+
+
+def finite_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of scalar f at x, elementwise.
+
+    The oracle for every hand-derived backward in eyedx. Runs in the dtype
+    of x; call with float64 for trustworthy digits.
+    """
+    x = np.asarray(x)
+    grad = np.zeros_like(x)
+    flat_x = x.reshape(-1)
+    flat_g = grad.reshape(-1)
+    for i in range(flat_x.size):
+        orig = flat_x[i]
+        flat_x[i] = orig + h
+        f_plus = f(x)
+        flat_x[i] = orig - h
+        f_minus = f(x)
+        flat_x[i] = orig
+        flat_g[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
+def grad_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Norm-based relative error between two gradients of the same shape."""
+    diff = np.linalg.norm(analytic - numeric)
+    scale = max(np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-12)
+    return float(diff / scale)
+
+
+def lcs_oracle(a, b) -> int:
+    """LCS length by exhaustive enumeration of subsequences.
+
+    Deliberately brute force, as an independent check on lcs_length; the
+    length cap keeps the 2**|a| enumeration tractable.
+    """
+    if len(a) > 12 or len(b) > 12:
+        raise DataError(
+            f"lcs_oracle is exponential; lengths {len(a)} and {len(b)} exceed the cap of 12"
+        )
+    if len(a) > len(b):
+        a, b = b, a
+    best = 0
+    for bits in range(1 << len(a)):
+        sub = [a[i] for i in range(len(a)) if bits >> i & 1]
+        if len(sub) > best and _is_subsequence(sub, b):
+            best = len(sub)
+    return best
+
+
+def _is_subsequence(sub, seq) -> bool:
+    pos = 0
+    for token in sub:
+        while pos < len(seq) and seq[pos] != token:
+            pos += 1
+        if pos == len(seq):
+            return False
+        pos += 1
+    return True
+
+
+def recompute_greedy(model, prompt, budget):
+    """Argmax decoding that reruns the whole prefix each step, no cache."""
+    seq, out = list(prompt), []
+    for _ in range(budget):
+        nxt = int(np.argmax(model.forward(np.array(seq))[-1]))
+        if nxt == EOS_ID:
+            break
+        out.append(nxt)
+        seq.append(nxt)
+    return out

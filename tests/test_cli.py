@@ -317,6 +317,41 @@ def test_infer_quant_on_int4_model_rejected(qlora, capsys):
     assert capsys.readouterr().err == f"data error: {qlora['model']} is already quantized\n"
 
 
+# -- unreadable inputs ---------------------------------------------------------
+
+# argv for each input, given the workspace, a file of invalid UTF-8 named
+# test.jsonl (so its directory doubles as a corrupt data split) and a directory
+UNREADABLE = {
+    "prepare --input not utf-8": lambda w, bad, folder: [
+        "prepare", "--input", bad, "--out", folder / "out"],
+    "train --config not utf-8": lambda w, bad, folder: [
+        "train", "--data", w["data"], "--model", w["model"], "--out", folder / "a.olm",
+        "--config", bad],
+    "evaluate test split not utf-8": lambda w, bad, folder: evaluate_args(
+        w, folder / "r.json", "--model", w["model"], "--data", bad.parent),
+    "--template not utf-8": lambda w, bad, folder: infer_args(
+        w, "--report", FINDINGS, "--template", bad),
+    "--report @file not utf-8": lambda w, bad, folder: infer_args(w, "--report", f"@{bad}"),
+    "--model directory": lambda w, bad, folder: [
+        "infer", "--model", folder, "--modality", "OSA", "--report", FINDINGS],
+    "--adapter directory": lambda w, bad, folder: infer_args(
+        w, "--report", FINDINGS, "--adapter", folder),
+    "--report @directory": lambda w, bad, folder: infer_args(w, "--report", f"@{folder}"),
+    "evaluate --out directory": lambda w, bad, folder: evaluate_args(
+        w, folder, "--model", w["model"]),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_is_a_one_line_data_error(workspace, tmp_path, capsys, case):
+    bad = tmp_path / "test.jsonl"
+    bad.write_bytes(b'{"id": "\xff\xfe"}\n')
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code = main([str(arg) for arg in UNREADABLE[case](workspace, bad, folder)])
+    assert_one_line_data_error(code, capsys)
+
+
 # -- bench --------------------------------------------------------------------
 
 

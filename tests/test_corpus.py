@@ -118,13 +118,6 @@ def test_ingest_missing_file():
         ingest("/nonexistent/corpus.jsonl")
 
 
-def test_ingest_unsupported_format(tmp_path):
-    path = tmp_path / "c.jsonl"
-    path.write_text("{}\n")
-    with pytest.raises(DataError, match="format"):
-        ingest(path, format="csv")
-
-
 def test_write_then_ingest_round_trips(tmp_path):
     records = synthesize(20, seed=3)
     path = tmp_path / "out.jsonl"

@@ -16,7 +16,8 @@ from eyedx.lora import (
     unmerge,
 )
 from eyedx.model import Model, ModelConfig, init_params
-from eyedx.numerics import cross_entropy, finite_difference, grad_relative_error
+from eyedx.numerics import cross_entropy
+from oracles import finite_difference, grad_relative_error
 
 RNG = np.random.default_rng(13)
 

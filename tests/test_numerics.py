@@ -10,13 +10,12 @@ from eyedx import NumericError
 from eyedx.numerics import (
     cross_entropy,
     cross_entropy_backward,
-    finite_difference,
-    grad_relative_error,
     silu,
     silu_backward,
     softmax,
     softmax_backward,
 )
+from oracles import finite_difference, grad_relative_error
 
 RNG = np.random.default_rng(42)
 

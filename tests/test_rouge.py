@@ -17,7 +17,6 @@ from eyedx.rouge import (
     evaluate,
     format_table,
     lcs_length,
-    lcs_oracle,
     rouge_l,
     rouge_n,
     score_pair,
@@ -25,6 +24,7 @@ from eyedx.rouge import (
 )
 from eyedx.sample import DecodeParams, decode
 from eyedx.tokenizer import BOS_ID, build, segment
+from oracles import lcs_oracle
 
 CAND = "retinal detachment left eye".split()
 REF = "retinal detachment right eye".split()

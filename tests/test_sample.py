@@ -8,8 +8,9 @@ import pytest
 from eyedx import DataError, NumericError
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
-from eyedx.sample import DecodeParams, decode, decode_batch, decode_greedy, filter_logits
+from eyedx.sample import DecodeParams, decode, decode_batch, filter_logits
 from eyedx.tokenizer import PAD_ID
+from oracles import recompute_greedy
 
 RNG = np.random.default_rng(23)
 
@@ -20,6 +21,10 @@ CFG = ModelConfig(
 
 def tiny_model():
     return Model(CFG, init_params(CFG, seed=4, scale=0.5))
+
+
+def greedy(max_new_tokens, **kw):
+    return DecodeParams(max_new_tokens=max_new_tokens, top_k=1, repetition_penalty=1.0, **kw)
 
 
 def neutral(**kw):
@@ -185,25 +190,26 @@ def test_decode_preconditions():
     model = tiny_model()
     with pytest.raises(DataError, match="non-empty"):
         decode(model, [], DecodeParams(max_new_tokens=4))
-    with pytest.raises(DataError, match="max_seq_len"):
-        decode(model, [1, 2, 3], DecodeParams(max_new_tokens=CFG.max_seq_len))
+    # an over-budget call is clamped to the room its prompt leaves
+    out = decode(model, [5, 9, 2], greedy(CFG.max_seq_len))
+    assert len(out) == room([5, 9, 2], CFG.max_seq_len)
 
 
 def test_greedy_same_prompt_twice_identical():
     model = tiny_model()
-    a = decode_greedy(model, [3, 8, 1, 4], 24)
-    b = decode_greedy(model, [3, 8, 1, 4], 24)
+    a = decode(model, [3, 8, 1, 4], greedy(24))
+    b = decode(model, [3, 8, 1, 4], greedy(24))
     assert a == b
 
 
 def test_greedy_zero_budget_is_empty():
-    assert decode_greedy(tiny_model(), [3, 8], 0) == []
+    assert decode(tiny_model(), [3, 8], greedy(0)) == []
 
 
 def test_top_k_one_equals_greedy():
     model = tiny_model()
     prompt = [5, 9, 2]
-    greedy = decode_greedy(model, prompt, 24)
+    expect = recompute_greedy(model, prompt, 24)
     for seed in range(4):
         sampled = decode(
             model,
@@ -212,13 +218,13 @@ def test_top_k_one_equals_greedy():
                 max_new_tokens=24, top_k=1, repetition_penalty=1.0, temperature=0.7, seed=seed
             ),
         )
-        assert sampled == greedy
+        assert sampled == expect
 
 
 def test_tiny_temperature_matches_greedy():
     model = tiny_model()
     prompt = [7, 2]
-    greedy = decode_greedy(model, prompt, 32)
+    expect = recompute_greedy(model, prompt, 32)
     sampled = decode(
         model,
         prompt,
@@ -226,24 +232,15 @@ def test_tiny_temperature_matches_greedy():
             max_new_tokens=32, temperature=1e-6, top_k=40, repetition_penalty=1.0, seed=11
         ),
     )
-    assert sampled == greedy
+    assert sampled == expect
 
 
 def test_greedy_with_cache_matches_full_recompute():
     model = tiny_model()
     prompt = [5, 9, 2, 11]
-    out = decode_greedy(model, prompt, 32)  # cache path
-
-    seq = list(prompt)
-    recomputed = []
-    for _ in range(32):
-        logits = model.forward(np.array(seq))[-1]
-        nxt = int(np.argmax(logits))
-        if nxt == 1:  # eos
-            break
-        recomputed.append(nxt)
-        seq.append(nxt)
-    assert out == recomputed
+    out = decode(model, prompt, greedy(32))  # cache path
+    assert out == recompute_greedy(model, prompt, 32)
+    seq = prompt + out
 
     # and the final-position logits agree closely between the two paths
     cache = model.new_cache()
@@ -260,7 +257,7 @@ def test_non_finite_logits_raise_numeric_error():
     with pytest.raises(NumericError, match="non-finite"):
         decode(model, [1, 2, 3], neutral(max_new_tokens=3))
     with pytest.raises(NumericError, match="non-finite"):
-        decode_greedy(model, [1, 2, 3], 3)
+        decode(model, [1, 2, 3], greedy(3))
 
 
 # ------------------------------------------------------------- batched decode
@@ -281,23 +278,11 @@ def room(prompt, max_new_tokens):
     return min(max_new_tokens, CFG.max_seq_len - len(prompt))
 
 
-def recompute_greedy(model, prompt, budget):
-    """Argmax decoding that reruns the whole prefix each step, no cache."""
-    seq, out = list(prompt), []
-    for _ in range(budget):
-        nxt = int(np.argmax(model.forward(np.array(seq))[-1]))
-        if nxt == 1:  # eos
-            break
-        out.append(nxt)
-        seq.append(nxt)
-    return out
-
-
 def test_batched_greedy_matches_one_row_decoding():
     model = tiny_model()
-    got = decode_batch(model, RAGGED, DecodeParams(max_new_tokens=20), greedy=True)
+    got = decode_batch(model, RAGGED, greedy(20))
     for prompt, generation in zip(RAGGED, got):
-        alone = decode_greedy(model, prompt, room(prompt, 20))
+        alone = decode(model, prompt, greedy(room(prompt, 20)))
         assert generation.tokens == alone
         assert alone == recompute_greedy(model, prompt, room(prompt, 20))
     assert len(got[3].tokens) == 4  # the clamped row
@@ -356,8 +341,8 @@ def test_failing_rows_fail_alone():
 
 def test_stop_reasons_and_counts():
     model = tiny_model()
-    for greedy in (True, False):
-        got = decode_batch(model, RAGGED, DecodeParams(max_new_tokens=20, seed=3), greedy=greedy)
+    for params in (greedy(20, seed=3), DecodeParams(max_new_tokens=20, seed=3)):
+        got = decode_batch(model, RAGGED, params)
         for prompt, generation in zip(RAGGED, got):
             budget = room(prompt, 20)
             assert generation.error is None
