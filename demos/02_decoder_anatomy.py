@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eyedx.lora import attach
 from eyedx.model import Model, ModelConfig, _apply_rope, _rmsnorm_fwd, _rope_tables, init_params
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -110,13 +111,18 @@ print(f"\ncached vs full recompute: tokens identical, "
 
 # ------------------------------------------------------------------ gradients
 #
-# The backward pass is hand-written, so it is checked the honest way: pick a
-# weight, wiggle it with central finite differences in float64, and compare
-# against the analytic gradient. Relative error should sit near sqrt(eps).
+# The backward pass is hand-written, so it is checked the honest way: pick an
+# adapter factor, wiggle it with central finite differences in float64, and
+# compare against the analytic gradient. Relative error should sit near
+# sqrt(eps). The base weights are frozen, so the adapter's factors are the
+# only gradients there are; B starts nonzero so that A gets one too.
 
 small = ModelConfig(d_model=8, n_layers=1, n_heads=4, n_kv_heads=2,
                     d_ff=12, vocab_size=11, max_seq_len=8)
 tiny = Model(small, init_params(small, seed=2, scale=0.4, dtype=np.float64))
+adapter = attach(tiny, rank=2, alpha=4.0, seed=3)
+for t in adapter.targets:
+    adapter.b[t][:] = rng.normal(0.0, 0.5, adapter.b[t].shape)
 
 inputs = np.array([[0, 4, 7, 5]])
 labels = np.array([[4, 7, 5, 1]])
@@ -124,16 +130,11 @@ mask = np.ones_like(labels, dtype=np.float64)
 _, grads = tiny.loss_and_grads(inputs, labels, mask)
 
 print("\ngradient check against central finite differences:")
-for name in ("layers.0.wq", "layers.0.w_gate", "tok_embed", "lm_head"):
-    w = tiny.params[name]
-
-    def loss_of(candidate, name=name, w=w):
-        tiny.params[name] = candidate
-        loss, _ = tiny.loss_and_grads(inputs, labels, mask)
-        tiny.params[name] = w
-        return loss
-
-    numeric = finite_difference(loss_of, w)
+for name, w in (("layers.0.wq.lora_a", adapter.a["layers.0.wq"]),
+                ("layers.0.wq.lora_b", adapter.b["layers.0.wq"]),
+                ("layers.0.wv.lora_b", adapter.b["layers.0.wv"])):
+    # finite_difference perturbs w in place, which the forward reads
+    numeric = finite_difference(lambda _: tiny.loss_and_grads(inputs, labels, mask)[0], w)
     err = grad_relative_error(grads[name], numeric)
-    print(f"  {name:16s} relative error {err:.2e}")
+    print(f"  {name:19s} relative error {err:.2e}")
     assert err < 1e-4

@@ -243,6 +243,11 @@ def _cmd_evaluate(args):
     adapters = args.adapter or ["-"] * len(args.model)
     if len(adapters) != len(args.model):
         raise _UsageError("--adapter count must match --model count (use '-' for none)")
+    out = Path(args.out)  # checked before any model is decoded; not yet created
+    if out.is_dir():
+        raise DataError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise DataError(f"--out {out}: no directory {out.parent}")
     records = _read_records(args.data, "test")
     if args.limit is not None:
         if args.limit < 1:

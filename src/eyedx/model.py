@@ -7,8 +7,9 @@ untied output projection.
 
 Weights live in a flat dict keyed "tok_embed", "layers.{i}.wq", ...,
 "final_norm", "lm_head"; every 2D weight W acts as y = x @ W with W shaped
-(d_in, d_out). The backward pass is wired by hand in loss_and_grads; the
-finite-difference oracle in tests/oracles.py keeps it honest.
+(d_in, d_out). The base weights are frozen: the backward pass, wired by
+hand in loss_and_grads, computes only the attached adapter's gradients, and
+the finite-difference oracle in tests/oracles.py keeps it honest.
 """
 
 from __future__ import annotations
@@ -122,12 +123,9 @@ def _rmsnorm_fwd(x, gain, eps):
 
 
 def _rmsnorm_bwd(x, gain, inv, dy):
-    # y_j = g_j x_j inv, d inv/d x_k = -inv^3 x_k / d
-    d = x.shape[-1]
+    """dx for the frozen gain; y_j = g_j x_j inv, d inv/d x_k = -inv^3 x_k / d."""
     s = (dy * gain * x).sum(axis=-1, keepdims=True)
-    dx = dy * gain * inv - x * (inv**3) * s / d
-    dgain = (dy * x * inv).reshape(-1, d).sum(axis=0)
-    return dx, dgain
+    return dy * gain * inv - x * (inv**3) * s / x.shape[-1]
 
 
 def _rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype):
@@ -269,19 +267,17 @@ class Model:
         return y
 
     def _project_bwd(self, x, name, dy, grads):
-        d_in = x.shape[-1]
-        d_out = dy.shape[-1]
-        xf = x.reshape(-1, d_in)
-        dyf = dy.reshape(-1, d_out)
-        if name in grads:
-            grads[name] += xf.T @ dyf
+        """dx through a frozen projection; an adapter target also puts its
+        ".lora_a"/".lora_b" gradients into grads."""
         dx = dy @ self.params[name].T
         ad = self.adapter
-        if ad is not None and name in ad.a:
+        if name in ad.a:
             a, b, s = ad.a[name], ad.b[name], ad.scale
+            xf = x.reshape(-1, x.shape[-1])
+            dyf = dy.reshape(-1, dy.shape[-1])
             dy_b = dyf @ b.T  # (N, r)
-            grads[name + ".lora_a"] += s * (xf.T @ dy_b)
-            grads[name + ".lora_b"] += s * ((xf @ a).T @ dyf)
+            grads[name + ".lora_a"] = s * (xf.T @ dy_b)
+            grads[name + ".lora_b"] = s * ((xf @ a).T @ dyf)
             dx = dx + s * (dy_b @ a.T).reshape(x.shape)
         return dx
 
@@ -298,10 +294,10 @@ class Model:
         return logits[0] if single else logits
 
     def _run(self, tokens, cache, tape, kept=None):
-        """Logits for tokens (B, T). kept, a (B, T) bool mask given only with
-        a tape, selects the positions to compute: they run token-major as one
-        (1, N) row, so each token-wise op is one GEMM, and only attention
-        sees the (B, T) grid, with zeros where kept is False."""
+        """Logits for tokens (B, T). kept, a (B, T) bool mask given with
+        every tape and only then, selects the positions to compute: they run
+        token-major as one (1, N) row, so each token-wise op is one GEMM, and
+        only attention sees the (B, T) grid, with zeros where kept is False."""
         cfg = self.config
         B, T = tokens.shape
         if T == 0:
@@ -338,7 +334,7 @@ class Model:
         xn, inv = _rmsnorm_fwd(x, self.params["final_norm"], cfg.rmsnorm_eps)
         logits = xn @ self.params["lm_head"]
         if tape is not None:
-            tape.append({"tokens": tokens, "x_final": x, "inv_final": inv, "xn_final": xn})
+            tape.append({"x_final": x, "inv_final": inv})
         return logits
 
     def _attention(self, x, layer, cache, cos, sin, positions, tape, kept):
@@ -417,34 +413,28 @@ class Model:
                     "kind": "ffn",
                     "layer": layer,
                     "x": x,
-                    "xn": xn,
                     "inv": inv,
                     "z_gate": z_gate,
                     "z_up": z_up,
                     "act": act,
-                    "h": h,
                 }
             )
         return out
 
     # -- loss and hand-wired backward --
 
-    def loss_and_grads(self, inputs: np.ndarray, labels: np.ndarray, mask: np.ndarray,
-                       adapter_only: bool = False):
-        """Masked next-token loss and gradients.
+    def loss_and_grads(self, inputs: np.ndarray, labels: np.ndarray, mask: np.ndarray):
+        """Masked next-token loss and the attached adapter's gradients.
 
-        Default: gradients for every weight plus ".lora_a"/".lora_b" entries
-        per target while an adapter is attached. With adapter_only, the
-        returned dict holds just the adapter entries and the base-weight
-        accumulations are skipped (fine-tuning never reads them).
+        The base weights are frozen: grads holds exactly the ".lora_a" and
+        ".lora_b" entries of each adapter target, in the model's dtype.
 
         Under the causal mask a position past its row's last mask=True
         position cannot reach the loss, so only the positions up to it are
         computed; a row without a loss position drops out entirely.
         """
-        cfg = self.config
-        if adapter_only and self.adapter is None:
-            raise NumericError("adapter_only gradients requested with no adapter attached")
+        if self.adapter is None:
+            raise NumericError("loss_and_grads needs an attached adapter")
         inputs, labels, mask = np.asarray(inputs), np.asarray(labels), np.asarray(mask, dtype=bool)
         if inputs.ndim != 2 or labels.shape != inputs.shape or mask.shape != inputs.shape:
             raise NumericError(
@@ -458,66 +448,33 @@ class Model:
         logits = self._run(inputs, None, tape, kept)
         loss = cross_entropy(logits, labels, mask)
 
-        grads = {} if adapter_only else {n: np.zeros_like(w) for n, w in self.params.items()}
-        if self.adapter is not None:
-            for t in self.adapter.a:
-                grads[t + ".lora_a"] = np.zeros_like(self.adapter.a[t])
-                grads[t + ".lora_b"] = np.zeros_like(self.adapter.b[t])
-
+        grads: dict = {}
         top = tape.pop()
-        dlogits = cross_entropy_backward(logits, labels, mask)
-        d_out = top["xn_final"].shape[-1]
-        if "lm_head" in grads:
-            grads["lm_head"] += (
-                top["xn_final"].reshape(-1, d_out).T @ dlogits.reshape(-1, cfg.vocab_size)
-            )
-        dxn = dlogits @ self.params["lm_head"].T
-        dx, dgain = _rmsnorm_bwd(top["x_final"], self.params["final_norm"], top["inv_final"], dxn)
-        if "final_norm" in grads:
-            grads["final_norm"] += dgain
-
+        dxn = cross_entropy_backward(logits, labels, mask) @ self.params["lm_head"].T
+        dx = _rmsnorm_bwd(top["x_final"], self.params["final_norm"], top["inv_final"], dxn)
         for rec in reversed(tape):
             p = f"layers.{rec['layer']}."
             if rec["kind"] == "ffn":
                 dh = dx @ self.params[p + "w_down"].T
-                if p + "w_down" in grads:
-                    grads[p + "w_down"] += (
-                        rec["h"].reshape(-1, cfg.d_ff).T @ dx.reshape(-1, cfg.d_model)
-                    )
-                dact = dh * rec["z_up"]
+                dz_gate = silu_backward(rec["z_gate"], dh * rec["z_up"])
                 dz_up = dh * rec["act"]
-                dz_gate = silu_backward(rec["z_gate"], dact)
                 dxn = dz_gate @ self.params[p + "w_gate"].T + dz_up @ self.params[p + "w_up"].T
-                if p + "w_gate" in grads:
-                    xnf = rec["xn"].reshape(-1, cfg.d_model)
-                    grads[p + "w_gate"] += xnf.T @ dz_gate.reshape(-1, cfg.d_ff)
-                    grads[p + "w_up"] += xnf.T @ dz_up.reshape(-1, cfg.d_ff)
-                dxin, dgain = _rmsnorm_bwd(
-                    rec["x"], self.params[p + "ffn_norm"], rec["inv"], dxn
-                )
-                if p + "ffn_norm" in grads:
-                    grads[p + "ffn_norm"] += dgain
-                dx = dx + dxin  # residual: out = x + ffn(norm(x))
+                # residual: out = x + ffn(norm(x))
+                dx = dx + _rmsnorm_bwd(rec["x"], self.params[p + "ffn_norm"], rec["inv"], dxn)
             else:
                 dx = self._attention_bwd(rec, dx, grads)
-
-        # dx is now the gradient at the embedding output
-        if "tok_embed" in grads:
-            np.add.at(grads["tok_embed"], top["tokens"].reshape(-1), dx.reshape(-1, cfg.d_model))
         return loss, grads
 
     def _attention_bwd(self, rec, d_out, grads):
         cfg = self.config
         p = f"layers.{rec['layer']}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-        lead = rec["x"].shape[:2]  # (1, N) token rows, or the (B, T) grid itself
-        B, T = rec["k"].shape[:2]
+        N = rec["x"].shape[1]  # (1, N) token rows
         kept = rec["kept"]
+        T = kept.shape[1]
 
-        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads).reshape(*lead, H, hd)
-        if kept is not None:
-            dctx = _scatter(dctx, kept)
-        dctx = _group_heads(dctx, KV)  # (B, KV, G*T, hd)
+        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads).reshape(1, N, H, hd)
+        dctx = _group_heads(_scatter(dctx, kept), KV)  # (B, KV, G*T, hd)
         probs = rec["probs"]  # (B, KV, G*T, S)
         k = rec["k"].transpose(0, 2, 1, 3)  # (B, KV, S, hd)
 
@@ -526,19 +483,15 @@ class Model:
         dv = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = softmax_backward(probs, dprobs, axis=-1)
         dscores /= math.sqrt(hd)
-        dq = _ungroup_heads(dscores @ k, T)
-        dk = (dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3)
-        dv = dv.transpose(0, 2, 1, 3)
-        if kept is not None:
-            dq, dk, dv = dq[kept][None], dk[kept][None], dv[kept][None]
+        dq = _ungroup_heads(dscores @ k, T)[kept][None]
+        dk = (dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3)[kept][None]
+        dv = dv.transpose(0, 2, 1, 3)[kept][None]
 
         dq = _apply_rope_inverse(dq, rec["cos"], rec["sin"])
         dk = _apply_rope_inverse(dk, rec["cos"], rec["sin"])
 
-        dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(*lead, H * hd), grads)
-        dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(*lead, KV * hd), grads)
-        dxn += self._project_bwd(rec["xn"], p + "wv", dv.reshape(*lead, KV * hd), grads)
-        dxin, dgain = _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)
-        if p + "attn_norm" in grads:
-            grads[p + "attn_norm"] += dgain
-        return d_out + dxin  # residual: out = x + attn(norm(x))
+        dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(1, N, H * hd), grads)
+        dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(1, N, KV * hd), grads)
+        dxn += self._project_bwd(rec["xn"], p + "wv", dv.reshape(1, N, KV * hd), grads)
+        # residual: out = x + attn(norm(x))
+        return d_out + _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)

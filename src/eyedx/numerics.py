@@ -55,7 +55,8 @@ def cross_entropy_backward(logits: np.ndarray, targets: np.ndarray, mask: np.nda
     np.put_along_axis(
         probs, targets[..., None], np.take_along_axis(probs, targets[..., None], axis=-1) - 1.0, axis=-1
     )
-    return probs * (mask[..., None] / n)
+    # cast first: a bool mask over a Python int would promote to float64
+    return probs * (mask[..., None].astype(probs.dtype) / n)
 
 
 def silu(z: np.ndarray) -> np.ndarray:

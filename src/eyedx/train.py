@@ -207,9 +207,7 @@ def train(
             result.skipped += batch.skipped
             if batch.size == 0:
                 continue
-            loss, grads = model.loss_and_grads(
-                batch.inputs, batch.labels, batch.mask, adapter_only=True
-            )
+            loss, grads = model.loss_and_grads(batch.inputs, batch.labels, batch.mask)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at optimizer step {result.steps + 1}")
             n = batch.n_tokens

@@ -187,10 +187,12 @@ def test_infer_missing_model_file(tmp_path, capsys):
 
 
 def assert_one_line_data_error(code, capsys):
-    err = capsys.readouterr().err
+    """Returns what was printed to stdout."""
+    out, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return out
 
 
 def test_infer_rejects_unknown_config_key(workspace, tmp_path, capsys):
@@ -339,6 +341,8 @@ UNREADABLE = {
     "--report @directory": lambda w, bad, folder: infer_args(w, "--report", f"@{folder}"),
     "evaluate --out directory": lambda w, bad, folder: evaluate_args(
         w, folder, "--model", w["model"]),
+    "evaluate --out in a missing directory": lambda w, bad, folder: evaluate_args(
+        w, folder / "missing" / "report.json", "--model", w["model"]),
 }
 
 
@@ -349,7 +353,9 @@ def test_unreadable_input_is_a_one_line_data_error(workspace, tmp_path, capsys, 
     folder = tmp_path / "folder"
     folder.mkdir()
     code = main([str(arg) for arg in UNREADABLE[case](workspace, bad, folder)])
-    assert_one_line_data_error(code, capsys)
+    # found before any work is done: evaluate prints no table first
+    assert assert_one_line_data_error(code, capsys) == ""
+    assert list(folder.iterdir()) == []
 
 
 # -- bench --------------------------------------------------------------------

@@ -22,7 +22,6 @@ from eyedx.model import (
     param_shapes,
 )
 from eyedx.numerics import cross_entropy, softmax, softmax_backward
-from oracles import finite_difference, grad_relative_error
 
 RNG = np.random.default_rng(7)
 
@@ -342,22 +341,28 @@ def record_calls(model, method):
 @pytest.mark.parametrize("n_kv", [4, 2, 1])
 def test_taped_attention_and_backward_match_repeat_einsum_oracle(n_kv):
     model = gqa_model(n_kv)
+    attach(model, rank=2, alpha=4.0)  # B = 0: the projections stay the base ones
     cfg = model.config
     rng = np.random.default_rng(21)
     tokens = rng.integers(0, cfg.vocab_size, (2, 7))
     tape = []
-    model._run(tokens, None, tape)
+    model._run(tokens, None, tape, np.ones(tokens.shape, dtype=bool))
     rec = next(r for r in tape if r.get("kind") == "attn")
 
+    # the taped path runs the B*T positions as (1, N) token rows, row-major
     x, xn, inv, q, k, v, cos, sin = first_layer_qkv(model, tokens)
+    B, T, _ = x.shape
+
+    def rows(a):
+        return a.reshape(1, B * T, -1)
+
     ctx, probs = oracle_attention(q, k, v, past=0)
-    assert np.max(np.abs(rec["ctx"] - ctx)) < 1e-10
+    assert np.max(np.abs(rec["ctx"] - rows(ctx))) < 1e-10
 
     p = "layers.0."
-    B, T, _ = x.shape
     d_out = rng.standard_normal(x.shape)
     calls = record_calls(model, "_project_bwd")
-    dx = model._attention_bwd(rec, d_out, {})
+    dx = model._attention_bwd(rec, rows(d_out), {})
 
     dctx = (d_out @ model.params[p + "wo"].T).reshape(B, T, cfg.n_heads, cfg.head_dim)
     dq, dk, dv = oracle_attention_bwd(q, k, v, probs, dctx)
@@ -366,11 +371,11 @@ def test_taped_attention_and_backward_match_repeat_einsum_oracle(n_kv):
     dv = dv.reshape(B, T, -1)
     for name, expect in (("wq", dq), ("wk", dk), ("wv", dv)):
         (_, _, got, _), = calls[p + name]
-        assert np.max(np.abs(got - expect)) < 1e-10, name
+        assert np.max(np.abs(got - rows(expect))) < 1e-10, name
     dxn = dq @ model.params[p + "wq"].T + dk @ model.params[p + "wk"].T
     dxn += dv @ model.params[p + "wv"].T
-    dxin, _ = _rmsnorm_bwd(x, model.params[p + "attn_norm"], inv, dxn)
-    assert np.max(np.abs(dx - (d_out + dxin))) < 1e-10
+    dxin = _rmsnorm_bwd(x, model.params[p + "attn_norm"], inv, dxn)
+    assert np.max(np.abs(dx - rows(d_out + dxin))) < 1e-10
 
 
 @pytest.mark.parametrize("n_kv", [4, 2, 1])
@@ -473,28 +478,26 @@ def test_batched_cache_overflow():
 # ------------------------------------------------------------- gradients
 
 
-def model_loss(model, inputs, labels, mask):
-    return cross_entropy(model.forward(inputs), labels, mask)
+def adapter_entries(model):
+    return {t + s for t in model.adapter.targets for s in (".lora_a", ".lora_b")}
 
 
-def test_full_model_gradcheck_float64():
-    # every parameter of a 2-layer model against central differences
-    cfg = ModelConfig(
-        d_model=8, n_layers=2, n_heads=2, n_kv_heads=1, d_ff=12, vocab_size=11, max_seq_len=8
-    )
-    model = tiny_model(cfg, dtype=np.float64, scale=0.4)
-    rng = np.random.default_rng(3)
-    inputs = rng.integers(0, cfg.vocab_size, (2, 6))
-    labels = rng.integers(0, cfg.vocab_size, (2, 6))
-    mask = rng.random((2, 6)) < 0.7
-    mask[0, 0] = True  # keep at least one position
+def test_float32_model_gives_float32_adapter_grads():
+    model = tiny_model()
+    attach(model, rank=2, alpha=4.0)
+    inputs = RNG.integers(0, TINY.vocab_size, (2, 6))
+    labels = RNG.integers(0, TINY.vocab_size, (2, 6))
+    _, grads = model.loss_and_grads(inputs, labels, np.ones((2, 6), dtype=bool))
+    assert set(grads) == adapter_entries(model)
+    for name, g in grads.items():
+        assert g.dtype == np.float32, name
 
-    loss, grads = model.loss_and_grads(inputs, labels, mask)
-    assert np.isfinite(loss)
-    for name, w in model.params.items():
-        num = finite_difference(lambda _: model_loss(model, inputs, labels, mask), w)
-        err = grad_relative_error(grads[name], num)
-        assert err < 1e-4, f"{name}: rel err {err:.2e}"
+
+def test_loss_and_grads_without_an_adapter_raises_numeric_error():
+    model = tiny_model()
+    inputs = RNG.integers(0, TINY.vocab_size, (2, 6))
+    with pytest.raises(NumericError, match="needs an attached adapter"):
+        model.loss_and_grads(inputs, inputs, np.ones((2, 6), dtype=bool))
 
 
 def test_grads_zero_from_masked_positions():
@@ -502,6 +505,10 @@ def test_grads_zero_from_masked_positions():
         d_model=8, n_layers=1, n_heads=2, n_kv_heads=2, d_ff=12, vocab_size=9, max_seq_len=8
     )
     model = tiny_model(cfg, dtype=np.float64)
+    adapter = attach(model, rank=2, alpha=4.0, seed=1)
+    rng = np.random.default_rng(4)
+    for t in adapter.targets:
+        adapter.b[t][:] = rng.standard_normal(adapter.b[t].shape) * 0.3
     inputs = np.array([[1, 2, 3, 4]])
     labels = np.array([[2, 3, 4, 5]])
     full_mask = np.array([[True, True, True, True]])
@@ -554,11 +561,10 @@ def ragged_batch(vocab_size):
     return inputs, labels, mask, real
 
 
-@pytest.mark.parametrize("adapter_only", [False, True])
-def test_pad_free_step_matches_grid_forward_and_one_row_calls(adapter_only):
+def test_pad_free_step_matches_grid_forward_and_one_row_calls():
     model = adapted_gqa_model()
     inputs, labels, mask, real = ragged_batch(model.config.vocab_size)
-    loss, grads = model.loss_and_grads(inputs, labels, mask, adapter_only=adapter_only)
+    loss, grads = model.loss_and_grads(inputs, labels, mask)
     assert abs(loss - cross_entropy(model.forward(inputs), labels, mask)) < 1e-12
 
     # the batch gradient is the loss-position-weighted mean of each row's own
@@ -568,12 +574,11 @@ def test_pad_free_step_matches_grid_forward_and_one_row_calls(adapter_only):
         if count == 0:
             continue
         _, g = model.loss_and_grads(
-            inputs[row : row + 1, :n], labels[row : row + 1, :n], mask[row : row + 1, :n],
-            adapter_only=adapter_only,
+            inputs[row : row + 1, :n], labels[row : row + 1, :n], mask[row : row + 1, :n]
         )
         for name in expect:
             expect[name] += count * g[name]
-    assert ("tok_embed" in grads) != adapter_only
+    assert set(grads) == adapter_entries(model)
     for name, g in grads.items():
         assert np.max(np.abs(g - expect[name] / mask.sum())) < 1e-10, name
 

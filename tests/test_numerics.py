@@ -139,3 +139,10 @@ def test_cross_entropy_backward_vs_oracle_and_masked_zeros():
     num = finite_difference(lambda v: cross_entropy(v, targets, mask), logits.copy())
     assert grad_relative_error(grad, num) < 1e-6
     assert np.all(grad[~mask] == 0.0)
+
+
+def test_cross_entropy_backward_keeps_float32():
+    logits = RNG.standard_normal((2, 3, 5)).astype(np.float32)
+    targets = RNG.integers(0, 5, (2, 3))
+    mask = np.array([[True, False, True], [True, True, False]])
+    assert cross_entropy_backward(logits, targets, mask).dtype == np.float32

@@ -134,13 +134,13 @@ def test_accumulation_matches_one_big_batch():
         model.adapter.b[t] = rng.standard_normal(model.adapter.b[t].shape) * 0.1
 
     big = make_batch(records, vocab, DEFAULT_TEMPLATE, 128)
-    _, big_grads = model.loss_and_grads(big.inputs, big.labels, big.mask, adapter_only=True)
+    _, big_grads = model.loss_and_grads(big.inputs, big.labels, big.mask)
 
     acc = {k: np.zeros_like(v) for k, v in big_grads.items()}
     total = 0
     for lo in range(0, len(records), 3):
         micro = make_batch(records[lo : lo + 3], vocab, DEFAULT_TEMPLATE, 128)
-        _, g = model.loss_and_grads(micro.inputs, micro.labels, micro.mask, adapter_only=True)
+        _, g = model.loss_and_grads(micro.inputs, micro.labels, micro.mask)
         for k in acc:
             acc[k] += micro.n_tokens * g[k]
         total += micro.n_tokens
