@@ -10,12 +10,18 @@ Weights live in a flat dict keyed "tok_embed", "layers.{i}.wq", ...,
 (d_in, d_out). The base weights are frozen: the backward pass, wired by
 hand in loss_and_grads, computes only the attached adapter's gradients, and
 the finite-difference oracle in tests/oracles.py keeps it honest.
+
+A training step splits its batch into row shards, one for each core that BLAS
+leaves idle, and runs their forward and backward on threads; the loss runs
+once, on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,20 +182,98 @@ def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return grid
 
 
+# ------------------------------------------------------------------ row shards
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int | None:
+    """The BLAS thread setting: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS.
+    None, for BLAS on every core, when neither is set or the one read is not
+    a positive integer."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if var in os.environ:
+            try:
+                threads = int(os.environ[var])
+            except ValueError:
+                return None
+            return threads if threads > 0 else None
+    return None
+
+
+def _shard_count(loss_rows: int) -> int:
+    """One shard per core that BLAS leaves idle, and none without a loss row."""
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    return max(1, min(_usable_cores() // blas, loss_rows))
+
+
+def _split_rows(weights: np.ndarray, n: int) -> list[slice]:
+    """Cut rows of these weights into n contiguous shards, each of positive
+    weight, whose weights differ by at most the largest row's (d).
+
+    For a lower bound low, the boundaries at which k shards of weight in
+    [low, low + d] can end form a reachable set, one step per shard; low
+    comes down from the even share until n steps reach the last boundary.
+    Call "tight at x" the cutting of each shard at the first boundary at
+    least x past the last cut. The scan stops by L, the largest low tight
+    at which n shards fit: tight at L + 1 steps by L + 1 to L + d, so it is
+    a path at L too, and where it runs out of rows it stands within L of the
+    last boundary, which one more step reaches. So n rows of positive weight
+    always split.
+    """
+    rows = len(weights)
+    if n == 1:
+        return [slice(0, rows)]
+    ends = np.concatenate([[0], np.cumsum(weights)])
+    span = ends[None, :] - ends[:, None]  # span[i, j]: weight of rows i .. j-1
+    largest = weights.max()
+    for low in range(int(ends[-1]) // n, 0, -1):
+        fits = (span >= low) & (span <= low + largest)
+        reach = [np.arange(rows + 1) == 0]
+        for _ in range(n):
+            reach.append((reach[-1][:, None] & fits).any(axis=0))
+        if reach[n][rows]:
+            cuts = [rows]
+            for k in range(n - 1, -1, -1):
+                cuts.append(int(np.flatnonzero(reach[k] & fits[:, cuts[-1]])[0]))
+            cuts.reverse()
+            return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    raise ValueError(f"{n} shards need {n} rows of positive weight")
+
+
+def _map_shards(pool, fn, items) -> list:
+    """[fn(item) for item in items]: the first on the calling thread, the
+    rest on pool."""
+    rest = [pool.submit(fn, item) for item in items[1:]]
+    first = fn(items[0])
+    return [first] + [future.result() for future in rest]
+
+
 # ------------------------------------------------------------------ cache
 
 
 class KVCache:
     """Per-layer rotated keys and values for a batch of sequences; row b holds
     positions [0, lengths[b]). Slots at or past a row's length are free: the
-    attention mask hides them and the row's next tokens overwrite them."""
+    attention mask hides them and the row's next tokens overwrite them.
+    capacity, the slots per row, is at most the context window and defaults
+    to it."""
 
-    def __init__(self, config: ModelConfig, dtype=np.float32, batch: int = 1):
-        shape = (batch, config.max_seq_len, config.n_kv_heads, config.head_dim)
+    def __init__(self, config: ModelConfig, dtype=np.float32, batch: int = 1,
+                 capacity: int | None = None):
+        window = config.max_seq_len
+        self.capacity = window if capacity is None else min(capacity, window)
+        shape = (batch, self.capacity, config.n_kv_heads, config.head_dim)
         self.k = [np.zeros(shape, dtype=dtype) for _ in range(config.n_layers)]
         self.v = [np.zeros(shape, dtype=dtype) for _ in range(config.n_layers)]
         self.lengths = np.zeros(batch, dtype=np.int64)
-        self.max_seq_len = config.max_seq_len
 
     @property
     def batch(self) -> int:
@@ -249,13 +333,16 @@ class Model:
         self.params = params
         self.adapter = None
         self.merged = None
+        # the training step's shard threads: started by its first step with
+        # more than one shard, then reused, as are their malloc arenas
+        self._pool = None
 
     @property
     def dtype(self):
         return self.params["tok_embed"].dtype
 
-    def new_cache(self, batch: int = 1) -> KVCache:
-        return KVCache(self.config, self.dtype, batch)
+    def new_cache(self, batch: int = 1, capacity: int | None = None) -> KVCache:
+        return KVCache(self.config, self.dtype, batch, capacity)
 
     # -- projections (adapter-aware) --
 
@@ -293,11 +380,9 @@ class Model:
         logits = self._run(tokens2d, cache, tape=None)
         return logits[0] if single else logits
 
-    def _run(self, tokens, cache, tape, kept=None):
-        """Logits for tokens (B, T). kept, a (B, T) bool mask given with
-        every tape and only then, selects the positions to compute: they run
-        token-major as one (1, N) row, so each token-wise op is one GEMM, and
-        only attention sees the (B, T) grid, with zeros where kept is False."""
+    def _positions(self, tokens, cache):
+        """Positions (B, T) of tokens (B, T) after the cache's rows, (1, T)
+        without a cache, once the ids, the window and the cache are checked."""
         cfg = self.config
         B, T = tokens.shape
         if T == 0:
@@ -308,8 +393,6 @@ class Model:
             )
         past = np.zeros(1, dtype=np.int64)  # without a cache every row starts at 0
         if cache is not None:
-            if tape is not None:
-                raise NumericError("taped forward does not take a cache")
             if B != cache.batch:
                 held = "one sequence" if cache.batch == 1 else f"{cache.batch} sequences"
                 raise DataError(f"the cache holds {held}, got a batch of {B}")
@@ -318,9 +401,24 @@ class Model:
         S = int(positions.max()) + 1
         if S > cfg.max_seq_len:
             raise DataError(f"sequence length {S} exceeds max_seq_len {cfg.max_seq_len}")
+        if cache is not None and S > cache.capacity:
+            raise DataError(f"sequence length {S} exceeds the cache's {cache.capacity} slots")
+        return positions
 
-        rope_positions = positions
-        if kept is not None:  # (1, N) token rows, each at its own position
+    def _run(self, tokens, cache, tape, kept=None):
+        """Logits for tokens (B, T). kept, a (B, T) bool mask given with
+        every tape and only then, selects the positions to compute: they run
+        token-major as one (1, N) row, so each token-wise op is one GEMM, and
+        only attention sees the (B, T) grid, with zeros where kept is False.
+        With kept, tokens come checked by loss_and_grads."""
+        if tape is not None and cache is not None:
+            raise NumericError("taped forward does not take a cache")
+        cfg = self.config
+        T = tokens.shape[1]
+        if kept is None:
+            positions = rope_positions = self._positions(tokens, cache)
+        else:  # (1, N) token rows, each at its own position
+            positions = np.arange(T)[None]
             tokens, rope_positions = tokens[kept][None], np.nonzero(kept)[1][None]
         cos, sin = _rope_tables(rope_positions, cfg.head_dim, cfg.rope_base, self.dtype)
         x = self.params["tok_embed"][tokens]
@@ -431,7 +529,14 @@ class Model:
 
         Under the causal mask a position past its row's last mask=True
         position cannot reach the loss, so only the positions up to it are
-        computed; a row without a loss position drops out entirely.
+        computed; a row without a loss position drops out.
+
+        The rows run as contiguous shards balanced by kept positions, one
+        per core BLAS leaves idle (_shard_count): each shard's forward on
+        its own thread, the shard on the calling thread included; the loss
+        and its gradient once over the shards' logits, in row order, on the
+        calling thread; then each shard's backward from its slice, with the
+        gradients summed in shard order. One shard starts no thread.
         """
         if self.adapter is None:
             raise NumericError("loss_and_grads needs an attached adapter")
@@ -441,16 +546,37 @@ class Model:
                 f"loss_and_grads shape mismatch: inputs {inputs.shape}, "
                 f"labels {labels.shape}, mask {mask.shape}"
             )
+        self._positions(inputs, None)  # every row's ids, once, before sharding
         # kept[b, t]: some position s >= t of row b is a loss position
         kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
+        sizes = kept.sum(axis=1)
+        shards = _split_rows(sizes, _shard_count(int(np.count_nonzero(sizes))))
         labels, mask = labels[kept][None], mask[kept][None]
-        tape: list = []
-        logits = self._run(inputs, None, tape, kept)
-        loss = cross_entropy(logits, labels, mask)
 
+        def forward(rows):
+            tape: list = []
+            return tape, self._run(inputs[rows], None, tape, kept[rows])
+
+        if len(shards) > 1 and self._pool is None:
+            self._pool = ThreadPoolExecutor(thread_name_prefix="eyedx-shard")
+        tapes, logits = zip(*_map_shards(self._pool, forward, shards))
+        logits = logits[0] if len(logits) == 1 else np.concatenate(logits, axis=1)
+        loss = cross_entropy(logits, labels, mask)
+        dlogits = cross_entropy_backward(logits, labels, mask)
+        ends = np.cumsum([0] + [int(sizes[rows].sum()) for rows in shards])
+        jobs = [(tape, dlogits[:, lo:hi]) for tape, lo, hi in zip(tapes, ends, ends[1:])]
+        parts = _map_shards(self._pool, lambda job: self._backward(*job), jobs)
+        grads = parts[0]
+        for part in parts[1:]:
+            for name in grads:
+                grads[name] += part[name]
+        return loss, grads
+
+    def _backward(self, tape, dlogits):
+        """The adapter's gradients from one taped run and d loss / d its logits."""
         grads: dict = {}
         top = tape.pop()
-        dxn = cross_entropy_backward(logits, labels, mask) @ self.params["lm_head"].T
+        dxn = dlogits @ self.params["lm_head"].T
         dx = _rmsnorm_bwd(top["x_final"], self.params["final_norm"], top["inv_final"], dxn)
         for rec in reversed(tape):
             p = f"layers.{rec['layer']}."
@@ -463,7 +589,7 @@ class Model:
                 dx = dx + _rmsnorm_bwd(rec["x"], self.params[p + "ffn_norm"], rec["inv"], dxn)
             else:
                 dx = self._attention_bwd(rec, dx, grads)
-        return loss, grads
+        return grads
 
     def _attention_bwd(self, rec, d_out, grads):
         cfg = self.config

@@ -125,7 +125,8 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     batch = np.full((len(live), lengths.max()), PAD_ID, dtype=np.int64)
     for row, i in enumerate(live):
         batch[row, : lengths[row]] = prompts[i]
-    cache = model.new_cache(len(live))
+    # as many slots as the neediest row's prompt plus budget, not the whole window
+    cache = model.new_cache(len(live), max(len(prompts[i]) + budget[i] for i in live))
     logits = model.forward(batch, cache)[np.arange(len(live)), lengths - 1]
     cache.lengths[:] = lengths
 

@@ -1,6 +1,7 @@
 """Transformer forward/backward: norms, rotary positions, GQA, cache, gradients."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eyedx import DataError, NumericError
+from eyedx import model as model_module
 from eyedx.lora import attach
 from eyedx.model import (
     Model,
@@ -428,6 +430,18 @@ def test_cache_reset_and_overflow():
     model.forward(RNG.integers(0, TINY.vocab_size, 10), cache)  # fits again
 
 
+def test_sized_cache_overflow():
+    model = tiny_model()
+    cache = model.new_cache(2, capacity=6)
+    assert cache.k[0].shape == (2, 6, TINY.n_kv_heads, TINY.head_dim)
+    model.forward(RNG.integers(0, TINY.vocab_size, (2, 4)), cache)
+    model.forward(RNG.integers(0, TINY.vocab_size, (2, 2)), cache)  # fills it
+    with pytest.raises(DataError, match="exceeds the cache's 6 slots"):
+        model.forward(RNG.integers(0, TINY.vocab_size, (2, 1)), cache)
+    # the window caps it
+    assert model.new_cache(capacity=TINY.max_seq_len + 5).capacity == TINY.max_seq_len
+
+
 def test_cache_rejects_batches():
     model = tiny_model()
     with pytest.raises(DataError, match="one sequence"):
@@ -617,3 +631,141 @@ def test_all_false_mask_raises_numeric_error():
     inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
     with pytest.raises(NumericError, match="cross_entropy: mask selects no positions"):
         model.loss_and_grads(inputs, labels, np.zeros_like(mask))
+
+
+# ------------------------------------------------------------- row-sharded training step
+
+
+def force_shards(monkeypatch, n):
+    """Let the step split into up to n shards: n cores, BLAS on one thread.
+    Returns the list the row shards of each call are appended to."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(model_module, "_usable_cores", lambda: n)
+    calls = []
+    split = model_module._split_rows
+
+    def recording(weights, count):
+        calls.append(split(weights, count))
+        return calls[-1]
+
+    monkeypatch.setattr(model_module, "_split_rows", recording)
+    return calls
+
+
+def one_loss_row_batch(vocab_size):
+    inputs, labels, mask, _ = ragged_batch(vocab_size)
+    mask[[0, 2, 3]] = False
+    return inputs, labels, mask
+
+
+@pytest.mark.parametrize("batch", ["loss-free row in the middle", "one loss row"])
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_sharded_step_matches_one_shard(monkeypatch, batch, shards):
+    model = adapted_gqa_model()
+    vocab = model.config.vocab_size
+    if batch == "one loss row":
+        inputs, labels, mask = one_loss_row_batch(vocab)
+    else:
+        inputs, labels, mask, _ = ragged_batch(vocab)  # row 2 has no loss position
+    force_shards(monkeypatch, 1)
+    loss_one, grads_one = model.loss_and_grads(inputs, labels, mask)
+
+    calls = force_shards(monkeypatch, shards)
+    loss, grads = model.loss_and_grads(inputs, labels, mask)
+    loss_rows = int(mask.any(axis=1).sum())
+    assert len(calls[0]) == min(shards, loss_rows)
+    assert loss == loss_one
+    for name, g in grads.items():
+        assert np.max(np.abs(g - grads_one[name])) <= 1e-12 * np.max(np.abs(grads_one[name])), name
+    again_loss, again = model.loss_and_grads(inputs, labels, mask)
+    assert again_loss == loss
+    for name in grads:
+        assert np.array_equal(again[name], grads[name]), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_splitter_is_contiguous_and_balanced(data):
+    weights = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
+    positive = int(np.count_nonzero(weights))
+    if positive == 0:
+        weights[data.draw(st.integers(0, len(weights) - 1))] = 1
+        positive = 1
+    n = data.draw(st.integers(1, positive))
+    shards = model_module._split_rows(weights, n)
+    assert len(shards) == n
+    assert shards[0].start == 0 and shards[-1].stop == len(weights)
+    for left, right in zip(shards, shards[1:]):
+        assert left.stop == right.start
+    sizes = [int(weights[rows].sum()) for rows in shards]
+    assert min(sizes) > 0
+    assert max(sizes) - min(sizes) <= weights.max()
+
+
+def test_row_splitter_needs_a_weighted_row_per_shard():
+    with pytest.raises(ValueError, match="3 shards need 3 rows"):
+        model_module._split_rows(np.array([4, 0, 5, 0]), 3)
+
+
+def test_sharded_step_computes_the_loss_once_on_the_calling_thread(monkeypatch):
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    calls = force_shards(monkeypatch, 3)
+    threads = {"cross_entropy": [], "cross_entropy_backward": []}
+    for name, seen in threads.items():
+        fn = getattr(model_module, name)
+
+        def recording(*args, fn=fn, seen=seen):
+            seen.append(threading.get_ident())
+            return fn(*args)
+
+        monkeypatch.setattr(model_module, name, recording)
+    model.loss_and_grads(inputs, labels, mask)
+    assert len(calls[0]) == 3
+    for name, seen in threads.items():
+        assert seen == [threading.get_ident()], name
+
+
+def test_sharded_step_rejects_a_bad_token_in_a_loss_free_row(monkeypatch):
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    inputs[2, 1] = model.config.vocab_size  # row 2 has no loss position
+    force_shards(monkeypatch, 3)
+    with pytest.raises(DataError, match="out of range"):
+        model.loss_and_grads(inputs, labels, mask)
+
+
+def test_step_starts_no_thread_without_a_blas_thread_setting(monkeypatch):
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+    def refuse(thread):
+        raise AssertionError(f"the step started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    model.loss_and_grads(inputs, labels, mask)
+
+
+@pytest.mark.parametrize(
+    "env, cores, expect",
+    [
+        ({}, 8, 1),  # BLAS on every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3),  # capped by the 3 loss rows
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+        ({"OMP_NUM_THREADS": "2"}, 8, 3),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 8, 1),
+    ],
+)
+def test_shard_count_fills_the_cores_blas_leaves(monkeypatch, env, cores, expect):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(model_module, "_usable_cores", lambda: cores)
+    assert model_module._shard_count(3) == expect

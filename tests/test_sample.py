@@ -319,6 +319,25 @@ def test_batched_prefill_matches_one_row_prefill():
         assert np.max(np.abs(step[row, -1] - full)) < 1e-5
 
 
+def test_decode_sizes_the_cache_by_need(monkeypatch):
+    model = tiny_model()
+    caches = []
+    new_cache = model.new_cache
+
+    def recording(*args):
+        caches.append(new_cache(*args))
+        return caches[-1]
+
+    monkeypatch.setattr(model, "new_cache", recording)
+    decode_batch(model, [[5, 9, 2], [3, 8, 1, 4, 7], [11]], greedy(6))
+    # the neediest row holds 5 prompt tokens and 6 new ones, of a 64-token window
+    decode_batch(model, [RAGGED[3], [7, 2]], greedy(20))  # 60 + a budget clamped to 4
+    assert [c.capacity for c in caches] == [11, CFG.max_seq_len]
+    for cache in caches:
+        shape = (cache.batch, cache.capacity, CFG.n_kv_heads, CFG.head_dim)
+        assert [k.shape for k in cache.k] == [v.shape for v in cache.v] == [shape] * CFG.n_layers
+
+
 def test_failing_rows_fail_alone():
     model = tiny_model()
     model.params["tok_embed"][12] = np.nan
