@@ -16,6 +16,7 @@ import statistics
 import sys
 import time
 import typing
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -229,12 +230,7 @@ def _cmd_infer(args):
     if not findings:
         raise DataError("empty report text")
 
-    template = _template_from(args)
-    prompt_text = (
-        template.instruction.format(modality=args.modality, findings=findings)
-        + template.response_prefix
-    )
-    ids = [BOS_ID] + vocab.encode(prompt_text)
+    ids = [BOS_ID] + vocab.encode(_template_from(args).render(args.modality, findings))
     [generation] = decode_batch(model, [ids], _decode_params(args))
     print(vocab.decode(generation.unwrap()))
 
@@ -387,7 +383,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # numpy's overflow warnings would print ahead of the one-line error the
+        # finite checks raise; a filter, not np.errstate, since errstate is per
+        # thread and the training step's shard threads start with the defaults
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            args.func(args)
         return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ Layout, all integers little-endian:
     then per tensor:
     name_len u32 | name utf-8 | rank u32 | dims u32 * rank | dtype u8 | payload
 
+Every tensor eyedx stores has rank 1 or 2; a rank above 2 is rejected both ways.
+
 dtype 0 = float32 raw, 1 = float64 raw; dtype 2 = int4-packed:
 block_size u32, n_scales u32, scales float32 raw, packed_len u32, packed bytes.
 Round-trips are bit-exact.
@@ -77,6 +79,8 @@ def write_container(path: str | Path, header: dict, tensors: dict) -> None:
     hdr = json.dumps(header, sort_keys=True).encode("utf-8")
     parts += [_u32(len(hdr)), hdr]
     for name, t in tensors.items():
+        if len(t.shape) > 2:
+            raise DataError(f"tensor {name} has rank {len(t.shape)}, above 2")
         nb = name.encode("utf-8")
         parts += [_u32(len(nb)), nb]
         if isinstance(t, QuantTensor):
@@ -126,6 +130,8 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
     while not r.done:
         name = r.text(r.u32())
         rank = r.u32()
+        if rank > 2:
+            raise DataError(f"{path}: tensor {name} has rank {rank}, above 2")
         shape = tuple(r.u32() for _ in range(rank))
         code = r.u8()
         if code == DTYPE_INT4:

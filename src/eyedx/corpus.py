@@ -14,7 +14,6 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from string import Formatter
 
 from .errors import DataError
 
@@ -71,10 +70,16 @@ class PromptTemplate:
     response_prefix: str
 
     def __post_init__(self):
-        names = {f for _, f, _, _ in Formatter().parse(self.instruction) if f}
-        unknown = names - {"modality", "findings"}
-        if unknown:
-            raise DataError(f"template has unresolvable placeholders: {sorted(unknown)}")
+        # one trial fill rejects what str.format cannot fill, before any record needs it
+        self.render(MODALITIES[0], "findings")
+
+    def render(self, modality: str, findings: str) -> str:
+        """The prompt text: the filled instruction plus the response prefix."""
+        try:
+            body = self.instruction.format(modality=modality, findings=findings)
+        except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+            raise DataError(f"template placeholder cannot be filled: {exc}") from exc
+        return body + self.response_prefix
 
 
 # Kept deliberately short: prompt length is training compute at desk scale.
@@ -242,11 +247,7 @@ def render_prompt(record: ReportRecord, template: PromptTemplate = DEFAULT_TEMPL
     prompt_text is the filled instruction plus the response prefix; the target
     is the reference diagnosis. Training consumes their concatenation.
     """
-    try:
-        body = template.instruction.format(modality=record.modality, findings=record.findings)
-    except (KeyError, IndexError) as exc:
-        raise DataError(f"unresolved template placeholder: {exc}") from exc
-    return body + template.response_prefix, record.diagnosis
+    return template.render(record.modality, record.findings), record.diagnosis
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +260,31 @@ def render_prompt(record: ReportRecord, template: PromptTemplate = DEFAULT_TEMPL
 # --------------------------------------------------------------------------
 
 _EYES = ("right", "left")
+
+# Three wordings per modality; a generator picks one with rng.choice.
+_OSA_FINDINGS = (
+    "meibography of the {eye} eye shows {grade} gland dropout of about {loss_pct} percent ,"
+    " orifices {plugging} , tear break up time {tbut} seconds",
+    "ocular surface analysis {eye} eye : {grade} meibomian gland loss near {loss_pct} percent ,"
+    " gland orifices {plugging} , break up time measured at {tbut} seconds",
+    "{eye} eye meibography reveals {grade} dropout around {loss_pct} percent of gland area ,"
+    " orifices appear {plugging} , tear film break up time {tbut} seconds",
+)
+_CFP_FINDINGS = (
+    "fundus photograph of the {eye} eye shows {heme} hemorrhages , hard exudates {exudate} ,"
+    " cup disc ratio 0.{cdr} , vessels {vessels} , macula flat",
+    "color fundus image {eye} eye : {heme} retinal hemorrhages , exudates {exudate} ,"
+    " vessels {vessels} , optic disc with cup disc ratio 0.{cdr}",
+    "{eye} fundus view demonstrates {heme} hemorrhages with exudates {exudate} ,"
+    " vessels {vessels} , cup disc ratio 0.{cdr}",
+)
+_OCT_FINDINGS = (
+    "macular oct of the {eye} eye : central thickness {cmt} microns , {fluid_desc} ,"
+    " retinal layers otherwise preserved",
+    "oct scan {eye} eye shows central macular thickness of {cmt} microns with {fluid_desc}",
+    "cross sectional oct {eye} eye : thickness {cmt} microns at the fovea , {fluid_desc} ,"
+    " vitreomacular interface clear",
+)
 
 
 def _osa_grade(loss_pct: int) -> str:
@@ -275,22 +301,9 @@ def _osa(rng: random.Random) -> tuple[str, str]:
     eye = rng.choice(_EYES)
     grade = _osa_grade(loss_pct)
     plugging = rng.choice(("patent", "partially plugged", "plugged"))
-    variant = rng.randrange(3)
-    if variant == 0:
-        findings = (
-            f"meibography of the {eye} eye shows {grade} gland dropout of about {loss_pct} percent ,"
-            f" orifices {plugging} , tear break up time {tbut} seconds"
-        )
-    elif variant == 1:
-        findings = (
-            f"ocular surface analysis {eye} eye : {grade} meibomian gland loss near {loss_pct} percent ,"
-            f" gland orifices {plugging} , break up time measured at {tbut} seconds"
-        )
-    else:
-        findings = (
-            f"{eye} eye meibography reveals {grade} dropout around {loss_pct} percent of gland area ,"
-            f" orifices appear {plugging} , tear film break up time {tbut} seconds"
-        )
+    findings = rng.choice(_OSA_FINDINGS).format(
+        eye=eye, grade=grade, loss_pct=loss_pct, plugging=plugging, tbut=tbut
+    )
     diagnosis = f"{grade} meibomian gland dysfunction with evaporative dry eye"
     return findings, diagnosis
 
@@ -313,23 +326,9 @@ def _cfp(rng: random.Random) -> tuple[str, str]:
     eye = rng.choice(_EYES)
     vessels = rng.choice(("regular", "mildly tortuous", "attenuated"))
     grade = _cfp_grade(heme, exudate)
-    variant = rng.randrange(3)
-    cup = f"cup disc ratio 0.{cdr}"
-    if variant == 0:
-        findings = (
-            f"fundus photograph of the {eye} eye shows {heme} hemorrhages , hard exudates {exudate} ,"
-            f" {cup} , vessels {vessels} , macula flat"
-        )
-    elif variant == 1:
-        findings = (
-            f"color fundus image {eye} eye : {heme} retinal hemorrhages , exudates {exudate} ,"
-            f" vessels {vessels} , optic disc with {cup}"
-        )
-    else:
-        findings = (
-            f"{eye} fundus view demonstrates {heme} hemorrhages with exudates {exudate} ,"
-            f" vessels {vessels} , {cup}"
-        )
+    findings = rng.choice(_CFP_FINDINGS).format(
+        eye=eye, heme=heme, exudate=exudate, cdr=cdr, vessels=vessels
+    )
     if grade == "none":
         diagnosis = "no diabetic retinopathy"
     else:
@@ -360,43 +359,11 @@ def _oct(rng: random.Random) -> tuple[str, str]:
         "intraretinal": "intraretinal cystoid spaces",
         "subretinal": "a subretinal fluid pocket",
     }[fluid]
-    variant = rng.randrange(3)
-    if variant == 0:
-        findings = (
-            f"macular oct of the {eye} eye : central thickness {cmt} microns , {fluid_desc} ,"
-            f" retinal layers otherwise preserved"
-        )
-    elif variant == 1:
-        findings = (
-            f"oct scan {eye} eye shows central macular thickness of {cmt} microns with {fluid_desc}"
-        )
-    else:
-        findings = (
-            f"cross sectional oct {eye} eye : thickness {cmt} microns at the fovea , {fluid_desc} ,"
-            f" vitreomacular interface clear"
-        )
+    findings = rng.choice(_OCT_FINDINGS).format(eye=eye, cmt=cmt, fluid_desc=fluid_desc)
     return findings, _oct_label(cmt, fluid)
 
 
 _GENERATORS = {"OSA": _osa, "CFP": _cfp, "OCT": _oct}
-
-# Every diagnosis string synthesize() can emit; tests scan outputs against it.
-DIAGNOSIS_LABELS = frozenset(
-    [f"{g} meibomian gland dysfunction with evaporative dry eye" for g in ("mild", "moderate", "severe")]
-    + ["no diabetic retinopathy"]
-    + [f"{g} nonproliferative diabetic retinopathy" for g in ("mild", "moderate", "severe")]
-    + [
-        f"{base} ; glaucoma suspect with enlarged cupping"
-        for base in ["no diabetic retinopathy"]
-        + [f"{g} nonproliferative diabetic retinopathy" for g in ("mild", "moderate", "severe")]
-    ]
-    + [
-        "serous macular detachment with subretinal fluid",
-        "moderate cystoid macular edema",
-        "severe cystoid macular edema",
-        "normal macular contour",
-    ]
-)
 
 
 def synthesize(n_per_modality: int, seed: int = 0) -> list[ReportRecord]:

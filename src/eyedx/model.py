@@ -279,11 +279,6 @@ class KVCache:
     def batch(self) -> int:
         return self.lengths.shape[0]
 
-    @property
-    def length(self) -> int:
-        """The longest row's length; the length of a one-row cache."""
-        return int(self.lengths.max())
-
     def store(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
         """Write (B, T, KV, hd) keys/values at each row's own next T slots."""
         slots = self.lengths[:, None] + np.arange(k_new.shape[1])
@@ -300,9 +295,6 @@ class KVCache:
         self.k = [k[rows] for k in self.k]
         self.v = [v[rows] for v in self.v]
         self.lengths = self.lengths[rows]
-
-    def reset(self) -> None:
-        self.lengths[:] = 0
 
 
 # ------------------------------------------------------------------ model

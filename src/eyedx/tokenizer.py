@@ -72,11 +72,6 @@ def segment(text: str) -> list[str]:
     return tokens
 
 
-def normalize(text: str) -> str:
-    """Canonical text form: tokens joined by single spaces."""
-    return " ".join(segment(text))
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Immutable id-to-token table; specials occupy ids 0..3."""

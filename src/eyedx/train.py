@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -43,10 +44,6 @@ class TrainConfig:
             if getattr(self, name) <= 0:
                 raise DataError(f"TrainConfig.{name} must be positive")
 
-    @property
-    def effective_batch(self) -> int:
-        return self.batch_size * self.grad_accum_steps
-
 
 @dataclass
 class Batch:
@@ -68,7 +65,7 @@ def make_batch(
 
     A record whose prompt fills the whole window is skipped (counted in
     Batch.skipped); anything longer than the window is truncated from the
-    right, dropping eos first.
+    right, dropping eos first. With every record skipped the arrays are (0, 0).
     """
     rows = []
     skipped = 0
@@ -83,16 +80,8 @@ def make_batch(
         full = [BOS_ID] + p_ids + t_ids + [EOS_ID]
         full = full[:max_seq_len]
         rows.append((full, n_prompt))
-    if not rows:
-        return Batch(
-            inputs=np.zeros((0, 0), dtype=np.int64),
-            labels=np.zeros((0, 0), dtype=np.int64),
-            mask=np.zeros((0, 0), dtype=bool),
-            n_tokens=0,
-            skipped=skipped,
-        )
 
-    width = max(len(full) for full, _ in rows) - 1
+    width = max((len(full) for full, _ in rows), default=1) - 1
     inputs = np.full((len(rows), width), PAD_ID, dtype=np.int64)
     labels = np.full((len(rows), width), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(rows), width), dtype=bool)
@@ -139,6 +128,19 @@ class TrainResult:
     seconds: float = 0.0
 
 
+def _micro_batches(records, order, vocab, template, config, result):
+    """The non-empty micro-batches of one epoch in `order`, built one at a time.
+
+    Each batch's skipped records are added to result.skipped as it is built.
+    """
+    for lo in range(0, len(order), config.batch_size):
+        chunk = [records[i] for i in order[lo : lo + config.batch_size]]
+        batch = make_batch(chunk, vocab, template, config.max_seq_len)
+        result.skipped += batch.skipped
+        if batch.size:
+            yield batch
+
+
 def train(
     model: Model,
     records,
@@ -149,10 +151,11 @@ def train(
 ) -> TrainResult:
     """Run the fine-tuning loop over the attached adapter.
 
-    Only adapter tensors are updated; an optimizer step fires every
-    grad_accum_steps micro-batches (plus a flush at epoch end), combining
-    micro-gradients weighted by unmasked token count. Loss history holds one
-    entry per optimizer step. Fully deterministic for a given seed.
+    Only adapter tensors are updated. Each optimizer step takes the next
+    grad_accum_steps micro-batches of the epoch (its last step takes what is
+    left), combining micro-gradients weighted by unmasked token count. Loss
+    history holds one entry per optimizer step. Fully deterministic for a
+    given seed.
     """
     adapter = model.adapter
     if adapter is None:
@@ -170,56 +173,39 @@ def train(
     rng = np.random.default_rng(config.seed)
     result = TrainResult(adapter=adapter)
 
-    acc_g = {name: np.zeros_like(w) for name, w in trainable.items()}
-    acc_tokens = 0
-    acc_loss = 0.0
-    acc_micro = 0
-    step_started = time.perf_counter()
-    input_tokens = 0
-
-    def optimizer_step():
-        nonlocal acc_tokens, acc_loss, acc_micro, step_started, input_tokens
-        if acc_micro == 0:
-            return
-        for name in trainable:
-            acc_g[name] /= acc_tokens
-        opt.step(trainable, acc_g)
-        loss = acc_loss / acc_tokens
-        result.loss_history.append(loss)
-        result.steps += 1
-        elapsed = max(time.perf_counter() - step_started, 1e-9)
-        if log is not None:
-            log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={input_tokens / elapsed:.1f}")
-        for name in trainable:
-            acc_g[name][:] = 0.0
-        acc_tokens = 0
-        acc_loss = 0.0
-        acc_micro = 0
-        input_tokens = 0
-        step_started = time.perf_counter()
-
     t0 = time.perf_counter()
     for _epoch in range(config.epochs):
         order = rng.permutation(len(records))
-        for lo in range(0, len(records), config.batch_size):
-            chunk = [records[i] for i in order[lo : lo + config.batch_size]]
-            batch = make_batch(chunk, vocab, template, config.max_seq_len)
-            result.skipped += batch.skipped
-            if batch.size == 0:
-                continue
-            loss, grads = model.loss_and_grads(batch.inputs, batch.labels, batch.mask)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at optimizer step {result.steps + 1}")
-            n = batch.n_tokens
+        batches = _micro_batches(records, order, vocab, template, config, result)
+        while True:
+            started = time.perf_counter()
+            grad_sum = {name: np.zeros_like(w) for name, w in trainable.items()}
+            loss_sum = 0.0
+            n_tokens = 0
+            input_tokens = 0
+            for batch in islice(batches, config.grad_accum_steps):
+                loss, grads = model.loss_and_grads(batch.inputs, batch.labels, batch.mask)
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at optimizer step {result.steps + 1}")
+                n = batch.n_tokens
+                for name in trainable:
+                    grad_sum[name] += n * grads[name]
+                loss_sum += n * loss
+                n_tokens += n
+                if log is not None:
+                    input_tokens += int((batch.inputs != PAD_ID).sum())
+            if n_tokens == 0:  # the epoch's batches are spent
+                break
             for name in trainable:
-                acc_g[name] += n * grads[name]
-            acc_tokens += n
-            acc_loss += n * loss
-            acc_micro += 1
-            result.tokens_seen += n
-            input_tokens += int((batch.inputs != PAD_ID).sum())
-            if acc_micro == config.grad_accum_steps:
-                optimizer_step()
-        optimizer_step()  # flush the epoch remainder
+                grad_sum[name] /= n_tokens
+            opt.step(trainable, grad_sum)
+            loss = loss_sum / n_tokens
+            result.loss_history.append(loss)
+            result.steps += 1
+            result.tokens_seen += n_tokens
+            if log is not None:
+                elapsed = max(time.perf_counter() - started, 1e-9)
+                tokens_per_sec = input_tokens / elapsed
+                log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={tokens_per_sec:.1f}")
     result.seconds = time.perf_counter() - t0
     return result

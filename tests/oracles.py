@@ -7,7 +7,29 @@ no code path with what it checks.
 import numpy as np
 
 from eyedx import DataError
-from eyedx.tokenizer import EOS_ID
+from eyedx.tokenizer import EOS_ID, segment
+
+_GRADES = ("mild", "moderate", "severe")
+_DR = ["no diabetic retinopathy"] + [f"{g} nonproliferative diabetic retinopathy" for g in _GRADES]
+
+# Every diagnosis string eyedx.corpus.synthesize can emit, written out from the
+# grammar rather than read from it.
+DIAGNOSIS_LABELS = frozenset(
+    [f"{g} meibomian gland dysfunction with evaporative dry eye" for g in _GRADES]
+    + _DR
+    + [f"{base} ; glaucoma suspect with enlarged cupping" for base in _DR]
+    + [
+        "serous macular detachment with subretinal fluid",
+        "moderate cystoid macular edema",
+        "severe cystoid macular edema",
+        "normal macular contour",
+    ]
+)
+
+
+def normalize(text: str) -> str:
+    """Canonical text form: tokens joined by single spaces, the form decode gives."""
+    return " ".join(segment(text))
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

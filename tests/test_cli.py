@@ -1,18 +1,27 @@
 """End-to-end tests of the command-line interface via main()."""
 
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eyedx
 from eyedx.cli import main
-from eyedx.container import load_bundle, read_container, save_quantized, write_container
-from eyedx.corpus import synthesize, write_jsonl
-from eyedx.lora import load_adapter
-from eyedx.model import Model
+from eyedx.container import load_bundle, read_container, save_model, save_quantized, write_container
+from eyedx.corpus import dedup, render_prompt, split, synthesize, write_jsonl
+from eyedx.lora import attach, load_adapter, save_adapter
+from eyedx.model import Model, ModelConfig, init_params
 from eyedx.quant import QuantizedModel, quantize_model
+from eyedx.tokenizer import build
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +365,126 @@ def test_unreadable_input_is_a_one_line_data_error(workspace, tmp_path, capsys, 
     # found before any work is done: evaluate prints no table first
     assert assert_one_line_data_error(code, capsys) == ""
     assert list(folder.iterdir()) == []
+
+
+# -- prompt templates ---------------------------------------------------------
+
+# argv for each command that reads --template, given the workspace and an
+# output directory
+TEMPLATE_COMMANDS = {
+    "train": lambda w, folder: [
+        "train", "--data", w["data"], "--model", w["model"], "--out", folder / "a.olm",
+        "--max-seq-len", "96"],
+    "evaluate": lambda w, folder: evaluate_args(w, folder / "r.json", "--model", w["model"]),
+    "infer": lambda w, folder: infer_args(w, "--report", FINDINGS),
+}
+
+
+@pytest.mark.parametrize("command", TEMPLATE_COMMANDS)
+@pytest.mark.parametrize("slot", ["{}", "{modality:{}}", "{findings:d}", "{findings!x}"])
+def test_unfillable_template_is_a_one_line_data_error(workspace, tmp_path, capsys, command, slot):
+    template = tmp_path / "template.txt"
+    template.write_text(f"findings: {slot}\nimpression:\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = TEMPLATE_COMMANDS[command](workspace, folder) + ["--template", template]
+    code = main([str(arg) for arg in argv])
+    assert assert_one_line_data_error(code, capsys) == ""
+    assert list(folder.iterdir()) == []
+
+
+# -- non-finite weights -------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["infer", "train"])
+def test_non_finite_weights_give_one_line_numeric_error(workspace, tmp_path, command):
+    model, vocab = load_bundle(workspace["model"])
+    model.params["layers.0.wq"][0, 0] = np.inf
+    bad = tmp_path / "inf.olm"
+    save_model(model, bad, vocab=vocab)
+    argv = {
+        "infer": infer_args({"model": bad}, "--report", FINDINGS),
+        "train": ["train", "--data", workspace["data"], "--model", bad,
+                  "--out", tmp_path / "a.olm", "--epochs", "1", "--max-seq-len", "96"],
+    }[command]
+    # a fresh process, because pytest would capture the numpy warnings that
+    # break the one-line contract; one BLAS thread puts the training step on
+    # its shard threads
+    src = str(Path(eyedx.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "eyedx", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric error: ") and proc.stderr.count("\n") == 1
+
+
+# -- byte-mutation fuzz --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A valid file of each kind the CLI reads, around a d_model=32 model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    parts = split(dedup(synthesize(4, seed=0)), seed=0)
+    write_jsonl(parts.train, root / "data" / "train.jsonl")
+    write_jsonl(parts.test, root / "data" / "test.jsonl")
+    vocab = build([" ".join(render_prompt(r)) for r in parts.train])
+    config = ModelConfig(d_model=32, n_layers=2, n_heads=4, n_kv_heads=2, d_ff=64,
+                         vocab_size=vocab.size, max_seq_len=64)
+    model = Model(config, init_params(config, seed=0))
+    save_model(model, root / "model.olm", vocab=vocab)
+    qmodel = QuantizedModel(config, quantize_model(model.params, config))
+    save_quantized(qmodel, root / "q.olm", vocab=vocab)
+    save_adapter(attach(model, rank=2, alpha=4.0), root / "adapter.olm")
+    (root / "train.conf").write_text(
+        "batch_size = 4\ngrad_accum_steps = 2\nmax_seq_len = 64\nlora_r = 2\n"
+        "learning_rate = 0.001\n"
+    )
+    (root / "template.txt").write_text("modality: {modality}\nfindings: {findings}\nimpression:\n")
+    (root / "mutated").mkdir()
+    return root
+
+
+def _fuzz_infer(root, *extra):
+    return ["infer", "--model", root / "model.olm", "--modality", "OSA", "--report", FINDINGS,
+            "--max-new-tokens", "4", *extra]
+
+
+# input file -> argv that reads its mutated copy `bad`, given the fixture's root
+FUZZ_TARGETS = {
+    "model.olm": lambda root, bad: _fuzz_infer(root, "--model", bad),
+    "q.olm": lambda root, bad: _fuzz_infer(root, "--model", bad),
+    "adapter.olm": lambda root, bad: _fuzz_infer(root, "--adapter", bad),
+    "data/test.jsonl": lambda root, bad: [
+        "evaluate", "--model", root / "model.olm", "--data", bad.parent,
+        "--out", root / "report.json", "--limit", "2", "--max-new-tokens", "4"],
+    "train.conf": lambda root, bad: [
+        "train", "--data", root / "data", "--model", root / "model.olm",
+        "--out", root / "a.olm", "--config", bad, "--epochs", "1"],
+    "template.txt": lambda root, bad: _fuzz_infer(root, "--template", bad),
+}
+
+
+@given(
+    target=st.sampled_from(sorted(FUZZ_TARGETS)),
+    truncate=st.booleans(),
+    where=st.integers(min_value=0),
+    byte=st.integers(0, 255),
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_input_keeps_the_cli_contract(fuzz_inputs, target, truncate, where, byte):
+    data = (fuzz_inputs / target).read_bytes()
+    i = where % len(data)
+    data = data[:i] if truncate else data[:i] + bytes([byte]) + data[i + 1 :]
+    bad = fuzz_inputs / "mutated" / Path(target).name
+    bad.write_bytes(data)
+    argv = [str(arg) for arg in FUZZ_TARGETS[target](fuzz_inputs, bad)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)  # an exception escaping here fails the test
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 # -- bench --------------------------------------------------------------------

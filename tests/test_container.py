@@ -70,6 +70,22 @@ def test_truncated_file_rejected(tmp_path):
         read_container(bad)
 
 
+def test_tensor_rank_above_two_rejected(tmp_path):
+    with pytest.raises(DataError, match="rank 3"):
+        write_container(tmp_path / "r.bin", {}, {"w": np.zeros((1, 1, 1), dtype=np.float32)})
+    # a corrupt rank field reads dims from the payload; past numpy's 64
+    # dimensions the reshape raised ValueError instead of a data error
+    good = tmp_path / "good.bin"
+    write_container(good, {}, {"w": np.zeros(0, dtype=np.float32)})
+    data = bytearray(good.read_bytes())
+    rank_at = len(data) - 1 - 4 - 4  # dtype byte, the one dim, the rank
+    data[rank_at : rank_at + 4] = (65).to_bytes(4, "little")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(data) + b"\x00" * (4 * 64 + 1))
+    with pytest.raises(DataError, match="rank 65"):
+        read_container(bad)
+
+
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "v.bin"
     path.write_bytes(MAGIC + (99).to_bytes(4, "little") + b"\x00" * 8)

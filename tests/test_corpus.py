@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from eyedx import DataError
 from eyedx.corpus import (
     DEFAULT_TEMPLATE,
-    DIAGNOSIS_LABELS,
     MODALITIES,
     PromptTemplate,
     ReportRecord,
@@ -22,6 +21,7 @@ from eyedx.corpus import (
     synthesize,
     write_jsonl,
 )
+from oracles import DIAGNOSIS_LABELS
 
 
 def make_record(i, modality="OSA", findings=None, diagnosis=None, flags=()):
@@ -249,6 +249,19 @@ def test_render_prompt_fills_slots_and_appends_prefix():
 def test_template_rejects_unknown_placeholder():
     with pytest.raises(DataError, match="placeholder"):
         PromptTemplate(instruction="findings: {findingz}\n", response_prefix="impression:")
+
+
+# placeholders str.format cannot fill: positional, nested, a bad format code or
+# conversion, a missing attribute, a non-integer index
+UNFILLABLE = [
+    "{}", "{modality:{}}", "{findings:d}", "{findings!x}", "{findings.x}", "{findings[x]}",
+]
+
+
+@pytest.mark.parametrize("slot", UNFILLABLE)
+def test_template_rejects_unfillable_placeholder(slot):
+    with pytest.raises(DataError, match="placeholder"):
+        PromptTemplate(instruction=f"findings: {slot}\n", response_prefix="impression:")
 
 
 def test_template_without_slots_is_allowed():

@@ -416,7 +416,7 @@ def test_cached_forward_matches_recompute():
         assert np.max(np.abs(cached_logits - full_logits)) < 1e-5
         seq.append(nxt)
         cached_logits = model.forward(np.array([nxt]), cache)[-1]
-    assert cache.length == 5 + 8
+    assert cache.lengths.tolist() == [5 + 8]
 
 
 def test_cache_reset_and_overflow():
@@ -425,8 +425,7 @@ def test_cache_reset_and_overflow():
     model.forward(RNG.integers(0, TINY.vocab_size, 10), cache)
     with pytest.raises(DataError, match="max_seq_len"):
         model.forward(RNG.integers(0, TINY.vocab_size, 10), cache)
-    cache.reset()
-    assert cache.length == 0
+    cache.lengths[:] = 0  # every slot free again
     model.forward(RNG.integers(0, TINY.vocab_size, 10), cache)  # fits again
 
 

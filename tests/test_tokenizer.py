@@ -14,9 +14,9 @@ from eyedx.tokenizer import (
     UNK_ID,
     Vocabulary,
     build,
-    normalize,
     segment,
 )
+from oracles import normalize
 
 
 # ------------------------------------------------------------- segmentation

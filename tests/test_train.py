@@ -41,7 +41,6 @@ def test_train_config_defaults_and_validation():
     assert cfg.max_seq_len == 512
     assert cfg.grad_accum_steps == 16
     assert cfg.lora_alpha == 16.0
-    assert cfg.effective_batch == 64
     with pytest.raises(DataError):
         TrainConfig(epochs=0)
     with pytest.raises(DataError):
