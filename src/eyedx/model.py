@@ -11,6 +11,12 @@ Weights live in a flat dict keyed "tok_embed", "layers.{i}.wq", ...,
 hand in loss_and_grads, computes only the attached adapter's gradients, and
 the finite-difference oracle in tests/oracles.py keeps it honest.
 
+A forward runs token-major over the positions a kept mask selects, the
+loss's reach in training and the real tokens in a prefill: each token-wise
+op is one GEMM per weight, and only attention sees the (batch, seq) grid. A
+cached step of one token per row keeps per-row products: faster there, and
+each row's products match one-row decoding bit for bit.
+
 A training step splits its batch into row shards, one for each core that BLAS
 leaves idle, and runs their forward and backward on threads; the loss runs
 once, on the calling thread.
@@ -18,6 +24,7 @@ once, on the calling thread.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import os
@@ -175,11 +182,22 @@ def _ungroup_heads(x: np.ndarray, T: int) -> np.ndarray:
 
 
 def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """(1, N, ...) token rows -> (B, T, ...) grid holding them at the N True
-    positions of kept (B, T), in row-major order, and zeros elsewhere."""
+    """(1, N, ...) or (N, 1, ...) token rows -> (B, T, ...) grid holding them
+    at the N True positions of kept (B, T), in row-major order, and zeros
+    elsewhere. When every position is kept the rows already are the grid and
+    pass through, reshaped."""
+    if rows.shape[0] * rows.shape[1] == kept.size:
+        return rows.reshape(kept.shape + rows.shape[2:])
     grid = np.zeros(kept.shape + rows.shape[2:], dtype=rows.dtype)
-    grid[kept] = rows[0]
+    grid[kept] = rows.reshape(-1, *rows.shape[2:])
     return grid
+
+
+def _gather(grid: np.ndarray, kept: np.ndarray, lead: tuple) -> np.ndarray:
+    """Inverse of _scatter: the kept positions of a (B, T, ...) grid as token
+    rows of shape lead + (...), the grid itself when every position is kept."""
+    rows = grid if math.prod(lead) == kept.size else grid[kept]
+    return rows.reshape(lead + grid.shape[2:])
 
 
 # ------------------------------------------------------------------ row shards
@@ -218,34 +236,41 @@ def _split_rows(weights: np.ndarray, n: int) -> list[slice]:
     """Cut rows of these weights into n contiguous shards, each of positive
     weight, whose weights differ by at most the largest row's (d).
 
-    For a lower bound low, the boundaries at which k shards of weight in
-    [low, low + d] can end form a reachable set, one step per shard; low
-    comes down from the even share until n steps reach the last boundary.
-    Call "tight at x" the cutting of each shard at the first boundary at
-    least x past the last cut. The scan stops by L, the largest low tight
-    at which n shards fit: tight at L + 1 steps by L + 1 to L + d, so it is
-    a path at L too, and where it runs out of rows it stands within L of the
-    last boundary, which one more step reaches. So n rows of positive weight
-    always split.
+    Greedy cutting at x cuts each shard at the first boundary at least x
+    past the last cut; the larger x, the later every cut, so bisection finds
+    low, the largest x at which greedy cutting does not fall short of n
+    shards. One reach pass, a step per shard, then finds n shards of weight
+    in [low, low + d] that end at the last row. They exist: k such steps
+    reach every boundary from the k-th greedy cut at low to the latest cut k
+    steps can reach, since every span of weight d holds a boundary. Greedy
+    cutting at low + 1 ends within low of the last boundary after fewer
+    than n shards, the latest cuts lie no earlier, so some k < n steps reach
+    the last boundary, and then so do k + 1 up to n.
     """
     rows = len(weights)
     if n == 1:
         return [slice(0, rows)]
     ends = np.concatenate([[0], np.cumsum(weights)])
+
+    def greedy_falls_short(x):
+        cut = 0
+        for _ in range(n):  # past the last row, cut stays at rows + 1
+            cut = np.searchsorted(ends, ends[min(cut, rows)] + x)
+        return cut > rows
+
+    low = bisect.bisect_left(range(1, int(ends[-1]) // n + 1), True, key=greedy_falls_short)
+    if low == 0:
+        raise ValueError(f"{n} shards need {n} rows of positive weight")
     span = ends[None, :] - ends[:, None]  # span[i, j]: weight of rows i .. j-1
-    largest = weights.max()
-    for low in range(int(ends[-1]) // n, 0, -1):
-        fits = (span >= low) & (span <= low + largest)
-        reach = [np.arange(rows + 1) == 0]
-        for _ in range(n):
-            reach.append((reach[-1][:, None] & fits).any(axis=0))
-        if reach[n][rows]:
-            cuts = [rows]
-            for k in range(n - 1, -1, -1):
-                cuts.append(int(np.flatnonzero(reach[k] & fits[:, cuts[-1]])[0]))
-            cuts.reverse()
-            return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    raise ValueError(f"{n} shards need {n} rows of positive weight")
+    fits = (span >= low) & (span <= low + weights.max())
+    reach = [np.arange(rows + 1) == 0]
+    for _ in range(n):
+        reach.append((reach[-1][:, None] & fits).any(axis=0))
+    cuts = [rows]
+    for k in range(n - 1, -1, -1):
+        cuts.append(int(np.flatnonzero(reach[k] & fits[:, cuts[-1]])[0]))
+    cuts.reverse()
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _map_shards(pool, fn, items) -> list:
@@ -362,34 +387,49 @@ class Model:
 
     # -- forward --
 
-    def forward(self, tokens, cache: KVCache | None = None) -> np.ndarray:
+    def forward(self, tokens, cache: KVCache | None = None, kept=None) -> np.ndarray:
         """Logits for each input position: (T, vocab) for a 1D token array,
         (B, T, vocab) for a batch. With a cache, row b of tokens is the new
-        segment appended after cache.lengths[b] and only it gets logits."""
+        segment appended after cache.lengths[b] and only it gets logits.
+
+        kept, a bool mask shaped like tokens keeping each row's first
+        positions, computes only those: their logits come back as (N, vocab)
+        rows in row-major order, and the pads past them never run. A cache
+        still advances by T; the caller sets each row's length.
+        """
         tokens = np.asarray(tokens)
-        single = tokens.ndim == 1
-        tokens2d = tokens[None, :] if single else tokens
-        logits = self._run(tokens2d, cache, tape=None)
-        return logits[0] if single else logits
+        if tokens.ndim not in (1, 2):
+            raise DataError(f"tokens must be 1D or 2D, got shape {tokens.shape}")
+        tokens2d = tokens[None, :] if tokens.ndim == 1 else tokens
+        if kept is None:
+            return self._run(tokens2d, cache, None).reshape(*tokens.shape, -1)
+        kept = np.asarray(kept)
+        if kept.dtype != bool or kept.shape != tokens.shape:
+            raise DataError(f"kept must be a bool mask shaped like the tokens {tokens.shape}, "
+                            f"got {kept.dtype} {kept.shape}")
+        kept = kept.reshape(tokens2d.shape)
+        if not kept.any(axis=1).all() or (kept[:, 1:] > kept[:, :-1]).any():
+            raise DataError("kept must keep each row's first positions, at least one")
+        return self._run(tokens2d, cache, None, kept).reshape(-1, self.config.vocab_size)
 
     def _positions(self, tokens, cache):
-        """Positions (B, T) of tokens (B, T) after the cache's rows, (1, T)
+        """Positions (B, T) of tokens (B, T) after the cache's rows, from 0
         without a cache, once the ids, the window and the cache are checked."""
         cfg = self.config
         B, T = tokens.shape
-        if T == 0:
+        if tokens.size == 0:
             raise DataError("empty token sequence")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
             raise DataError(
                 f"token id out of range [0, {cfg.vocab_size}): {tokens.min()}..{tokens.max()}"
             )
-        past = np.zeros(1, dtype=np.int64)  # without a cache every row starts at 0
+        past = np.zeros(B, dtype=np.int64)  # without a cache every row starts at 0
         if cache is not None:
             if B != cache.batch:
                 held = "one sequence" if cache.batch == 1 else f"{cache.batch} sequences"
                 raise DataError(f"the cache holds {held}, got a batch of {B}")
             past = cache.lengths
-        positions = past[:, None] + np.arange(T)  # (B, T), or (1, T) shared by every row
+        positions = past[:, None] + np.arange(T)
         S = int(positions.max()) + 1
         if S > cfg.max_seq_len:
             raise DataError(f"sequence length {S} exceeds max_seq_len {cfg.max_seq_len}")
@@ -398,28 +438,27 @@ class Model:
         return positions
 
     def _run(self, tokens, cache, tape, kept=None):
-        """Logits for tokens (B, T). kept, a (B, T) bool mask given with
-        every tape and only then, selects the positions to compute: they run
-        token-major as one (1, N) row, so each token-wise op is one GEMM, and
-        only attention sees the (B, T) grid, with zeros where kept is False.
-        With kept, tokens come checked by loss_and_grads."""
+        """Logits for the positions of tokens (B, T) that kept, a (B, T) bool
+        mask of each row's first positions, selects; by default all of them.
+        They run as (1, N) token rows, each token-wise op one GEMM per weight,
+        or, in a cached step of one token per row, as (N, 1), one product per
+        row. Only attention sees the (B, T) grid, with zeros where kept is
+        False. The logits come back in the rows' layout."""
         if tape is not None and cache is not None:
             raise NumericError("taped forward does not take a cache")
         cfg = self.config
-        T = tokens.shape[1]
-        if kept is None:
-            positions = rope_positions = self._positions(tokens, cache)
-        else:  # (1, N) token rows, each at its own position
-            positions = np.arange(T)[None]
-            tokens, rope_positions = tokens[kept][None], np.nonzero(kept)[1][None]
+        positions = self._positions(tokens, cache)
+        kept = np.ones(tokens.shape, dtype=bool) if kept is None else kept
+        lead = (-1, 1) if cache is not None and tokens.shape[1] == 1 else (1, -1)
+        rope_positions = positions[kept].reshape(lead)
         cos, sin = _rope_tables(rope_positions, cfg.head_dim, cfg.rope_base, self.dtype)
-        x = self.params["tok_embed"][tokens]
+        x = self.params["tok_embed"][tokens[kept].reshape(lead)]
 
         for i in range(cfg.n_layers):
             x = x + self._attention(x, i, cache, cos, sin, positions, tape, kept)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
-            cache.advance(T)
+            cache.advance(tokens.shape[1])
 
         xn, inv = _rmsnorm_fwd(x, self.params["final_norm"], cfg.rmsnorm_eps)
         logits = xn @ self.params["lm_head"]
@@ -432,18 +471,17 @@ class Model:
         p = f"layers.{layer}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
-        lead = x.shape[:2]  # (B, T), or (1, N) token rows
+        lead = x.shape[:2]  # (1, N) token rows, or (N, 1)
         xn, inv = _rmsnorm_fwd(x, self.params[p + "attn_norm"], cfg.rmsnorm_eps)
         q = self._project(xn, p + "wq").reshape(*lead, H, hd)
         k = self._project(xn, p + "wk").reshape(*lead, KV, hd)
         v = self._project(xn, p + "wv").reshape(*lead, KV, hd)
         q = _apply_rope(q, cos, sin)
         k = _apply_rope(k, cos, sin)
-        if kept is not None:
-            # token rows onto the (B, T) grid; a zero key past a row's end
-            # sits after every kept query of that row, so the mask hides it
-            q, k, v = _scatter(q, kept), _scatter(k, kept), _scatter(v, kept)
-        B, T = q.shape[:2]
+        # token rows onto the (B, T) grid; a zero key past a row's end sits
+        # after every kept query of that row, so the mask hides it
+        q, k, v = _scatter(q, kept), _scatter(k, kept), _scatter(v, kept)
+        B, T = kept.shape
 
         # key s is visible to the query at position p when s <= p; a cached
         # row's free slots past its own length fall outside that
@@ -454,7 +492,7 @@ class Model:
             v_all = cache.v[layer][:, :S]
         else:
             k_all, v_all = k, v
-        allowed = (np.arange(S) <= positions[..., None])[:, None, None]  # (B|1, 1, 1, T, S)
+        allowed = (np.arange(S) <= positions[..., None])[:, None, None]  # (B, 1, 1, T, S)
 
         # query head h = kv * G + g shares kv head kv; stacking each group's
         # G query heads along the time axis makes one batched matmul per kv head
@@ -464,8 +502,7 @@ class Model:
         scores = np.where(allowed, scores, -np.inf)
         probs = softmax(scores, axis=-1).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
-        if kept is not None:
-            ctx = ctx[kept][None]
+        ctx = _gather(ctx, kept, lead)
         out = self._project(ctx, p + "wo")
 
         if tape is not None:
@@ -538,7 +575,6 @@ class Model:
                 f"loss_and_grads shape mismatch: inputs {inputs.shape}, "
                 f"labels {labels.shape}, mask {mask.shape}"
             )
-        self._positions(inputs, None)  # every row's ids, once, before sharding
         # kept[b, t]: some position s >= t of row b is a loss position
         kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
         sizes = kept.sum(axis=1)
@@ -587,11 +623,11 @@ class Model:
         cfg = self.config
         p = f"layers.{rec['layer']}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-        N = rec["x"].shape[1]  # (1, N) token rows
+        lead = rec["x"].shape[:2]  # (1, N) token rows
         kept = rec["kept"]
         T = kept.shape[1]
 
-        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads).reshape(1, N, H, hd)
+        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads).reshape(*lead, H, hd)
         dctx = _group_heads(_scatter(dctx, kept), KV)  # (B, KV, G*T, hd)
         probs = rec["probs"]  # (B, KV, G*T, S)
         k = rec["k"].transpose(0, 2, 1, 3)  # (B, KV, S, hd)
@@ -601,15 +637,15 @@ class Model:
         dv = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = softmax_backward(probs, dprobs, axis=-1)
         dscores /= math.sqrt(hd)
-        dq = _ungroup_heads(dscores @ k, T)[kept][None]
-        dk = (dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3)[kept][None]
-        dv = dv.transpose(0, 2, 1, 3)[kept][None]
+        dq = _gather(_ungroup_heads(dscores @ k, T), kept, lead)
+        dk = _gather((dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3), kept, lead)
+        dv = _gather(dv.transpose(0, 2, 1, 3), kept, lead)
 
         dq = _apply_rope_inverse(dq, rec["cos"], rec["sin"])
         dk = _apply_rope_inverse(dk, rec["cos"], rec["sin"])
 
-        dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(1, N, H * hd), grads)
-        dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(1, N, KV * hd), grads)
-        dxn += self._project_bwd(rec["xn"], p + "wv", dv.reshape(1, N, KV * hd), grads)
+        dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(*lead, H * hd), grads)
+        dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(*lead, KV * hd), grads)
+        dxn += self._project_bwd(rec["xn"], p + "wv", dv.reshape(*lead, KV * hd), grads)
         # residual: out = x + attn(norm(x))
         return d_out + _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)

@@ -120,14 +120,15 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     if not live:
         return results
 
-    # right-pad to one prefill; each row's pad slots lie past its length
+    # one pad-free prefill of the right-padded prompts: only the kept, real
+    # tokens run, and each row's pad slots lie past its length
     lengths = np.array([len(prompts[i]) for i in live])
-    batch = np.full((len(live), lengths.max()), PAD_ID, dtype=np.int64)
-    for row, i in enumerate(live):
-        batch[row, : lengths[row]] = prompts[i]
+    kept = np.arange(lengths.max()) < lengths[:, None]
+    batch = np.full(kept.shape, PAD_ID, dtype=np.int64)
+    batch[kept] = np.concatenate([prompts[i] for i in live])
     # as many slots as the neediest row's prompt plus budget, not the whole window
     cache = model.new_cache(len(live), max(len(prompts[i]) + budget[i] for i in live))
-    logits = model.forward(batch, cache)[np.arange(len(live)), lengths - 1]
+    logits = model.forward(batch, cache, kept)[np.cumsum(lengths) - 1]
     cache.lengths[:] = lengths
 
     rngs = [np.random.default_rng(params.seed) for _ in prompts]

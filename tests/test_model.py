@@ -197,6 +197,61 @@ def test_forward_rejects_bad_input():
         model.forward(np.zeros(0, dtype=int))
 
 
+def test_forward_rejects_an_empty_batch_and_a_third_axis():
+    model = tiny_model()
+    with pytest.raises(DataError, match="empty"):
+        model.forward(np.zeros((0, 4), dtype=int))
+    with pytest.raises(DataError, match="1D or 2D"):
+        model.forward(np.zeros((2, 3, 4), dtype=int))
+
+
+# ------------------------------------------------------------- kept positions
+
+KEPT_TOKENS = np.array([[3, 5, 7, 1], [2, 4, 2, 2]])
+KEPT = np.array([[True, True, True, True], [True, True, False, False]])
+
+
+def rejects_kept(kept, match):
+    with pytest.raises(DataError, match=match) as err:
+        tiny_model().forward(KEPT_TOKENS, None, kept)
+    assert "\n" not in str(err.value)
+
+
+def test_kept_forward_returns_the_kept_positions_logits():
+    model = tiny_model()
+    got = model.forward(KEPT_TOKENS, None, KEPT)
+    assert got.shape == (6, TINY.vocab_size)
+    full = model.forward(KEPT_TOKENS)
+    assert np.max(np.abs(got[:4] - full[0])) <= 1e-6 * np.max(np.abs(full[0]))
+    alone = model.forward(KEPT_TOKENS[1, :2])
+    assert np.max(np.abs(got[4:] - alone)) <= 1e-6 * np.max(np.abs(alone))
+    # 1D tokens take a 1D mask
+    assert model.forward(KEPT_TOKENS[0], None, KEPT[0]).shape == (4, TINY.vocab_size)
+
+
+def test_kept_of_another_shape_is_a_data_error():
+    rejects_kept(KEPT[:, :3], "shaped like the tokens")
+    rejects_kept(KEPT[0], "shaped like the tokens")
+
+
+def test_kept_that_is_not_boolean_is_a_data_error():
+    rejects_kept(KEPT.astype(int), "bool mask")
+    rejects_kept(KEPT.astype(float), "bool mask")
+
+
+def test_kept_row_without_a_position_is_a_data_error():
+    kept = KEPT.copy()
+    kept[1] = False
+    rejects_kept(kept, "first positions, at least one")
+
+
+def test_kept_with_a_gap_is_a_data_error():
+    # a dropped position before a kept one would leave a zero key in its view
+    kept = KEPT.copy()
+    kept[0, 1] = False
+    rejects_kept(kept, "first positions")
+
+
 def test_single_position_attends_fully_to_itself():
     model = tiny_model()
     tape = []

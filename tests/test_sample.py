@@ -1,9 +1,12 @@
 """Decoding stages, neutrality guarantees, greedy/cache equivalences."""
 
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eyedx import DataError, NumericError
 from eyedx.model import Model, ModelConfig, init_params
@@ -317,6 +320,68 @@ def test_batched_prefill_matches_one_row_prefill():
     for row, (p, tok) in enumerate(zip(prompts, (4, 6, 8))):
         full = model.forward(np.array(p + [tok]))[-1]
         assert np.max(np.abs(step[row, -1] - full)) < 1e-5
+
+
+def close(got, want, rtol):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+    same=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[7, 7, 7], same=True, seed=0)  # every position kept: the rows pass through
+@example(lengths=[1, 1], same=True, seed=0)  # one token per row
+def test_pad_free_prefill_matches_one_row_prefill(lengths, same, seed):
+    """decode_batch's prefill, which runs only the prompts' real tokens, against
+    each prompt prefilled alone: the logits, the cache and the next step. In
+    float64, because in float32 the two differ by BLAS rounding alone, up to
+    about 4e-6 relative, as the padded grid prefill did."""
+    model = Model(CFG, init_params(CFG, seed=4, scale=0.5, dtype=np.float64))
+    rng = np.random.default_rng(seed)
+    if same:
+        lengths = [lengths[0]] * len(lengths)
+    prompts = [rng.integers(0, CFG.vocab_size, n) for n in lengths]
+    lengths = np.array(lengths)
+    kept = np.arange(lengths.max()) < lengths[:, None]
+    batch = np.full(kept.shape, PAD_ID)
+    batch[kept] = np.concatenate(prompts)
+    cache = model.new_cache(len(prompts))
+    logits = model.forward(batch, cache, kept)
+    assert logits.shape == (lengths.sum(), CFG.vocab_size)
+    cache.lengths[:] = lengths
+    nxt = rng.integers(0, CFG.vocab_size, (len(prompts), 1))
+    step = model.forward(nxt, cache)
+
+    for row, (prompt, last) in enumerate(zip(prompts, np.cumsum(lengths) - 1)):
+        alone = model.new_cache()
+        want = model.forward(prompt, alone)[-1]
+        assert close(logits[last], want, 1e-6)
+        for layer in range(CFG.n_layers):
+            for got_kv, want_kv in ((cache.k, alone.k), (cache.v, alone.v)):
+                assert close(got_kv[layer][row, : len(prompt)], want_kv[layer][0, : len(prompt)],
+                             1e-6)
+        assert close(step[row, -1], model.forward(nxt[row], alone)[-1], 1e-5)
+
+
+def test_cached_step_keeps_per_row_products():
+    """A cached step of one token per row runs each row's products alone, so
+    rows whose caches hold as many positions get, bit for bit, the logits
+    each gets stepped alone from its own copy of the cache. At d_model 64 a
+    flat GEMM over the rows rounds differently on OpenBLAS."""
+    config = replace(CFG, d_model=64, d_ff=96)
+    model = Model(config, init_params(config, seed=4, scale=0.5))
+    prompts = np.random.default_rng(3).integers(0, CFG.vocab_size, (4, 9))
+    cache = model.new_cache(4)
+    model.forward(prompts, cache)
+    alone = [deepcopy(cache) for _ in range(4)]
+    nxt = np.array([[4], [6], [8], [1]])
+    got = model.forward(nxt, cache)
+    for row, own in enumerate(alone):
+        own.keep([row])
+        assert np.array_equal(got[row], model.forward(nxt[row], own))
 
 
 def test_decode_sizes_the_cache_by_need(monkeypatch):
