@@ -7,7 +7,9 @@ neutral settings reproduce plain softmax sampling exactly rather than
 approximately. Greedy decoding is top_k=1 with repetition_penalty=1.
 
 decode_batch is the one way to decode: it steps a batch of prompts in
-lockstep through one KV cache.
+lockstep through one KV cache, and samples all live rows of a step in one
+pass: filter_logits over their (R, V) logits and seen mask, then draw, which
+reproduces each row's Generator.choice.
 """
 
 from __future__ import annotations
@@ -45,33 +47,57 @@ class DecodeParams:
 
 
 def filter_logits(logits: np.ndarray, seen_ids, params: DecodeParams) -> np.ndarray:
-    """One decoding step's probability vector after all active stages."""
-    z = logits.astype(np.float64).copy()
-    vocab = z.shape[0]
+    """Each row's probability vector after all active stages, every row at once.
 
-    if params.repetition_penalty != 1.0 and len(seen_ids) > 0:
-        seen = np.fromiter(set(seen_ids), dtype=np.int64)
-        zs = z[seen]
-        z[seen] = np.where(zs > 0, zs / params.repetition_penalty, zs * params.repetition_penalty)
+    logits is (R, V) with seen_ids an (R, V) bool mask of the ids each row
+    has seen, or one row's (V,) logits with an iterable of its seen ids. The
+    result has the shape of logits, and each row is, bit for bit, what that
+    row filtered alone gives. Rows must be finite.
+    """
+    z = np.atleast_2d(logits).astype(np.float64)
+    vocab = z.shape[1]
+    if np.ndim(logits) == 1:
+        ids = np.fromiter(seen_ids, dtype=np.int64)
+        if ((ids < 0) | (ids >= vocab)).any():
+            raise DataError(f"seen token id out of range [0, {vocab}): {ids.min()}..{ids.max()}")
+        seen_ids = np.isin(np.arange(vocab), ids)[None]
+
+    if params.repetition_penalty != 1.0:
+        penalty = params.repetition_penalty
+        z = np.where(seen_ids, np.where(z > 0, z / penalty, z * penalty), z)
 
     if params.temperature != 1.0:
         z = z / params.temperature
 
     if params.top_k < vocab:
-        cut = np.partition(z, -params.top_k)[-params.top_k]
+        cut = np.partition(z, -params.top_k, axis=1)[:, -params.top_k, None]
         z[z < cut] = -np.inf
 
     probs = softmax(z)
 
     if params.top_p < 1.0:
-        order = np.argsort(-probs, kind="stable")
-        csum = np.cumsum(probs[order])
+        order = np.argsort(-probs, axis=1, kind="stable")
+        ranked = np.take_along_axis(probs, order, axis=1)
         # smallest prefix whose mass reaches top_p; the top token always stays
-        keep = int(np.searchsorted(csum, params.top_p)) + 1
-        drop = order[keep:]
-        probs[drop] = 0.0
+        keep = (ranked.cumsum(axis=1) < params.top_p).sum(axis=1, keepdims=True) + 1
+        ranked[np.arange(vocab) >= keep] = 0.0
+        np.put_along_axis(probs, order, ranked, axis=1)
 
-    return probs / probs.sum()
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs.reshape(np.shape(logits))
+
+
+def draw(probs: np.ndarray, rngs) -> np.ndarray:
+    """One token per row of probs (R, V), from that row's generator: the index
+    rngs[r].choice(V, p=probs[r]) returns, with the generator left where
+    choice leaves it. Like choice, it takes one random() per row and counts
+    the entries of the normalized cdf at or below it, a right-sided search."""
+    cdf = probs.cumsum(axis=1)
+    if not np.isfinite(cdf[:, -1]).all():  # where choice raises ValueError
+        raise NumericError("non-finite probabilities: the temperature or penalty overflowed")
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 @dataclass
@@ -95,8 +121,10 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
 
     Each row's budget is params.max_new_tokens clamped to the room its prompt
     leaves in the context window. Rows sample from their own
-    default_rng(params.seed), so each gets the stream it would get alone. A
-    row retires at eos or at its budget. A row that cannot start (empty
+    default_rng(params.seed), so each gets the stream it would get alone.
+    An (R, V) mask of the ids each live row has seen, set from the prompts
+    and by each emitted token, feeds the repetition penalty. A row retires
+    at eos or at its budget. A row that cannot start (empty
     prompt, bad token id, no room) or meets non-finite logits fails alone
     with its error in its Generation.
     """
@@ -131,30 +159,34 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     logits = model.forward(batch, cache, kept)[np.cumsum(lengths) - 1]
     cache.lengths[:] = lengths
 
-    rngs = [np.random.default_rng(params.seed) for _ in prompts]
-    seen = [set(ids) for ids in prompts]
+    rngs = [np.random.default_rng(params.seed) for _ in live]
+    seen = np.zeros((len(live), vocab), dtype=bool)
+    seen[np.nonzero(kept)[0], batch[kept]] = True
     while live:
         finite = np.isfinite(logits).all(axis=1)
+        for row in np.flatnonzero(~finite):
+            out = results[live[row]].tokens
+            error = NumericError(f"non-finite logits at generation step {len(out)}")
+            results[live[row]] = Generation(out, "error", error)
+        rows = np.flatnonzero(finite)
+        drawn = draw(filter_logits(logits[rows], seen[rows], params), [rngs[r] for r in rows])
+        seen[rows, drawn] = True
         nxt, keep = [], []
-        for row, i in enumerate(live):
-            out = results[i].tokens
-            if not finite[row]:
-                error = NumericError(f"non-finite logits at generation step {len(out)}")
-                results[i] = Generation(out, "error", error)
-                continue
-            probs = filter_logits(logits[row], seen[i], params)
-            tok = int(rngs[i].choice(probs.shape[0], p=probs))
+        for row, tok in zip(rows.tolist(), drawn.tolist()):
+            i = live[row]
             if tok == EOS_ID:
                 results[i].stop = "eos"
                 continue
+            out = results[i].tokens
             out.append(tok)
-            seen[i].add(tok)
             if len(out) < budget[i]:
                 nxt.append(tok)
                 keep.append(row)
         if len(keep) < len(live):
             cache.keep(keep)
             live = [live[row] for row in keep]
+            rngs = [rngs[row] for row in keep]
+            seen = seen[keep]
         if live:
             logits = model.forward(np.array(nxt)[:, None], cache)[:, -1]
     return results

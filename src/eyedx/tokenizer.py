@@ -33,6 +33,8 @@ _CJK_RANGES = (
 
 def _is_cjk(ch: str) -> bool:
     cp = ord(ch)
+    if cp < 0x3040:  # below every range: all of Latin, digits and punctuation
+        return False
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 

@@ -7,7 +7,8 @@ no code path with what it checks.
 import numpy as np
 
 from eyedx import DataError
-from eyedx.tokenizer import EOS_ID, segment
+from eyedx.numerics import softmax
+from eyedx.tokenizer import _CJK_RANGES, EOS_ID, segment
 
 _GRADES = ("mild", "moderate", "severe")
 _DR = ["no diabetic retinopathy"] + [f"{g} nonproliferative diabetic retinopathy" for g in _GRADES]
@@ -101,3 +102,55 @@ def recompute_greedy(model, prompt, budget):
         out.append(nxt)
         seq.append(nxt)
     return out
+
+
+def recompute_sampled(model, prompt, params, budget):
+    """Sampled decoding that reruns the whole prefix each step, no cache: one
+    row filtered alone, its token drawn by Generator.choice."""
+    rng = np.random.default_rng(params.seed)
+    seq, out = list(prompt), []
+    for _ in range(budget):
+        probs = filter_logits_row(model.forward(np.array(seq))[-1], seq, params)
+        nxt = int(rng.choice(probs.shape[0], p=probs))
+        if nxt == EOS_ID:
+            break
+        out.append(nxt)
+        seq.append(nxt)
+    return out
+
+
+def is_cjk_scan(ch: str) -> bool:
+    """Whether ch falls in a CJK range, by scanning every range."""
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+
+
+def filter_logits_row(logits, seen_ids, params):
+    """One row's probability vector after all active stages, one row at a time:
+    the oracle for eyedx.sample.filter_logits, which filters every row at once."""
+    z = logits.astype(np.float64).copy()
+    vocab = z.shape[0]
+
+    if params.repetition_penalty != 1.0 and len(seen_ids) > 0:
+        seen = np.fromiter(set(seen_ids), dtype=np.int64)
+        zs = z[seen]
+        z[seen] = np.where(zs > 0, zs / params.repetition_penalty, zs * params.repetition_penalty)
+
+    if params.temperature != 1.0:
+        z = z / params.temperature
+
+    if params.top_k < vocab:
+        cut = np.partition(z, -params.top_k)[-params.top_k]
+        z[z < cut] = -np.inf
+
+    probs = softmax(z)
+
+    if params.top_p < 1.0:
+        order = np.argsort(-probs, kind="stable")
+        csum = np.cumsum(probs[order])
+        # smallest prefix whose mass reaches top_p; the top token always stays
+        keep = int(np.searchsorted(csum, params.top_p)) + 1
+        drop = order[keep:]
+        probs[drop] = 0.0
+
+    return probs / probs.sum()

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eyedx import DataError, NumericError
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
-from eyedx.sample import DecodeParams, decode, decode_batch, filter_logits
+from eyedx.sample import DecodeParams, decode, decode_batch, draw, filter_logits
 from eyedx.tokenizer import PAD_ID
-from oracles import recompute_greedy
+from oracles import filter_logits_row, recompute_greedy, recompute_sampled
 
 RNG = np.random.default_rng(23)
 
@@ -170,6 +171,95 @@ def test_full_pipeline_matches_reference():
     assert np.allclose(got, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_seen_id_out_of_range_is_a_data_error(bad):
+    # -1 would otherwise wrap round to penalise the last token
+    with pytest.raises(DataError, match=r"out of range \[0, 4\)") as err:
+        filter_logits(np.ones(4), {bad}, DecodeParams())
+    assert "\n" not in str(err.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 6),
+    vocab=st.integers(2, 40),
+    penalty=st.just(1.0) | st.floats(1.0, 3.0),
+    temperature=st.just(1.0) | st.floats(0.05, 5.0),
+    top_k=st.integers(1, 45) | st.just(10**9),
+    top_p=st.sampled_from([1.0, 1e-12]) | st.floats(1e-6, 1.0),
+)
+def test_row_wise_filter_equals_the_per_row_filter(
+    data, rows, vocab, penalty, temperature, top_k, top_p
+):
+    """Every row of one (R, V) call is, bit for bit, that row filtered alone.
+    Logits drawn from a few values tie at the top-k cut."""
+    values = st.floats(-30, 30) | st.sampled_from([-1.0, 0.0, 2.5])
+    logits = data.draw(arrays(np.float64, (rows, vocab), elements=values))
+    seen = data.draw(arrays(np.bool_, (rows, vocab)))
+    params = DecodeParams(
+        repetition_penalty=penalty, temperature=temperature, top_k=top_k, top_p=top_p
+    )
+    got = filter_logits(logits, seen, params)
+    assert got.shape == (rows, vocab)
+    for row in range(rows):
+        want = filter_logits_row(logits[row], np.flatnonzero(seen[row]), params)
+        assert np.array_equal(got[row], want)
+        assert np.array_equal(filter_logits(logits[row], np.flatnonzero(seen[row]), params), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 6),
+    vocab=st.integers(1, 40),
+    shape=st.sampled_from(["spread", "one", "last"]),
+)
+def test_draw_reproduces_generator_choice(data, rows, vocab, shape):
+    """draw is Generator.choice(V, p=p) unrolled over rows, so it is tied to
+    numpy's implementation of choice: each row draws the index choice draws
+    and leaves its generator where choice leaves it."""
+    weights = data.draw(arrays(np.float64, (rows, vocab), elements=st.floats(0, 1) | st.just(0.0)))
+    if shape == "one":  # a single nonzero entry
+        hot = data.draw(arrays(np.int64, rows, elements=st.integers(0, vocab - 1)))
+        weights = np.eye(vocab)[hot]
+    elif shape == "last":  # mass only at the end
+        weights[:, : vocab // 2] = 0.0
+    weights[weights.sum(axis=1) == 0, -1] = 1.0
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=rows, max_size=rows))
+    mine = [np.random.default_rng(s) for s in seeds]
+    theirs = [np.random.default_rng(s) for s in seeds]
+    got = draw(probs, mine)
+    for row in range(rows):
+        assert got[row] == theirs[row].choice(vocab, p=probs[row])
+        assert mine[row].random() == theirs[row].random()
+
+
+@pytest.mark.parametrize("short", [0.0, 2**-53])
+def test_draw_matches_choice_where_u_meets_the_cdf(short):
+    """Built so that the row's random() u lands on its first cdf entry. With a
+    cdf ending at exactly 1, choice's right-sided search goes past that entry;
+    with one ending `short` of 1, choice's normalization lifts the entry past u."""
+    u = np.random.default_rng(0).random()
+    probs = np.array([[u, 1 - short - u]])
+    assert (probs[0, 0] / probs.sum() > u) == (short > 0)
+    got = draw(probs, [np.random.default_rng(0)])
+    assert got[0] == np.random.default_rng(0).choice(2, p=probs[0]) == (1 if short == 0 else 0)
+
+
+@pytest.mark.parametrize("top_p", [0.25, 0.5, 0.75])
+def test_row_wise_top_p_on_an_exact_boundary(top_p):
+    # uniform rows of 4 and 8 put top_p exactly on a cumulative sum, where the
+    # smallest sufficient prefix stops at that entry
+    logits = np.array([[0.0] * 4 + [-np.inf] * 4, [1.0] * 8])
+    got = filter_logits(logits, np.zeros(logits.shape, dtype=bool), neutral(top_p=top_p))
+    for row in range(2):
+        want = filter_logits_row(logits[row], [], neutral(top_p=top_p))
+        assert np.array_equal(got[row], want)
+    assert (got[0] > 0).sum() == top_p * 4
+
+
 # ------------------------------------------------------------- decode
 
 
@@ -263,6 +353,12 @@ def test_non_finite_logits_raise_numeric_error():
         decode(model, [1, 2, 3], greedy(3))
 
 
+def test_overflowing_temperature_is_a_numeric_error():
+    # logits / 1e-320 overflow to inf, and the softmax of inf - inf is nan
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite probabilities"):
+        decode(tiny_model(), [5, 9, 2], DecodeParams(temperature=1e-320, max_new_tokens=4))
+
+
 # ------------------------------------------------------------- batched decode
 
 # Prompts of different lengths. The 60-token one leaves room for 4 new
@@ -300,6 +396,17 @@ def test_batched_sampling_matches_one_row_decoding():
         assert generation.tokens == alone
     other = decode_batch(model, RAGGED, replace(params, seed=1))
     assert [g.tokens for g in other] != [g.tokens for g in got]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batched_sampling_matches_the_per_row_oracle(seed):
+    """All rows filtered and drawn in one pass give each row the tokens of the
+    per-row filter and Generator.choice, rerun without a cache; the penalty
+    sees each row's prompt and what it has emitted so far."""
+    model = tiny_model()
+    params = DecodeParams(seed=seed)
+    for prompt, generation in zip(RAGGED, decode_batch(model, RAGGED, params)):
+        assert generation.tokens == recompute_sampled(model, prompt, params, room(prompt, 512))
 
 
 def test_batched_prefill_matches_one_row_prefill():

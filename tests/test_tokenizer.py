@@ -1,7 +1,7 @@
 """Tokenizer segmentation, vocabulary build, encode/decode."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eyedx import DataError
@@ -16,7 +16,7 @@ from eyedx.tokenizer import (
     build,
     segment,
 )
-from oracles import normalize
+from oracles import is_cjk_scan, normalize
 
 
 # ------------------------------------------------------------- segmentation
@@ -45,6 +45,19 @@ def test_segment_cjk_per_codepoint():
 
 def test_segment_nfc_stability():
     assert segment("café") == segment("café")
+
+
+@given(st.text(max_size=60))
+@settings(max_examples=300, deadline=None)
+@example(  # ends of the ranges between letters, and code points just outside them
+    "a\u3041b\u30ffc\u3400d\u4dbfe\u4e00f\u9fffg\uac00h\ud7a3i\uf900j\U00020000k\U0002a6dfl"
+    " \u303f\u3040\u3100\uabff\ud7b0\ufaff\U0002a6e0 眼底"
+)
+def test_segment_matches_the_range_scan_predicate(text):
+    want = segment(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("eyedx.tokenizer._is_cjk", is_cjk_scan)
+        assert segment(text) == want
 
 
 @given(st.text(alphabet="ab12.,眼 \t", max_size=40))
