@@ -15,7 +15,10 @@ A forward runs token-major over the positions a kept mask selects, the
 loss's reach in training and the real tokens in a prefill: each token-wise
 op is one GEMM per weight, and only attention sees the (batch, seq) grid. A
 cached step of one token per row keeps per-row products: faster there, and
-each row's products match one-row decoding bit for bit.
+each row's products match one-row decoding bit for bit. From the last
+layer's output projection on, only the positions whose logits are read run:
+the loss positions in training, each prompt's last token in a prefill. Past
+its last layer's keys and values a position feeds no other.
 
 A training step splits its batch into row shards, one for each core that BLAS
 leaves idle, and runs their forward and backward on threads; the loss runs
@@ -196,8 +199,16 @@ def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
 def _gather(grid: np.ndarray, kept: np.ndarray, lead: tuple) -> np.ndarray:
     """Inverse of _scatter: the kept positions of a (B, T, ...) grid as token
     rows of shape lead + (...), the grid itself when every position is kept."""
-    rows = grid if math.prod(lead) == kept.size else grid[kept]
+    rows = grid if kept.all() else grid[kept]
     return rows.reshape(lead + grid.shape[2:])
+
+
+def _bool_mask(name: str, mask, shape: tuple) -> np.ndarray:
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != shape:
+        raise DataError(f"{name} must be a bool mask shaped like the tokens {shape}, "
+                        f"got {mask.dtype} {mask.shape}")
+    return mask
 
 
 # ------------------------------------------------------------------ row shards
@@ -370,10 +381,10 @@ class Model:
             y = y + ad.scale * ((x @ ad.a[name]) @ ad.b[name])
         return y
 
-    def _project_bwd(self, x, name, dy, grads):
-        """dx through a frozen projection; an adapter target also puts its
-        ".lora_a"/".lora_b" gradients into grads."""
-        dx = dy @ self.params[name].T
+    def _project_bwd(self, x, name, dy, grads, need_dx=True):
+        """dx through a frozen projection, None when not need_dx; an adapter
+        target also puts its ".lora_a"/".lora_b" gradients into grads."""
+        dx = dy @ self.params[name].T if need_dx else None
         ad = self.adapter
         if name in ad.a:
             a, b, s = ad.a[name], ad.b[name], ad.scale
@@ -382,35 +393,44 @@ class Model:
             dy_b = dyf @ b.T  # (N, r)
             grads[name + ".lora_a"] = s * (xf.T @ dy_b)
             grads[name + ".lora_b"] = s * ((xf @ a).T @ dyf)
-            dx = dx + s * (dy_b @ a.T).reshape(x.shape)
+            if need_dx:
+                dx = dx + s * (dy_b @ a.T).reshape(x.shape)
         return dx
 
     # -- forward --
 
-    def forward(self, tokens, cache: KVCache | None = None, kept=None) -> np.ndarray:
+    def forward(self, tokens, cache: KVCache | None = None, kept=None, *,
+                read=None) -> np.ndarray:
         """Logits for each input position: (T, vocab) for a 1D token array,
         (B, T, vocab) for a batch. With a cache, row b of tokens is the new
         segment appended after cache.lengths[b] and only it gets logits.
 
         kept, a bool mask shaped like tokens keeping each row's first
         positions, computes only those: their logits come back as (N, vocab)
-        rows in row-major order, and the pads past them never run. A cache
+        rows in row-major order, and the pads past them never run. read, a
+        bool mask shaped like tokens inside kept, returns the logits of its
+        positions alone, as (N_read, vocab) rows in row-major order. A cache
         still advances by T; the caller sets each row's length.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim not in (1, 2):
             raise DataError(f"tokens must be 1D or 2D, got shape {tokens.shape}")
         tokens2d = tokens[None, :] if tokens.ndim == 1 else tokens
-        if kept is None:
+        if kept is None and read is None:
             return self._run(tokens2d, cache, None).reshape(*tokens.shape, -1)
-        kept = np.asarray(kept)
-        if kept.dtype != bool or kept.shape != tokens.shape:
-            raise DataError(f"kept must be a bool mask shaped like the tokens {tokens.shape}, "
-                            f"got {kept.dtype} {kept.shape}")
-        kept = kept.reshape(tokens2d.shape)
-        if not kept.any(axis=1).all() or (kept[:, 1:] > kept[:, :-1]).any():
-            raise DataError("kept must keep each row's first positions, at least one")
-        return self._run(tokens2d, cache, None, kept).reshape(-1, self.config.vocab_size)
+        if kept is None:
+            kept = np.ones(tokens2d.shape, dtype=bool)
+        else:
+            kept = _bool_mask("kept", kept, tokens.shape).reshape(tokens2d.shape)
+            if not kept.any(axis=1).all() or (kept[:, 1:] > kept[:, :-1]).any():
+                raise DataError("kept must keep each row's first positions, at least one")
+        if read is not None:
+            read = _bool_mask("read", read, tokens.shape).reshape(tokens2d.shape)
+            if (read > kept).any():
+                raise DataError("read must name kept positions only")
+            if not read.any():
+                raise DataError("read must name at least one position")
+        return self._run(tokens2d, cache, None, kept, read).reshape(-1, self.config.vocab_size)
 
     def _positions(self, tokens, cache):
         """Positions (B, T) of tokens (B, T) after the cache's rows, from 0
@@ -437,25 +457,30 @@ class Model:
             raise DataError(f"sequence length {S} exceeds the cache's {cache.capacity} slots")
         return positions
 
-    def _run(self, tokens, cache, tape, kept=None):
-        """Logits for the positions of tokens (B, T) that kept, a (B, T) bool
-        mask of each row's first positions, selects; by default all of them.
+    def _run(self, tokens, cache, tape, kept=None, read=None):
+        """Logits for the positions of tokens (B, T) that read, a (B, T) bool
+        mask inside kept, selects; kept, a (B, T) bool mask of each row's
+        first positions, selects those that run, and both default to all.
         They run as (1, N) token rows, each token-wise op one GEMM per weight,
         or, in a cached step of one token per row, as (N, 1), one product per
         row. Only attention sees the (B, T) grid, with zeros where kept is
-        False. The logits come back in the rows' layout."""
+        False. The last layer narrows to the read rows after its attention
+        context. The logits come back in the rows' layout."""
         if tape is not None and cache is not None:
             raise NumericError("taped forward does not take a cache")
         cfg = self.config
         positions = self._positions(tokens, cache)
         kept = np.ones(tokens.shape, dtype=bool) if kept is None else kept
+        if read is None or np.count_nonzero(read) == np.count_nonzero(kept):
+            read = kept  # read lies inside kept, so as many positions are the same ones
         lead = (-1, 1) if cache is not None and tokens.shape[1] == 1 else (1, -1)
         rope_positions = positions[kept].reshape(lead)
         cos, sin = _rope_tables(rope_positions, cfg.head_dim, cfg.rope_base, self.dtype)
         x = self.params["tok_embed"][tokens[kept].reshape(lead)]
 
         for i in range(cfg.n_layers):
-            x = x + self._attention(x, i, cache, cos, sin, positions, tape, kept)
+            out = read if i == cfg.n_layers - 1 else kept
+            x = self._attention(x, i, cache, cos, sin, positions, tape, kept, out)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
             cache.advance(tokens.shape[1])
@@ -466,7 +491,9 @@ class Model:
             tape.append({"x_final": x, "inv_final": inv})
         return logits
 
-    def _attention(self, x, layer, cache, cos, sin, positions, tape, kept):
+    def _attention(self, x, layer, cache, cos, sin, positions, tape, kept, out):
+        """x plus the attention block's output, over the positions of out, a
+        (B, T) mask inside kept: kept itself but at the last layer."""
         cfg = self.config
         p = f"layers.{layer}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
@@ -502,8 +529,10 @@ class Model:
         scores = np.where(allowed, scores, -np.inf)
         probs = softmax(scores, axis=-1).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
-        ctx = _gather(ctx, kept, lead)
-        out = self._project(ctx, p + "wo")
+        # the last layer goes on over the read rows alone, in the rows' layout
+        rows = (1, -1) if lead[0] == 1 else (-1, 1)
+        ctx = _gather(ctx, out, rows)
+        residual = x if out is kept else _gather(x, out[kept].reshape(lead), rows)
 
         if tape is not None:
             tape.append(
@@ -521,9 +550,10 @@ class Model:
                     "cos": cos,
                     "sin": sin,
                     "kept": kept,
+                    "out": out,
                 }
             )
-        return out
+        return residual + self._project(ctx, p + "wo")
 
     def _ffn(self, x, layer, tape):
         cfg = self.config
@@ -558,7 +588,10 @@ class Model:
 
         Under the causal mask a position past its row's last mask=True
         position cannot reach the loss, so only the positions up to it are
-        computed; a row without a loss position drops out.
+        computed; a row without a loss position drops out. The last layer's
+        output side, the final norm, lm_head and the loss run over the loss
+        positions alone, and the backward stops at layer 0's adapter
+        gradients.
 
         The rows run as contiguous shards balanced by kept positions, one
         per core BLAS leaves idle (_shard_count): each shard's forward on
@@ -579,20 +612,21 @@ class Model:
         kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
         sizes = kept.sum(axis=1)
         shards = _split_rows(sizes, _shard_count(int(np.count_nonzero(sizes))))
-        labels, mask = labels[kept][None], mask[kept][None]
 
         def forward(rows):
             tape: list = []
-            return tape, self._run(inputs[rows], None, tape, kept[rows])
+            return tape, self._run(inputs[rows], None, tape, kept[rows], mask[rows])
 
         if len(shards) > 1 and self._pool is None:
             self._pool = ThreadPoolExecutor(thread_name_prefix="eyedx-shard")
         tapes, logits = zip(*_map_shards(self._pool, forward, shards))
-        logits = logits[0] if len(logits) == 1 else np.concatenate(logits, axis=1)
-        loss = cross_entropy(logits, labels, mask)
-        dlogits = cross_entropy_backward(logits, labels, mask)
-        ends = np.cumsum([0] + [int(sizes[rows].sum()) for rows in shards])
-        jobs = [(tape, dlogits[:, lo:hi]) for tape, lo, hi in zip(tapes, ends, ends[1:])]
+        # the loss positions' logits, summed over the kept positions' layout
+        logits = np.concatenate(logits, axis=1)[0]
+        labels, mask_kept = labels[kept][None], mask[kept][None]
+        loss = cross_entropy(logits, labels, mask_kept)
+        dlogits = cross_entropy_backward(logits, labels, mask_kept)
+        ends = np.cumsum([0] + [int(mask[rows].sum()) for rows in shards])
+        jobs = [(tape, dlogits[None, lo:hi]) for tape, lo, hi in zip(tapes, ends, ends[1:])]
         parts = _map_shards(self._pool, lambda job: self._backward(*job), jobs)
         grads = parts[0]
         for part in parts[1:]:
@@ -616,10 +650,13 @@ class Model:
                 # residual: out = x + ffn(norm(x))
                 dx = dx + _rmsnorm_bwd(rec["x"], self.params[p + "ffn_norm"], rec["inv"], dxn)
             else:
-                dx = self._attention_bwd(rec, dx, grads)
+                # layer 0's dx reaches only the frozen embedding
+                dx = self._attention_bwd(rec, dx, grads, need_dx=rec["layer"] > 0)
         return grads
 
-    def _attention_bwd(self, rec, d_out, grads):
+    def _attention_bwd(self, rec, d_out, grads, need_dx=True):
+        """d loss / d the block's input x from d_out over its out rows, and the
+        adapters' gradients; only those when not need_dx, then None."""
         cfg = self.config
         p = f"layers.{rec['layer']}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
@@ -627,8 +664,9 @@ class Model:
         kept = rec["kept"]
         T = kept.shape[1]
 
-        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads).reshape(*lead, H, hd)
-        dctx = _group_heads(_scatter(dctx, kept), KV)  # (B, KV, G*T, hd)
+        ctx = rec["ctx"]
+        dctx = self._project_bwd(ctx, p + "wo", d_out, grads).reshape(*ctx.shape[:2], H, hd)
+        dctx = _group_heads(_scatter(dctx, rec["out"]), KV)  # (B, KV, G*T, hd)
         probs = rec["probs"]  # (B, KV, G*T, S)
         k = rec["k"].transpose(0, 2, 1, 3)  # (B, KV, S, hd)
 
@@ -638,14 +676,19 @@ class Model:
         dscores = softmax_backward(probs, dprobs, axis=-1)
         dscores /= math.sqrt(hd)
         dq = _gather(_ungroup_heads(dscores @ k, T), kept, lead)
+        dq = _apply_rope_inverse(dq, rec["cos"], rec["sin"]).reshape(*lead, H * hd)
+        dv = _gather(dv.transpose(0, 2, 1, 3), kept, lead).reshape(*lead, KV * hd)
+        if not need_dx:  # the adapters sit on wq and wv; wk's dk would feed dx alone
+            self._project_bwd(rec["xn"], p + "wq", dq, grads, False)
+            self._project_bwd(rec["xn"], p + "wv", dv, grads, False)
+            return None
         dk = _gather((dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3), kept, lead)
-        dv = _gather(dv.transpose(0, 2, 1, 3), kept, lead)
-
-        dq = _apply_rope_inverse(dq, rec["cos"], rec["sin"])
         dk = _apply_rope_inverse(dk, rec["cos"], rec["sin"])
 
-        dxn = self._project_bwd(rec["xn"], p + "wq", dq.reshape(*lead, H * hd), grads)
+        dxn = self._project_bwd(rec["xn"], p + "wq", dq, grads)
         dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(*lead, KV * hd), grads)
-        dxn += self._project_bwd(rec["xn"], p + "wv", dv.reshape(*lead, KV * hd), grads)
-        # residual: out = x + attn(norm(x))
+        dxn += self._project_bwd(rec["xn"], p + "wv", dv, grads)
+        # residual: out = x + attn(norm(x)), x narrowed to the out rows
+        if rec["out"] is not kept:
+            d_out = _scatter(d_out, rec["out"][kept].reshape(lead))
         return d_out + _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)

@@ -125,8 +125,9 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     An (R, V) mask of the ids each live row has seen, set from the prompts
     and by each emitted token, feeds the repetition penalty. A row retires
     at eos or at its budget. A row that cannot start (empty
-    prompt, bad token id, no room) or meets non-finite logits fails alone
-    with its error in its Generation.
+    prompt, bad token id, no room), meets non-finite logits or filters them
+    to non-finite probabilities fails alone with its error in its
+    Generation; the other rows' streams go on untouched.
     """
     limit, vocab = model.config.max_seq_len, model.config.vocab_size
     prompts = [list(p) for p in prompts]
@@ -156,7 +157,8 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     batch[kept] = np.concatenate([prompts[i] for i in live])
     # as many slots as the neediest row's prompt plus budget, not the whole window
     cache = model.new_cache(len(live), max(len(prompts[i]) + budget[i] for i in live))
-    logits = model.forward(batch, cache, kept)[np.cumsum(lengths) - 1]
+    last = kept & (np.arange(kept.shape[1]) == lengths[:, None] - 1)
+    logits = model.forward(batch, cache, kept, read=last)
     cache.lengths[:] = lengths
 
     rngs = [np.random.default_rng(params.seed) for _ in live]
@@ -164,12 +166,19 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     seen[np.nonzero(kept)[0], batch[kept]] = True
     while live:
         finite = np.isfinite(logits).all(axis=1)
-        for row in np.flatnonzero(~finite):
-            out = results[live[row]].tokens
-            error = NumericError(f"non-finite logits at generation step {len(out)}")
-            results[live[row]] = Generation(out, "error", error)
         rows = np.flatnonzero(finite)
-        drawn = draw(filter_logits(logits[rows], seen[rows], params), [rngs[r] for r in rows])
+        probs = filter_logits(logits[rows], seen[rows], params)
+        # an overflowing temperature or penalty leaves a row no distribution
+        drawable = np.isfinite(probs).all(axis=1)
+        failed = [(row, "logits") for row in np.flatnonzero(~finite)]
+        failed += [(row, "probabilities (the temperature or penalty overflowed)")
+                   for row in rows[~drawable]]
+        for row, what in failed:
+            out = results[live[row]].tokens
+            error = NumericError(f"non-finite {what} at generation step {len(out)}")
+            results[live[row]] = Generation(out, "error", error)
+        rows = rows[drawable]
+        drawn = draw(probs[drawable], [rngs[r] for r in rows])
         seen[rows, drawn] = True
         nxt, keep = [], []
         for row, tok in zip(rows.tolist(), drawn.tolist()):

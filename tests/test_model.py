@@ -252,6 +252,69 @@ def test_kept_with_a_gap_is_a_data_error():
     rejects_kept(kept, "first positions")
 
 
+# ------------------------------------------------------------- read positions
+
+READ = np.array([[False, True, False, True], [True, False, False, False]])
+
+
+def rejects_read(read, match):
+    with pytest.raises(DataError, match=match) as err:
+        tiny_model().forward(KEPT_TOKENS, None, KEPT, read=read)
+    assert "\n" not in str(err.value)
+
+
+def test_read_that_is_not_boolean_is_a_data_error():
+    rejects_read(READ.astype(int), "read must be a bool mask")
+
+
+def test_read_of_another_shape_is_a_data_error():
+    rejects_read(READ[:, :3], "read must be a bool mask shaped like the tokens")
+
+
+def test_read_outside_kept_is_a_data_error():
+    read = READ.copy()
+    read[1, 2] = True  # a pad of row 1
+    rejects_read(read, "kept positions only")
+
+
+def test_read_without_a_position_is_a_data_error():
+    rejects_read(np.zeros_like(READ), "at least one position")
+
+
+def ragged_masks(data, B, T):
+    """kept keeping each row's first 1..T positions, and read inside it with
+    at least one position."""
+    lengths = np.array(data.draw(st.lists(st.integers(1, T), min_size=B, max_size=B)))
+    kept = np.arange(T) < lengths[:, None]
+    read = kept & np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=T, max_size=T),
+                                              min_size=B, max_size=B)), dtype=bool)
+    row = data.draw(st.integers(0, B - 1))
+    read[row, data.draw(st.integers(0, lengths[row] - 1))] = True
+    return kept, read
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cached=st.booleans())
+def test_read_forward_equals_the_kept_forward_at_its_positions(data, cached):
+    """The last layer's output side over the read rows alone gives the logits
+    the kept forward gives at those rows, and fills a cache the same way."""
+    model = adapted_gqa_model()
+    B, T = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    kept, read = ragged_masks(data, B, T)
+    tokens = np.array(data.draw(st.lists(st.lists(st.integers(0, 12), min_size=T, max_size=T),
+                                         min_size=B, max_size=B)))
+    caches = [model.new_cache(B) if cached else None for _ in range(2)]
+    got = model.forward(tokens, caches[0], kept, read=read)
+    full = model.forward(tokens, caches[1], kept)
+    want = full[read[kept]]
+    assert got.shape == (read.sum(), model.config.vocab_size)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if cached:
+        for layer in range(model.config.n_layers):
+            assert np.array_equal(caches[0].k[layer], caches[1].k[layer])
+            assert np.array_equal(caches[0].v[layer], caches[1].v[layer])
+
+
 def test_single_position_attends_fully_to_itself():
     model = tiny_model()
     tape = []
@@ -687,6 +750,58 @@ def test_all_false_mask_raises_numeric_error():
         model.loss_and_grads(inputs, labels, np.zeros_like(mask))
 
 
+def test_step_loss_equals_cross_entropy_over_the_kept_forward():
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    rows = mask.any(axis=1)  # the kept forward needs a position in every row
+    inputs, labels, mask = inputs[rows], labels[rows], mask[rows]
+    kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
+    logits = model.forward(inputs, kept=kept)[mask[kept]]
+    want = cross_entropy(logits, labels[mask], np.ones(len(logits), dtype=bool))
+    loss, _ = model.loss_and_grads(inputs, labels, mask)
+    assert abs(loss - want) <= 1e-12 * want
+
+
+def record_rows(monkeypatch, name):
+    """Wrap a module-level op of eyedx.model and keep the row count of its
+    first argument at each call."""
+    rows = []
+    fn = getattr(model_module, name)
+
+    def recording(*args):
+        rows.append(math.prod(args[0].shape[:-1]))
+        return fn(*args)
+
+    monkeypatch.setattr(model_module, name, recording)
+    return rows
+
+
+def test_last_layer_output_side_runs_over_the_loss_rows_alone(monkeypatch):
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    force_shards(monkeypatch, 1)
+    rows = record_rows(monkeypatch, "silu")
+    model.loss_and_grads(inputs, labels, mask)
+    kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
+    assert rows == [kept.sum()] * (model.config.n_layers - 1) + [mask.sum()]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_layer_zero_backward_computes_no_dx(monkeypatch, shards):
+    """Past layer 0's adapter gradients nothing is read: per shard, one
+    norm backward for the final norm and each layer's FFN norm, one for each
+    attention norm but layer 0's, and no dk through layer 0's wk."""
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    force_shards(monkeypatch, shards)
+    norms = record_rows(monkeypatch, "_rmsnorm_bwd")
+    calls = record_calls(model, "_project_bwd")
+    model.loss_and_grads(inputs, labels, mask)
+    assert len(norms) == shards * 2 * model.config.n_layers
+    assert "layers.0.wk" not in calls and "layers.1.wk" in calls
+    assert all(args[4:] == (False,) for args in calls["layers.0.wq"] + calls["layers.0.wv"])
+
+
 # ------------------------------------------------------------- row-sharded training step
 
 
@@ -759,6 +874,33 @@ def test_row_splitter_is_contiguous_and_balanced(data):
 def test_row_splitter_needs_a_weighted_row_per_shard():
     with pytest.raises(ValueError, match="3 shards need 3 rows"):
         model_module._split_rows(np.array([4, 0, 5, 0]), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sharded_step_matches_one_shard_on_random_ragged_batches(data):
+    """Across 1 to 4 shards, loss and gradients agree to 1e-12 relative; not
+    bit for bit, since the rank-2 adapter products round differently at
+    different row counts. Gradients are measured against the largest entry
+    of any of them: where every token is the same, the query adapters'
+    gradients vanish but for rounding."""
+    model = adapted_gqa_model()
+    B, T = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+    kept, mask = ragged_masks(data, B, T)
+    ids = st.lists(st.lists(st.integers(1, 12), min_size=T, max_size=T), min_size=B, max_size=B)
+    inputs = np.where(kept, np.array(data.draw(ids)), 0)
+    labels = np.where(kept, np.array(data.draw(ids)), 0)
+    results = []
+    for shards in range(1, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            force_shards(mp, shards)
+            results.append(model.loss_and_grads(inputs, labels, mask))
+    loss_one, grads_one = results[0]
+    scale = max(np.max(np.abs(g)) for g in grads_one.values())
+    for loss, grads in results[1:]:
+        assert abs(loss - loss_one) <= 1e-12 * loss_one
+        for name, g in grads.items():
+            assert np.max(np.abs(g - grads_one[name])) <= 1e-12 * scale, name
 
 
 def test_sharded_step_computes_the_loss_once_on_the_calling_thread(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eyedx import DataError, NumericError
+from eyedx import model as model_module
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
 from eyedx.sample import DecodeParams, decode, decode_batch, draw, filter_logits
@@ -473,6 +474,21 @@ def test_pad_free_prefill_matches_one_row_prefill(lengths, same, seed):
         assert close(step[row, -1], model.forward(nxt[row], alone)[-1], 1e-5)
 
 
+def test_prefill_runs_one_row_per_prompt_past_the_last_attention(monkeypatch):
+    """Past the last layer's keys and values only each prompt's last token
+    goes on: the last FFN sees one row per prompt."""
+    rows = []
+    silu = model_module.silu
+
+    def recording(z):
+        rows.append(z.shape[0] * z.shape[1])
+        return silu(z)
+
+    monkeypatch.setattr(model_module, "silu", recording)
+    decode_batch(tiny_model(), RAGGED[:3], greedy(1))  # the prefill alone: one token each
+    assert rows == [sum(len(p) for p in RAGGED[:3])] * (CFG.n_layers - 1) + [3]
+
+
 def test_cached_step_keeps_per_row_products():
     """A cached step of one token per row runs each row's products alone, so
     rows whose caches hold as many positions get, bit for bit, the logits
@@ -528,6 +544,35 @@ def test_failing_rows_fail_alone():
         assert got[i].tokens == decode(model, prompts[i], params)
     with pytest.raises(NumericError, match="non-finite"):
         got[1].unwrap()
+
+
+def test_one_overflowing_row_fails_alone(monkeypatch):
+    """A row whose filtered probabilities overflow fails alone; the other rows
+    keep their streams and decode as they do alone."""
+    model = tiny_model()
+    marker = 12  # the prefill logits of a prompt starting with it overflow the temperature
+    forward = model.forward
+
+    def stub(tokens, cache=None, kept=None, **kw):
+        logits = forward(tokens, cache, kept, **kw)
+        if "read" not in kw:
+            return logits
+        logits = logits.astype(np.float64)
+        logits[np.asarray(tokens)[:, 0] == marker] = np.finfo(np.float64).max * 0.95
+        return logits
+
+    monkeypatch.setattr(model, "forward", stub)
+    prompts = [RAGGED[0], [marker] + RAGGED[1], RAGGED[2], RAGGED[4]]
+    params = DecodeParams(max_new_tokens=20, seed=3)
+    with np.errstate(all="ignore"):
+        got = decode_batch(model, prompts, params)
+        assert [g.stop == "error" for g in got] == [False, True, False, False]
+        assert got[1].tokens == []
+        assert "non-finite probabilities" in str(got[1].error)
+        for i in (0, 2, 3):
+            assert got[i].tokens == decode_batch(model, [prompts[i]], params)[0].tokens
+        with pytest.raises(NumericError, match="non-finite probabilities"):
+            decode(model, prompts[1], params)
 
 
 def test_stop_reasons_and_counts():
