@@ -77,8 +77,10 @@ class ModelConfig:
             )
         if self.head_dim % 2:
             raise DataError(f"head dim {self.head_dim} must be even for rotary positions")
-        if self.rope_base <= 0 or self.rmsnorm_eps <= 0:
-            raise DataError("rope_base and rmsnorm_eps must be positive")
+        for name in ("rope_base", "rmsnorm_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be finite and positive, got {value}")
 
     @property
     def head_dim(self) -> int:

@@ -9,17 +9,24 @@ approximately. Greedy decoding is top_k=1 with repetition_penalty=1.
 decode_batch is the one way to decode: it steps a batch of prompts in
 lockstep through one KV cache, and samples all live rows of a step in one
 pass: filter_logits over their (R, V) logits and seen mask, then draw, which
-reproduces each row's Generator.choice.
+reproduces each row's Generator.choice. Where BLAS leaves cores idle, the
+rows run as shards, each but the first in a process forked for the call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, EyedxError, NumericError
-from .model import Model
+from .model import Model, _shard_count, _split_rows
 from .numerics import softmax
 from .tokenizer import EOS_ID, PAD_ID
 
@@ -34,16 +41,17 @@ class DecodeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise DataError(f"temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise DataError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.max_new_tokens < 0:
             raise DataError(f"max_new_tokens must be >= 0, got {self.max_new_tokens}")
         if self.top_k < 1:
             raise DataError(f"top_k must be >= 1, got {self.top_k}")
         if not 0 < self.top_p <= 1:
             raise DataError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.repetition_penalty < 1:
-            raise DataError(f"repetition_penalty must be >= 1, got {self.repetition_penalty}")
+        if not (math.isfinite(self.repetition_penalty) and self.repetition_penalty >= 1):
+            raise DataError(
+                f"repetition_penalty must be finite and >= 1, got {self.repetition_penalty}")
 
 
 def filter_logits(logits: np.ndarray, seen_ids, params: DecodeParams) -> np.ndarray:
@@ -128,6 +136,15 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     prompt, bad token id, no room), meets non-finite logits or filters them
     to non-finite probabilities fails alone with its error in its
     Generation; the other rows' streams go on untouched.
+
+    The rows that can start run as contiguous shards balanced by prompt
+    length plus budget, one per core BLAS leaves idle (model._shard_count):
+    this process steps the first shard, and a child forked for this call
+    steps each other one. Forking waits for a process with no other thread,
+    since a forked child gets only the forking thread; with a thread alive
+    the rows run as one shard here. A row keeps its seed stream in any
+    shard, but its logits may differ in the last bit, as ragged rows round
+    with the batch they step in.
     """
     limit, vocab = model.config.max_seq_len, model.config.vocab_size
     prompts = [list(p) for p in prompts]
@@ -149,14 +166,102 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     if not live:
         return results
 
+    count = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        count = _shard_count(len(live))
+    weights = np.array([len(prompts[i]) + budget[i] for i in live])
+    shards = [live[rows] for rows in _split_rows(weights, count)]
+
+    def run(rows):
+        return _lockstep(model, [prompts[i] for i in rows], [budget[i] for i in rows], params)
+
+    for rows, generations in zip(shards, _fork_map(run, shards)):
+        for i, generation in zip(rows, generations):
+            results[i] = generation
+    return results
+
+
+def _fork_map(fn, items) -> list:
+    """[fn(item) for item in items]: the first in this process, each other in
+    a child forked for it.
+
+    A child sends back its result, or the exception it raised, pickled
+    through a pipe, and leaves through os._exit, so it never flushes this
+    process's stdio buffers or runs its exit handlers. A child's exception
+    is raised here; a child that ends without a result (killed, or its
+    reply would not pickle) is a NumericError. Every child is reaped before
+    this returns or raises; on a raise the ones still running are killed.
+    """
+    children = []  # (pid, read end of its pipe), in item order, not yet reaped
+    try:
+        for item in items[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _child(fn, item, write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [fn(items[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise NumericError(f"a decode worker process ended without a result ({how})")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):  # reaped as the raise came
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(fn, item, write: int):
+    """The forked child's whole life: fn(item), its pickled outcome written
+    to the pipe's write end, then os._exit, status 0 only once it is sent."""
+    code = 1
+    try:
+        try:
+            reply = (True, fn(item))
+        except Exception as exc:  # sent back and raised in the parent
+            reply = (False, exc)
+        data = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Generation]:
+    """decode_batch's continuations of prompts that can start, each with a
+    positive budget."""
+    vocab = model.config.vocab_size
+    results = [Generation([], "budget") for _ in prompts]
+    live = list(range(len(prompts)))
+
     # one pad-free prefill of the right-padded prompts: only the kept, real
     # tokens run, and each row's pad slots lie past its length
-    lengths = np.array([len(prompts[i]) for i in live])
+    lengths = np.array([len(ids) for ids in prompts])
     kept = np.arange(lengths.max()) < lengths[:, None]
     batch = np.full(kept.shape, PAD_ID, dtype=np.int64)
-    batch[kept] = np.concatenate([prompts[i] for i in live])
+    batch[kept] = np.concatenate(prompts)
     # as many slots as the neediest row's prompt plus budget, not the whole window
-    cache = model.new_cache(len(live), max(len(prompts[i]) + budget[i] for i in live))
+    cache = model.new_cache(len(live), int((lengths + budget).max()))
     last = kept & (np.arange(kept.shape[1]) == lengths[:, None] - 1)
     logits = model.forward(batch, cache, kept, read=last)
     cache.lengths[:] = lengths

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eyedx
+from eyedx import sample
 from eyedx.cli import main
 from eyedx.container import load_bundle, read_container, save_model, save_quantized, write_container
 from eyedx.corpus import dedup, render_prompt, split, synthesize, write_jsonl
@@ -328,6 +330,34 @@ def test_infer_quant_on_int4_model_rejected(qlora, capsys):
     assert capsys.readouterr().err == f"data error: {qlora['model']} is already quantized\n"
 
 
+# -- non-finite settings -------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["--temperature", "--repetition-penalty"])
+@pytest.mark.parametrize("command", ["infer", "evaluate"])
+def test_nan_decode_setting_is_a_one_line_data_error(workspace, tmp_path, capsys, command, flag):
+    out = tmp_path / "report.json"
+    argv = {
+        "infer": infer_args(workspace, "--report", FINDINGS),
+        "evaluate": evaluate_args(workspace, out, "--model", str(workspace["model"])),
+    }[command]
+    assert_one_line_data_error(main([*argv, flag, "nan"]), capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["rope_base", "rmsnorm_eps"])
+def test_non_finite_config_in_a_checkpoint_is_a_one_line_data_error(
+    workspace, tmp_path, capsys, name, value
+):
+    model, vocab = load_bundle(workspace["model"])
+    object.__setattr__(model.config, name, value)  # what a hostile header holds
+    bad = tmp_path / "model.olm"
+    save_model(model, bad, vocab=vocab)
+    assert not np.isfinite(read_container(bad)[0]["config"][name])
+    assert_one_line_data_error(main(infer_args({"model": bad}, "--report", FINDINGS)), capsys)
+
+
 # -- unreadable inputs ---------------------------------------------------------
 
 # argv for each input, given the workspace, a file of invalid UTF-8 named
@@ -417,6 +447,27 @@ def test_non_finite_weights_give_one_line_numeric_error(workspace, tmp_path, com
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numeric error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_killed_decode_worker_gives_one_line_numeric_error(
+    workspace, tmp_path, capsys, monkeypatch, single_threaded
+):
+    forward, parent = Model.forward, os.getpid()
+
+    def dying(self, *args, **kw):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(self, *args, **kw)
+
+    monkeypatch.setattr(Model, "forward", dying)
+    monkeypatch.setattr(sample, "_shard_count", lambda rows: min(2, rows))
+    code = main(evaluate_args(workspace, tmp_path / "r.json", "--model", str(workspace["model"])))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric error: a decode worker process ended without a result "
+        f"(killed by signal {int(signal.SIGKILL)})\n"
+    )
 
 
 # -- byte-mutation fuzz --------------------------------------------------------

@@ -55,6 +55,10 @@ def test_config_validation():
         ModelConfig(d_model=12, n_heads=4, n_kv_heads=2)  # head_dim 3
     with pytest.raises(DataError, match="positive"):
         ModelConfig(d_model=0)
+    for name in ("rope_base", "rmsnorm_eps"):
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DataError, match=name):
+                ModelConfig(**{name: bad})
     cfg = ModelConfig()
     assert cfg.head_dim == 32
     assert cfg.kv_dim == 64

@@ -1,5 +1,8 @@
 """Decoding stages, neutrality guarantees, greedy/cache equivalences."""
 
+import os
+import signal
+import threading
 from copy import deepcopy
 from dataclasses import replace
 
@@ -11,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from eyedx import DataError, NumericError
 from eyedx import model as model_module
+from eyedx import sample as sample_module
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
 from eyedx.sample import DecodeParams, decode, decode_batch, draw, filter_logits
@@ -63,6 +67,11 @@ def test_decode_params_validation():
         DecodeParams(top_p=1.5)
     with pytest.raises(DataError):
         DecodeParams(repetition_penalty=0.9)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="finite"):
+            DecodeParams(temperature=bad)
+        with pytest.raises(DataError, match="finite"):
+            DecodeParams(repetition_penalty=bad)
 
 
 # ------------------------------------------------------------- stages
@@ -485,6 +494,7 @@ def test_prefill_runs_one_row_per_prompt_past_the_last_attention(monkeypatch):
         return silu(z)
 
     monkeypatch.setattr(model_module, "silu", recording)
+    monkeypatch.setattr(sample_module, "_shard_count", lambda rows: 1)  # record every row here
     decode_batch(tiny_model(), RAGGED[:3], greedy(1))  # the prefill alone: one token each
     assert rows == [sum(len(p) for p in RAGGED[:3])] * (CFG.n_layers - 1) + [3]
 
@@ -517,6 +527,7 @@ def test_decode_sizes_the_cache_by_need(monkeypatch):
         return caches[-1]
 
     monkeypatch.setattr(model, "new_cache", recording)
+    monkeypatch.setattr(sample_module, "_shard_count", lambda rows: 1)  # one cache per call
     decode_batch(model, [[5, 9, 2], [3, 8, 1, 4, 7], [11]], greedy(6))
     # the neediest row holds 5 prompt tokens and 6 new ones, of a 64-token window
     decode_batch(model, [RAGGED[3], [7, 2]], greedy(20))  # 60 + a budget clamped to 4
@@ -588,3 +599,117 @@ def test_stop_reasons_and_counts():
     assert [g.stop for g in decode_batch(model, RAGGED[:2], DecodeParams(max_new_tokens=0))] == [
         "budget", "budget"
     ]
+
+
+# ------------------------------------------------------------- decode shards
+
+
+def shard_into(monkeypatch, n):
+    """Ask decode_batch for n shards, at most one per live row, and return
+    the pids it forks."""
+    monkeypatch.setattr(sample_module, "_shard_count", lambda rows: min(n, rows))
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(generation):
+    return generation.tokens, generation.stop, type(generation.error), str(generation.error)
+
+
+POISON = 12  # a token whose embedding is NaN: a row that meets it has non-finite logits
+# empty, a bad id, no room, non-finite logits
+FAILING = [[], [3, POISON + 1], list(range(1, 11)) * 7, [4, POISON, 2]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("params", [greedy(20, seed=1), DecodeParams(max_new_tokens=40, seed=1)],
+                         ids=["greedy", "sampled"])
+@pytest.mark.parametrize("shards", [2, 3])
+def test_sharded_decode_equals_one_shard(monkeypatch, single_threaded, dtype, params, shards):
+    """Rows stepped in forked children come back as the Generations one
+    shard gives: tokens, stop reason, error class and message."""
+    model = Model(CFG, init_params(CFG, seed=4, scale=0.5, dtype=dtype))
+    model.params["tok_embed"][POISON] = np.nan
+    prompts = [RAGGED[0], FAILING[0], RAGGED[2], FAILING[1], RAGGED[3], RAGGED[4], FAILING[2],
+               RAGGED[5], FAILING[3], RAGGED[1]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sample_module, "_shard_count", lambda rows: 1)
+        want = [outcome(g) for g in decode_batch(model, prompts, params)]
+    assert {stop for _, stop, _, _ in want} >= {"error", "eos"}
+    forks = shard_into(monkeypatch, shards)
+    got = [outcome(g) for g in decode_batch(model, prompts, params)]
+    assert len(forks) == shards - 1
+    assert got == want
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_killed_worker_is_a_one_line_numeric_error(monkeypatch, single_threaded):
+    model = tiny_model()
+    forward, parent = model.forward, os.getpid()
+
+    def dying(*args, **kw):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(*args, **kw)
+
+    monkeypatch.setattr(model, "forward", dying)
+    forks = shard_into(monkeypatch, 2)
+    with pytest.raises(NumericError, match=f"killed by signal {int(signal.SIGKILL)}") as caught:
+        decode_batch(model, RAGGED, greedy(8))
+    assert len(forks) == 1 and "\n" not in str(caught.value)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_an_error_in_either_process_is_raised_and_every_child_reaped(monkeypatch, single_threaded,
+                                                                      where):
+    """A child's error is raised here as it was raised there; an error in
+    this process's shard kills the children still running."""
+    model = tiny_model()
+    forward, parent = model.forward, os.getpid()
+
+    def failing(*args, **kw):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise NumericError(f"failed in the {where}")
+        return forward(*args, **kw)
+
+    monkeypatch.setattr(model, "forward", failing)
+    forks = shard_into(monkeypatch, 3)
+    with pytest.raises(NumericError, match=f"^failed in the {where}$"):
+        decode_batch(model, RAGGED, DecodeParams(max_new_tokens=30))
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_is_alive(monkeypatch):
+    model = tiny_model()
+    want = [outcome(g) for g in decode_batch(model, RAGGED, DecodeParams(max_new_tokens=20))]
+    forks = shard_into(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = [outcome(g) for g in decode_batch(model, RAGGED, DecodeParams(max_new_tokens=20))]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+    assert got == want
