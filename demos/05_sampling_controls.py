@@ -1,12 +1,13 @@
 """Watch each sampling control reshape a next-token distribution.
 
 filter_logits() applies, in order: repetition penalty, temperature, top-k,
-then nucleus (top-p) filtering, and returns the resulting probabilities.
-This script runs a hand-made logit vector through each stage so the effect
-of every knob is visible in isolation, then shows the two boundary cases
-that anchor the design: neutral settings reduce to a plain softmax, and
-top_k=1 reproduces greedy decoding exactly, checked against the cache-free
-argmax loop in tests/oracles.py.
+then nucleus (top-p) filtering, and returns the resulting probabilities. It
+filters (R, V) rows of logits at once, each row with a bool mask of the ids
+it has seen. This script runs a hand-made row of logits through each stage,
+so the effect of every knob is visible in isolation, then shows the two
+boundary cases that anchor the design: neutral settings reduce to a plain
+softmax, and top_k=1 reproduces greedy decoding exactly, checked against the
+cache-free argmax loop in tests/oracles.py.
 
 Run from the repository root:
 
@@ -27,38 +28,31 @@ from oracles import recompute_greedy  # noqa: E402
 
 names = ["<bos>", "<eos>", "<pad>", "<unk>", "dry", "eye", "macular", "edema"]
 logits = np.array([-9.0, -9.0, -9.0, -9.0, 2.0, 1.2, 0.8, -0.5])
+unseen = np.zeros((1, len(logits)), dtype=bool)  # the row's seen mask: nothing yet
+seen_dry = unseen.copy()
+seen_dry[0, names.index("dry")] = True
+NEUTRAL = dict(temperature=1.0, repetition_penalty=1.0, top_k=8, top_p=1.0)
+
+
+def filtered(seen, **settings):
+    """The logit row, as a batch of one, filtered under the neutral settings
+    with these changes."""
+    return filter_logits(logits[None], seen, DecodeParams(**{**NEUTRAL, **settings}))[0]
 
 
 def show(label, probs):
     cells = "  ".join(f"{n}={p:.3f}" for n, p in zip(names[4:], probs[4:]))
     print(f"{label:34s} {cells}")
 
-
-NEUTRAL = dict(temperature=1.0, repetition_penalty=1.0, top_k=8, top_p=1.0)
-
 # ------------------------------------------------------------------ stages
 
 show("plain softmax", softmax(logits))
 
-show("repetition penalty 1.8 on 'dry'",
-     filter_logits(logits, seen_ids={4}, params=DecodeParams(
-         **{**NEUTRAL, "repetition_penalty": 1.8})))
-
-show("temperature 0.5 (sharper)",
-     filter_logits(logits, seen_ids=set(), params=DecodeParams(
-         **{**NEUTRAL, "temperature": 0.5})))
-
-show("temperature 2.0 (flatter)",
-     filter_logits(logits, seen_ids=set(), params=DecodeParams(
-         **{**NEUTRAL, "temperature": 2.0})))
-
-show("top-k 2",
-     filter_logits(logits, seen_ids=set(), params=DecodeParams(
-         **{**NEUTRAL, "top_k": 2})))
-
-show("top-p 0.7",
-     filter_logits(logits, seen_ids=set(), params=DecodeParams(
-         **{**NEUTRAL, "top_p": 0.7})))
+show("repetition penalty 1.8 on 'dry'", filtered(seen_dry, repetition_penalty=1.8))
+show("temperature 0.5 (sharper)", filtered(unseen, temperature=0.5))
+show("temperature 2.0 (flatter)", filtered(unseen, temperature=2.0))
+show("top-k 2", filtered(unseen, top_k=2))
+show("top-p 0.7", filtered(unseen, top_p=0.7))
 
 # The penalty divides positive logits and multiplies negative ones by the
 # same factor, so a seen token always loses probability, never gains it.
@@ -68,7 +62,7 @@ show("top-p 0.7",
 # With every control at its identity value the pipeline must not editorialize:
 # the output equals softmax(logits) to rounding.
 
-neutral = filter_logits(logits, seen_ids=set(), params=DecodeParams(**NEUTRAL))
+neutral = filtered(unseen)
 print(f"\nneutral settings vs softmax: "
       f"max diff {np.max(np.abs(neutral - softmax(logits))):.2e}")
 

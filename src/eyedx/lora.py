@@ -54,8 +54,8 @@ def init_adapter(
 ) -> LoraAdapter:
     if rank < 1:
         raise DataError(f"adapter rank must be >= 1, got {rank}")
-    if alpha <= 0:
-        raise DataError(f"adapter alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DataError(f"adapter alpha must be finite and positive, got {alpha}")
     shapes = param_shapes(config)
     rng = np.random.default_rng(seed)
     a: dict[str, np.ndarray] = {}
@@ -164,6 +164,6 @@ def load_adapter(path) -> LoraAdapter:
         rank, alpha = int(header["rank"]), float(header["alpha"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: adapter header needs numeric rank and alpha") from exc
-    if rank < 1 or not alpha > 0:
+    if rank < 1 or not (math.isfinite(alpha) and alpha > 0):
         raise DataError(f"{path}: adapter rank {rank} / alpha {alpha} out of range")
     return LoraAdapter(rank=rank, alpha=alpha, a=a, b=b)

@@ -324,9 +324,6 @@ class KVCache:
         self.k[layer][rows, slots] = k_new
         self.v[layer][rows, slots] = v_new
 
-    def advance(self, t: int) -> None:
-        self.lengths += t
-
     def keep(self, rows) -> None:
         """Keep only the given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -409,23 +406,22 @@ class Model:
 
         kept, a bool mask shaped like tokens keeping each row's first
         positions, computes only those: their logits come back as (N, vocab)
-        rows in row-major order, and the pads past them never run. read, a
-        bool mask shaped like tokens inside kept, returns the logits of its
-        positions alone, as (N_read, vocab) rows in row-major order. A cache
-        still advances by T; the caller sets each row's length.
+        rows in row-major order, the pads past them never run, and a cache
+        advances each row by its kept positions alone. read, a bool mask
+        shaped like tokens inside kept, returns the logits of its positions
+        alone, as (N_read, vocab) rows in row-major order.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim not in (1, 2):
             raise DataError(f"tokens must be 1D or 2D, got shape {tokens.shape}")
         tokens2d = tokens[None, :] if tokens.ndim == 1 else tokens
-        if kept is None and read is None:
-            return self._run(tokens2d, cache, None).reshape(*tokens.shape, -1)
         if kept is None:
-            kept = np.ones(tokens2d.shape, dtype=bool)
-        else:
-            kept = _bool_mask("kept", kept, tokens.shape).reshape(tokens2d.shape)
-            if not kept.any(axis=1).all() or (kept[:, 1:] > kept[:, :-1]).any():
-                raise DataError("kept must keep each row's first positions, at least one")
+            if read is not None:
+                raise DataError("read needs kept, the positions it reads from")
+            return self._run(tokens2d, cache, None).reshape(*tokens.shape, -1)
+        kept = _bool_mask("kept", kept, tokens.shape).reshape(tokens2d.shape)
+        if not kept.any(axis=1).all() or (kept[:, 1:] > kept[:, :-1]).any():
+            raise DataError("kept must keep each row's first positions, at least one")
         if read is not None:
             read = _bool_mask("read", read, tokens.shape).reshape(tokens2d.shape)
             if (read > kept).any():
@@ -485,7 +481,7 @@ class Model:
             x = self._attention(x, i, cache, cos, sin, positions, tape, kept, out)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
-            cache.advance(tokens.shape[1])
+            cache.lengths += kept.sum(axis=1)
 
         xn, inv = _rmsnorm_fwd(x, self.params["final_norm"], cfg.rmsnorm_eps)
         logits = xn @ self.params["lm_head"]

@@ -25,54 +25,44 @@ def softmax_backward(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarra
 
 
 def _loss_rows(logits, targets, mask):
-    """The logits and targets of the mask=True positions, and their count.
-
-    targets and mask share a shape; logits is that shape plus a vocabulary
-    axis, or (n, V): the n mask=True positions' rows alone, in row-major order.
-    """
+    """The targets of the mask=True positions and their count n, once logits
+    is checked to be (n, V): those positions' rows, in row-major order."""
     n = int(mask.sum())
-    if targets.shape != mask.shape or logits.shape[:-1] not in (mask.shape, (n,)):
+    if targets.shape != mask.shape or logits.shape[:-1] != (n,):
         raise NumericError(
             f"cross_entropy shape mismatch: logits {logits.shape}, "
             f"targets {targets.shape}, mask {mask.shape}"
         )
     if n == 0:
         raise NumericError("cross_entropy: mask selects no positions")
-    rows = logits if logits.shape[:-1] == (n,) else logits[mask]
-    return rows, targets[mask], n
+    return targets[mask], n
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
     """Mean of -log p(target) over positions where mask is true.
 
-    Prompt and padding positions carry mask=False and contribute nothing, to
-    the loss or to its gradient; logits may hold only the mask=True rows
-    (_loss_rows). Either way the per-position losses are summed in mask's
-    shape, zeros at mask=False, so the two forms give the same float.
+    logits holds the mask=True positions' rows alone (_loss_rows); prompt and
+    padding positions contribute nothing, to the loss or to its gradient. The
+    per-position losses are summed in mask's shape, zeros at mask=False.
     """
-    rows, targets, n = _loss_rows(logits, targets, mask)
-    shifted = rows - rows.max(axis=-1, keepdims=True)
+    targets, n = _loss_rows(logits, targets, mask)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1))
-    nll = np.zeros(mask.shape, dtype=rows.dtype)
+    nll = np.zeros(mask.shape, dtype=logits.dtype)
     nll[mask] = logz - np.take_along_axis(shifted, targets[:, None], axis=-1)[:, 0]
     return float(nll.sum() / n)
 
 
 def cross_entropy_backward(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """d loss / d logits, shaped like logits: (softmax - onehot) / n on the
-    mask=True rows, zero on the others."""
-    rows, targets, n = _loss_rows(logits, targets, mask)
-    probs = softmax(rows, axis=-1)
+    """d loss / d logits, shaped like logits: (softmax - onehot) / n."""
+    targets, n = _loss_rows(logits, targets, mask)
+    probs = softmax(logits, axis=-1)
     np.put_along_axis(
         probs, targets[:, None], np.take_along_axis(probs, targets[:, None], axis=-1) - 1.0, axis=-1
     )
     # 1 / n divided in the logits' dtype; a Python 1 / n would round twice on the way to float32
     probs *= probs.dtype.type(1) / n
-    if rows is logits:
-        return probs
-    grad = np.zeros_like(logits)
-    grad[mask] = probs
-    return grad
+    return probs
 
 
 def silu(z: np.ndarray) -> np.ndarray:

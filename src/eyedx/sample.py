@@ -54,25 +54,23 @@ class DecodeParams:
                 f"repetition_penalty must be finite and >= 1, got {self.repetition_penalty}")
 
 
-def filter_logits(logits: np.ndarray, seen_ids, params: DecodeParams) -> np.ndarray:
+def filter_logits(logits: np.ndarray, seen: np.ndarray, params: DecodeParams) -> np.ndarray:
     """Each row's probability vector after all active stages, every row at once.
 
-    logits is (R, V) with seen_ids an (R, V) bool mask of the ids each row
-    has seen, or one row's (V,) logits with an iterable of its seen ids. The
-    result has the shape of logits, and each row is, bit for bit, what that
-    row filtered alone gives. Rows must be finite.
+    logits is (R, V) and seen an (R, V) bool mask of the ids each row has
+    seen. The result is (R, V), and each row is, bit for bit, what that row
+    filtered alone gives. Rows must be finite.
     """
-    z = np.atleast_2d(logits).astype(np.float64)
+    logits, seen = np.asarray(logits), np.asarray(seen)
+    if logits.ndim != 2 or seen.dtype != bool or seen.shape != logits.shape:
+        raise DataError(f"filter_logits takes (R, V) logits and a bool seen mask of their "
+                        f"shape, got logits {logits.shape} and seen {seen.dtype} {seen.shape}")
+    z = logits.astype(np.float64)
     vocab = z.shape[1]
-    if np.ndim(logits) == 1:
-        ids = np.fromiter(seen_ids, dtype=np.int64)
-        if ((ids < 0) | (ids >= vocab)).any():
-            raise DataError(f"seen token id out of range [0, {vocab}): {ids.min()}..{ids.max()}")
-        seen_ids = np.isin(np.arange(vocab), ids)[None]
 
     if params.repetition_penalty != 1.0:
         penalty = params.repetition_penalty
-        z = np.where(seen_ids, np.where(z > 0, z / penalty, z * penalty), z)
+        z = np.where(seen, np.where(z > 0, z / penalty, z * penalty), z)
 
     if params.temperature != 1.0:
         z = z / params.temperature
@@ -92,7 +90,7 @@ def filter_logits(logits: np.ndarray, seen_ids, params: DecodeParams) -> np.ndar
         np.put_along_axis(probs, order, ranked, axis=1)
 
     probs /= probs.sum(axis=1, keepdims=True)
-    return probs.reshape(np.shape(logits))
+    return probs
 
 
 def draw(probs: np.ndarray, rngs) -> np.ndarray:
@@ -264,7 +262,6 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
     cache = model.new_cache(len(live), int((lengths + budget).max()))
     last = kept & (np.arange(kept.shape[1]) == lengths[:, None] - 1)
     logits = model.forward(batch, cache, kept, read=last)
-    cache.lengths[:] = lengths
 
     rngs = [np.random.default_rng(params.seed) for _ in live]
     seen = np.zeros((len(live), vocab), dtype=bool)

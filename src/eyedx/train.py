@@ -8,6 +8,7 @@ gradient of one batch k times the size exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -32,17 +33,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "learning_rate",
-            "batch_size",
-            "max_seq_len",
-            "grad_accum_steps",
-            "lora_r",
-            "lora_alpha",
-            "epochs",
-        ):
+        for name in ("batch_size", "max_seq_len", "grad_accum_steps", "lora_r", "epochs"):
             if getattr(self, name) <= 0:
                 raise DataError(f"TrainConfig.{name} must be positive")
+        for name in ("learning_rate", "lora_alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"TrainConfig.{name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -133,7 +133,7 @@ def test_analytic_gradients_match_finite_differences():
     mask[0, 0] = True
 
     def loss():
-        return cross_entropy(model.forward(inputs), labels, mask)
+        return cross_entropy(model.forward(inputs)[mask], labels, mask)
 
     _, grads = model.loss_and_grads(inputs, labels, mask)
     checked = {}
@@ -404,7 +404,8 @@ def test_sampling_neutrality_and_greedy_equivalence(pipeline):
     neutral = DecodeParams(
         temperature=1.0, max_new_tokens=1, repetition_penalty=1.0, top_k=4, top_p=1.0, seed=0
     )
-    probs = filter_logits(logits, [0, 1, 2], neutral)
+    seen = np.isin(np.arange(4), [0, 1, 2])[None]
+    probs = filter_logits(logits[None], seen, neutral)[0]
     expected = softmax(logits.astype(np.float64))
     assert np.allclose(probs, expected, atol=1e-12)
 

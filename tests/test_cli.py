@@ -345,6 +345,26 @@ def test_nan_decode_setting_is_a_one_line_data_error(workspace, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["learning_rate", "lora_alpha"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_non_finite_train_setting_is_a_one_line_data_error(workspace, tmp_path, capsys, form,
+                                                           name, value):
+    out = tmp_path / "adapter.olm"
+    argv = ["train", "--data", str(workspace["data"]), "--out", str(out),
+            "--epochs", "1", "--batch-size", "16"]
+    if form == "flag":
+        argv += ["--" + name.replace("_", "-"), value]
+    else:
+        config = tmp_path / "train.conf"
+        config.write_text(f"{name} = {value}\n")
+        argv += ["--config", str(config)]
+    assert_one_line_data_error(main(argv), capsys)
+    # nothing is written: no adapter, no training log, no base model
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == (["train.conf"] if form == "config" else [])
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["rope_base", "rmsnorm_eps"])
 def test_non_finite_config_in_a_checkpoint_is_a_one_line_data_error(

@@ -69,6 +69,12 @@ def test_rank_bounds():
     init_adapter(CFG, rank=8, alpha=16.0)  # largest legal rank fits
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_alpha_must_be_finite_and_positive(alpha):
+    with pytest.raises(DataError, match="alpha must be finite and positive"):
+        init_adapter(CFG, rank=2, alpha=alpha)
+
+
 def test_double_attach_rejected():
     model = fresh_model()
     attach(model, rank=2, alpha=4.0)
@@ -214,7 +220,7 @@ def test_adapter_gradcheck_float64():
     mask = np.ones((2, 6), dtype=bool)
 
     def loss():
-        return cross_entropy(model.forward(inputs), labels, mask)
+        return cross_entropy(model.forward(inputs)[mask], labels, mask)
 
     _, grads = model.loss_and_grads(inputs, labels, mask)
     for t in adapter.targets:
@@ -253,7 +259,8 @@ def test_load_adapter_rejects_bad_rank_or_alpha(tmp_path):
     good = tmp_path / "adapter.bin"
     save_adapter(init_adapter(CFG, rank=4, alpha=16.0), good)
     header, tensors = read_container(good)
-    for change in ({"rank": None}, {"rank": "four"}, {"rank": 0}, {"alpha": -1.0}, {"alpha": []}):
+    for change in ({"rank": None}, {"rank": "four"}, {"rank": 0}, {"alpha": -1.0}, {"alpha": []},
+                   {"alpha": float("inf")}, {"alpha": float("nan")}):
         path = tmp_path / "bad.bin"
         write_container(path, {**header, **change}, tensors)
         with pytest.raises(DataError, match="rank|alpha"):

@@ -233,6 +233,18 @@ def test_kept_forward_returns_the_kept_positions_logits():
     assert model.forward(KEPT_TOKENS[0], None, KEPT[0]).shape == (4, TINY.vocab_size)
 
 
+def test_kept_prefill_advances_each_cached_row_by_its_kept_positions():
+    model = tiny_model()
+    cache = model.new_cache(2)
+    model.forward(KEPT_TOKENS, cache, KEPT)
+    assert cache.lengths.tolist() == KEPT.sum(axis=1).tolist() == [4, 2]
+    # the next token of each row goes to its own next slot
+    step = model.forward(np.array([[6], [6]]), cache)
+    assert cache.lengths.tolist() == [5, 3]
+    full = model.forward(np.array([2, 4, 6]))[-1]
+    assert np.max(np.abs(step[1, -1] - full)) <= 1e-5 * np.max(np.abs(full))
+
+
 def test_kept_of_another_shape_is_a_data_error():
     rejects_kept(KEPT[:, :3], "shaped like the tokens")
     rejects_kept(KEPT[0], "shaped like the tokens")
@@ -264,6 +276,12 @@ READ = np.array([[False, True, False, True], [True, False, False, False]])
 def rejects_read(read, match):
     with pytest.raises(DataError, match=match) as err:
         tiny_model().forward(KEPT_TOKENS, None, KEPT, read=read)
+    assert "\n" not in str(err.value)
+
+
+def test_read_without_kept_is_a_data_error():
+    with pytest.raises(DataError, match="read needs kept") as err:
+        tiny_model().forward(KEPT_TOKENS, None, read=READ)
     assert "\n" not in str(err.value)
 
 
@@ -700,7 +718,7 @@ def test_pad_free_step_matches_grid_forward_and_one_row_calls():
     model = adapted_gqa_model()
     inputs, labels, mask, real = ragged_batch(model.config.vocab_size)
     loss, grads = model.loss_and_grads(inputs, labels, mask)
-    assert abs(loss - cross_entropy(model.forward(inputs), labels, mask)) < 1e-12
+    assert abs(loss - cross_entropy(model.forward(inputs)[mask], labels, mask)) < 1e-12
 
     # the batch gradient is the loss-position-weighted mean of each row's own
     expect = {name: np.zeros_like(g) for name, g in grads.items()}

@@ -87,13 +87,13 @@ def perfect_logits(targets, vocab=7, sharp=200.0):
 def test_cross_entropy_zero_when_target_certain():
     targets = np.array([[1, 3, 5]])
     mask = np.ones_like(targets, dtype=bool)
-    assert cross_entropy(perfect_logits(targets), targets, mask) < 1e-12
+    assert cross_entropy(perfect_logits(targets)[mask], targets, mask) < 1e-12
 
 
 def test_cross_entropy_uniform_is_log_vocab():
     targets = np.array([[0, 1, 2]])
     mask = np.ones_like(targets, dtype=bool)
-    loss = cross_entropy(np.zeros((1, 3, 9)), targets, mask)
+    loss = cross_entropy(np.zeros((3, 9)), targets, mask)
     assert np.isclose(loss, np.log(9))
 
 
@@ -102,18 +102,22 @@ def test_cross_entropy_averages_over_unmasked_only():
     mask = np.array([[False, True]])
     logits = np.zeros((1, 2, 4))
     logits[0, 0] = [100, 0, 0, 0]  # masked position, would be loss 0
-    loss = cross_entropy(logits, targets, mask)
+    loss = cross_entropy(logits[mask], targets, mask)
     assert np.isclose(loss, np.log(4))  # only the uniform unmasked position counts
 
 
 def test_cross_entropy_shape_mismatch():
     with pytest.raises(NumericError, match="shape"):
         cross_entropy(np.zeros((2, 3, 5)), np.zeros((2, 4), dtype=int), np.ones((2, 4), bool))
+    # logits hold the mask's rows alone: not the grid, nor another count of rows
+    for logits in (np.zeros((2, 4, 5)), np.zeros((7, 5))):
+        with pytest.raises(NumericError, match="shape"):
+            cross_entropy(logits, np.zeros((2, 4), dtype=int), np.ones((2, 4), bool))
 
 
 def test_cross_entropy_empty_mask_rejected():
     with pytest.raises(NumericError, match="mask"):
-        cross_entropy(np.zeros((1, 2, 4)), np.zeros((1, 2), int), np.zeros((1, 2), bool))
+        cross_entropy(np.zeros((0, 4)), np.zeros((1, 2), int), np.zeros((1, 2), bool))
 
 
 def test_cross_entropy_backward_closed_form():
@@ -121,28 +125,29 @@ def test_cross_entropy_backward_closed_form():
     logits = RNG.standard_normal((2, 4, 6))
     targets = RNG.integers(0, 6, (2, 4))
     mask = np.array([[True, True, False, True], [False, True, True, True]])
-    grad = cross_entropy_backward(logits, targets, mask)
+    grad = cross_entropy_backward(logits[mask], targets, mask)
     n = mask.sum()
     expect = softmax(logits, axis=-1)
     for b in range(2):
         for t in range(4):
             expect[b, t, targets[b, t]] -= 1.0
     expect *= mask[..., None] / n
-    assert np.allclose(grad, expect, atol=1e-12)
+    assert np.allclose(grad, expect[mask], atol=1e-12)
 
 
 def test_cross_entropy_backward_vs_oracle_and_masked_zeros():
     logits = RNG.standard_normal((2, 3, 5))
     targets = RNG.integers(0, 5, (2, 3))
     mask = np.array([[True, False, True], [True, True, False]])
-    grad = cross_entropy_backward(logits, targets, mask)
-    num = finite_difference(lambda v: cross_entropy(v, targets, mask), logits.copy())
-    assert grad_relative_error(grad, num) < 1e-6
-    assert np.all(grad[~mask] == 0.0)
+    grad = cross_entropy_backward(logits[mask], targets, mask)
+    # differenced over the whole grid: the masked positions' logits reach no loss
+    num = finite_difference(lambda v: cross_entropy(v[mask], targets, mask), logits.copy())
+    assert grad_relative_error(grad, num[mask]) < 1e-6
+    assert np.all(num[~mask] == 0.0)
 
 
 def test_cross_entropy_backward_keeps_float32():
     logits = RNG.standard_normal((2, 3, 5)).astype(np.float32)
     targets = RNG.integers(0, 5, (2, 3))
     mask = np.array([[True, False, True], [True, True, False]])
-    assert cross_entropy_backward(logits, targets, mask).dtype == np.float32
+    assert cross_entropy_backward(logits[mask], targets, mask).dtype == np.float32

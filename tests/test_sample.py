@@ -42,6 +42,13 @@ def neutral(**kw):
     return DecodeParams(**base)
 
 
+def filter_row(logits, seen_ids, params):
+    """filter_logits on one (V,) row of logits that has seen seen_ids, passed
+    as a batch of one row."""
+    seen = np.isin(np.arange(len(logits)), list(seen_ids))[None]
+    return filter_logits(logits[None], seen, params)[0]
+
+
 # ------------------------------------------------------------- params
 
 
@@ -80,20 +87,20 @@ def test_decode_params_validation():
 def test_repetition_penalty_adopted_convention():
     # a seen token's positive logit 2.6 shrinks to 2.0 under penalty 1.3
     logits = np.array([2.6, 1.0, -1.3, 0.0])
-    probs = filter_logits(logits, seen_ids={0, 2}, params=neutral(repetition_penalty=1.3))
+    probs = filter_row(logits, {0, 2}, neutral(repetition_penalty=1.3))
     adjusted = np.array([2.0, 1.0, -1.69, 0.0])  # negative logits are multiplied
     assert np.allclose(probs, softmax(adjusted), atol=1e-12)
 
 
 def test_temperature_stage():
     logits = RNG.standard_normal(9)
-    probs = filter_logits(logits, set(), neutral(temperature=0.5))
+    probs = filter_row(logits, set(), neutral(temperature=0.5))
     assert np.allclose(probs, softmax(logits / 0.5), atol=1e-12)
 
 
 def test_top_k_keeps_k_largest():
     logits = np.array([0.1, 3.0, 2.0, -1.0, 2.5])
-    probs = filter_logits(logits, set(), neutral(top_k=3))
+    probs = filter_row(logits, set(), neutral(top_k=3))
     assert (probs > 0).sum() == 3
     assert set(np.nonzero(probs)[0]) == {1, 2, 4}
     expect = softmax(np.array([3.0, 2.0, 2.5]))
@@ -104,21 +111,21 @@ def test_top_p_smallest_sufficient_set():
     # probabilities 0.5, 0.3, 0.15, 0.05; thresholds sit off the cumulative
     # boundaries because 0.5 + 0.3 is 0.7999... in binary
     logits = np.log(np.array([0.5, 0.3, 0.15, 0.05]))
-    probs = filter_logits(logits, set(), neutral(top_p=0.79))
+    probs = filter_row(logits, set(), neutral(top_p=0.79))
     assert np.allclose(probs, [0.625, 0.375, 0.0, 0.0], atol=1e-9)
-    probs = filter_logits(logits, set(), neutral(top_p=0.81))
+    probs = filter_row(logits, set(), neutral(top_p=0.81))
     assert (probs > 0).sum() == 3
 
 
 def test_top_p_always_keeps_top_token():
     logits = np.array([5.0, 0.0, 0.0])
-    probs = filter_logits(logits, set(), neutral(top_p=0.01))
+    probs = filter_row(logits, set(), neutral(top_p=0.01))
     assert probs[0] == 1.0
 
 
 def test_neutral_params_reduce_to_plain_softmax():
     logits = RNG.standard_normal(16) * 3
-    probs = filter_logits(logits, set(range(8)), neutral())
+    probs = filter_row(logits, set(range(8)), neutral())
     assert np.allclose(probs, softmax(logits), atol=1e-12)
 
 
@@ -166,7 +173,7 @@ def test_neutral_value_removes_exactly_that_stage():
         kw[param] = neutral_value
         ref_kw = dict(ref_active)
         ref_kw[ref_key] = None
-        got = filter_logits(logits, seen, neutral(**kw))
+        got = filter_row(logits, seen, neutral(**kw))
         expect = reference_pipeline(logits, seen, **ref_kw)
         assert np.allclose(got, expect, atol=1e-12), param
 
@@ -174,18 +181,27 @@ def test_neutral_value_removes_exactly_that_stage():
 def test_full_pipeline_matches_reference():
     logits = RNG.standard_normal(15) * 3
     seen = {1, 2, 10}
-    got = filter_logits(
+    got = filter_row(
         logits, seen, neutral(repetition_penalty=1.3, temperature=0.9, top_k=7, top_p=0.85)
     )
     expect = reference_pipeline(logits, seen, penalty=1.3, temperature=0.9, top_k=7, top_p=0.85)
     assert np.allclose(got, expect, atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [-1, 4])
-def test_seen_id_out_of_range_is_a_data_error(bad):
-    # -1 would otherwise wrap round to penalise the last token
-    with pytest.raises(DataError, match=r"out of range \[0, 4\)") as err:
-        filter_logits(np.ones(4), {bad}, DecodeParams())
+@pytest.mark.parametrize(
+    "logits, seen",
+    [
+        (np.ones(4), np.zeros(4, dtype=bool)),
+        (np.ones((1, 2, 4)), np.zeros((1, 2, 4), dtype=bool)),
+        (np.ones((2, 4)), np.zeros((2, 3), dtype=bool)),
+        (np.ones((2, 4)), np.zeros((2, 4), dtype=np.int64)),
+        (np.ones((1, 4)), [[0, 3]]),
+    ],
+    ids=["one-row", "three-axes", "seen-of-another-shape", "seen-of-ints", "seen-as-ids"],
+)
+def test_filter_logits_takes_rows_and_a_bool_seen_mask_of_their_shape(logits, seen):
+    with pytest.raises(DataError, match=r"filter_logits takes \(R, V\) logits") as err:
+        filter_logits(logits, seen, DecodeParams())
     assert "\n" not in str(err.value)
 
 
@@ -215,7 +231,8 @@ def test_row_wise_filter_equals_the_per_row_filter(
     for row in range(rows):
         want = filter_logits_row(logits[row], np.flatnonzero(seen[row]), params)
         assert np.array_equal(got[row], want)
-        assert np.array_equal(filter_logits(logits[row], np.flatnonzero(seen[row]), params), want)
+        alone = filter_logits(logits[row : row + 1], seen[row : row + 1], params)
+        assert np.array_equal(alone[0], want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,7 +485,7 @@ def test_pad_free_prefill_matches_one_row_prefill(lengths, same, seed):
     cache = model.new_cache(len(prompts))
     logits = model.forward(batch, cache, kept)
     assert logits.shape == (lengths.sum(), CFG.vocab_size)
-    cache.lengths[:] = lengths
+    assert np.array_equal(cache.lengths, lengths)
     nxt = rng.integers(0, CFG.vocab_size, (len(prompts), 1))
     step = model.forward(nxt, cache)
 

@@ -45,6 +45,10 @@ def test_train_config_defaults_and_validation():
         TrainConfig(epochs=0)
     with pytest.raises(DataError):
         TrainConfig(learning_rate=-1.0)
+    for name in ("learning_rate", "lora_alpha"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match=f"TrainConfig.{name} must be finite"):
+                TrainConfig(**{name: bad})
 
 
 # ------------------------------------------------------------- make_batch
