@@ -11,9 +11,10 @@ Weights live in a flat dict keyed "tok_embed", "layers.{i}.wq", ...,
 hand in loss_and_grads, computes only the attached adapter's gradients, and
 the finite-difference oracle in tests/oracles.py keeps it honest.
 
-A forward runs token-major over the positions a kept mask selects, the
-loss's reach in training and the real tokens in a prefill: each token-wise
-op is one GEMM per weight, and only attention sees the (batch, seq) grid. A
+One masked run, _run, serves forward, the decode prefill and the training
+step. It goes token-major over the positions a kept mask selects, the loss's
+reach in training and the real tokens in a prefill: each token-wise op is
+one GEMM per weight, and only attention sees the (batch, seq) grid. A
 cached step of one token per row keeps per-row products: faster there, and
 each row's products match one-row decoding bit for bit. From the last
 layer's output projection on, only the positions whose logits are read run:
@@ -205,14 +206,6 @@ def _gather(grid: np.ndarray, kept: np.ndarray, lead: tuple) -> np.ndarray:
     return rows.reshape(lead + grid.shape[2:])
 
 
-def _bool_mask(name: str, mask, shape: tuple) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != shape:
-        raise DataError(f"{name} must be a bool mask shaped like the tokens {shape}, "
-                        f"got {mask.dtype} {mask.shape}")
-    return mask
-
-
 # ------------------------------------------------------------------ row shards
 
 
@@ -398,37 +391,15 @@ class Model:
 
     # -- forward --
 
-    def forward(self, tokens, cache: KVCache | None = None, kept=None, *,
-                read=None) -> np.ndarray:
+    def forward(self, tokens, cache: KVCache | None = None) -> np.ndarray:
         """Logits for each input position: (T, vocab) for a 1D token array,
         (B, T, vocab) for a batch. With a cache, row b of tokens is the new
-        segment appended after cache.lengths[b] and only it gets logits.
-
-        kept, a bool mask shaped like tokens keeping each row's first
-        positions, computes only those: their logits come back as (N, vocab)
-        rows in row-major order, the pads past them never run, and a cache
-        advances each row by its kept positions alone. read, a bool mask
-        shaped like tokens inside kept, returns the logits of its positions
-        alone, as (N_read, vocab) rows in row-major order.
-        """
+        segment appended after cache.lengths[b] and only it gets logits."""
         tokens = np.asarray(tokens)
         if tokens.ndim not in (1, 2):
             raise DataError(f"tokens must be 1D or 2D, got shape {tokens.shape}")
         tokens2d = tokens[None, :] if tokens.ndim == 1 else tokens
-        if kept is None:
-            if read is not None:
-                raise DataError("read needs kept, the positions it reads from")
-            return self._run(tokens2d, cache, None).reshape(*tokens.shape, -1)
-        kept = _bool_mask("kept", kept, tokens.shape).reshape(tokens2d.shape)
-        if not kept.any(axis=1).all() or (kept[:, 1:] > kept[:, :-1]).any():
-            raise DataError("kept must keep each row's first positions, at least one")
-        if read is not None:
-            read = _bool_mask("read", read, tokens.shape).reshape(tokens2d.shape)
-            if (read > kept).any():
-                raise DataError("read must name kept positions only")
-            if not read.any():
-                raise DataError("read must name at least one position")
-        return self._run(tokens2d, cache, None, kept, read).reshape(-1, self.config.vocab_size)
+        return self._run(tokens2d, cache, None).reshape(*tokens.shape, -1)
 
     def _positions(self, tokens, cache):
         """Positions (B, T) of tokens (B, T) after the cache's rows, from 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -52,6 +53,8 @@ class DecodeParams:
         if not (math.isfinite(self.repetition_penalty) and self.repetition_penalty >= 1):
             raise DataError(
                 f"repetition_penalty must be finite and >= 1, got {self.repetition_penalty}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DataError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 def filter_logits(logits: np.ndarray, seen: np.ndarray, params: DecodeParams) -> np.ndarray:
@@ -261,7 +264,7 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
     # as many slots as the neediest row's prompt plus budget, not the whole window
     cache = model.new_cache(len(live), int((lengths + budget).max()))
     last = kept & (np.arange(kept.shape[1]) == lengths[:, None] - 1)
-    logits = model.forward(batch, cache, kept, read=last)
+    logits = model._run(batch, cache, None, kept, last).reshape(-1, vocab)
 
     rngs = [np.random.default_rng(params.seed) for _ in live]
     seen = np.zeros((len(live), vocab), dtype=bool)

@@ -9,6 +9,7 @@ gradient of one batch k times the size exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -40,6 +41,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DataError(f"TrainConfig.{name} must be finite and positive, got {value}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DataError(f"TrainConfig.seed must be an integer >= 0, got {self.seed}")
 
 
 @dataclass
@@ -204,5 +207,8 @@ def train(
                 elapsed = max(time.perf_counter() - started, 1e-9)
                 tokens_per_sec = input_tokens / elapsed
                 log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={tokens_per_sec:.1f}")
+    if result.steps == 0:
+        raise DataError(f"no optimizer step ran: all {len(records)} records were skipped, "
+                        f"none leaves room for a target within max_seq_len {config.max_seq_len}")
     result.seconds = time.perf_counter() - t0
     return result

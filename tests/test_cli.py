@@ -365,6 +365,30 @@ def test_non_finite_train_setting_is_a_one_line_data_error(workspace, tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == (["train.conf"] if form == "config" else [])
 
 
+@pytest.mark.parametrize("command", ["train", "infer", "evaluate", "bench"])
+def test_negative_seed_is_a_one_line_data_error(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    model, data = str(workspace["model"]), str(workspace["data"])
+    argv = {
+        "train": ["train", "--data", data, "--out", str(out)],
+        "infer": infer_args(workspace, "--report", FINDINGS),
+        "evaluate": evaluate_args(workspace, out, "--model", model),
+        "bench": ["bench", "--model", model, "--data", data],
+    }[command]
+    assert main([*argv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"data error: (TrainConfig\.)?seed must be an integer >= 0, got -1\n", err)
+    assert list(tmp_path.iterdir()) == []  # no adapter, log, base model or report
+
+
+def test_train_that_skips_every_record_is_a_one_line_data_error(workspace, tmp_path, capsys):
+    out = tmp_path / "adapter.olm"
+    argv = ["train", "--data", str(workspace["data"]), "--out", str(out),
+            "--model", str(workspace["model"]), "--max-seq-len", "1"]
+    assert_one_line_data_error(main(argv), capsys)
+    assert list(tmp_path.iterdir()) == []  # no adapter, no training log
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["rope_base", "rmsnorm_eps"])
 def test_non_finite_config_in_a_checkpoint_is_a_one_line_data_error(

@@ -209,98 +209,38 @@ def test_forward_rejects_an_empty_batch_and_a_third_axis():
         model.forward(np.zeros((2, 3, 4), dtype=int))
 
 
-# ------------------------------------------------------------- kept positions
+# ------------------------------------------------------------- kept and read positions
 
 KEPT_TOKENS = np.array([[3, 5, 7, 1], [2, 4, 2, 2]])
 KEPT = np.array([[True, True, True, True], [True, True, False, False]])
 
 
-def rejects_kept(kept, match):
-    with pytest.raises(DataError, match=match) as err:
-        tiny_model().forward(KEPT_TOKENS, None, kept)
-    assert "\n" not in str(err.value)
+def kept_logits(model, tokens, cache, kept, read=None):
+    """The masked run the prefill and the training step call, its logits as
+    (N_read, vocab) rows in row-major order."""
+    return model._run(tokens, cache, None, kept, read).reshape(-1, model.config.vocab_size)
 
 
 def test_kept_forward_returns_the_kept_positions_logits():
     model = tiny_model()
-    got = model.forward(KEPT_TOKENS, None, KEPT)
+    got = kept_logits(model, KEPT_TOKENS, None, KEPT)
     assert got.shape == (6, TINY.vocab_size)
     full = model.forward(KEPT_TOKENS)
     assert np.max(np.abs(got[:4] - full[0])) <= 1e-6 * np.max(np.abs(full[0]))
     alone = model.forward(KEPT_TOKENS[1, :2])
     assert np.max(np.abs(got[4:] - alone)) <= 1e-6 * np.max(np.abs(alone))
-    # 1D tokens take a 1D mask
-    assert model.forward(KEPT_TOKENS[0], None, KEPT[0]).shape == (4, TINY.vocab_size)
 
 
 def test_kept_prefill_advances_each_cached_row_by_its_kept_positions():
     model = tiny_model()
     cache = model.new_cache(2)
-    model.forward(KEPT_TOKENS, cache, KEPT)
+    kept_logits(model, KEPT_TOKENS, cache, KEPT)
     assert cache.lengths.tolist() == KEPT.sum(axis=1).tolist() == [4, 2]
     # the next token of each row goes to its own next slot
     step = model.forward(np.array([[6], [6]]), cache)
     assert cache.lengths.tolist() == [5, 3]
     full = model.forward(np.array([2, 4, 6]))[-1]
     assert np.max(np.abs(step[1, -1] - full)) <= 1e-5 * np.max(np.abs(full))
-
-
-def test_kept_of_another_shape_is_a_data_error():
-    rejects_kept(KEPT[:, :3], "shaped like the tokens")
-    rejects_kept(KEPT[0], "shaped like the tokens")
-
-
-def test_kept_that_is_not_boolean_is_a_data_error():
-    rejects_kept(KEPT.astype(int), "bool mask")
-    rejects_kept(KEPT.astype(float), "bool mask")
-
-
-def test_kept_row_without_a_position_is_a_data_error():
-    kept = KEPT.copy()
-    kept[1] = False
-    rejects_kept(kept, "first positions, at least one")
-
-
-def test_kept_with_a_gap_is_a_data_error():
-    # a dropped position before a kept one would leave a zero key in its view
-    kept = KEPT.copy()
-    kept[0, 1] = False
-    rejects_kept(kept, "first positions")
-
-
-# ------------------------------------------------------------- read positions
-
-READ = np.array([[False, True, False, True], [True, False, False, False]])
-
-
-def rejects_read(read, match):
-    with pytest.raises(DataError, match=match) as err:
-        tiny_model().forward(KEPT_TOKENS, None, KEPT, read=read)
-    assert "\n" not in str(err.value)
-
-
-def test_read_without_kept_is_a_data_error():
-    with pytest.raises(DataError, match="read needs kept") as err:
-        tiny_model().forward(KEPT_TOKENS, None, read=READ)
-    assert "\n" not in str(err.value)
-
-
-def test_read_that_is_not_boolean_is_a_data_error():
-    rejects_read(READ.astype(int), "read must be a bool mask")
-
-
-def test_read_of_another_shape_is_a_data_error():
-    rejects_read(READ[:, :3], "read must be a bool mask shaped like the tokens")
-
-
-def test_read_outside_kept_is_a_data_error():
-    read = READ.copy()
-    read[1, 2] = True  # a pad of row 1
-    rejects_read(read, "kept positions only")
-
-
-def test_read_without_a_position_is_a_data_error():
-    rejects_read(np.zeros_like(READ), "at least one position")
 
 
 def ragged_masks(data, B, T):
@@ -326,8 +266,8 @@ def test_read_forward_equals_the_kept_forward_at_its_positions(data, cached):
     tokens = np.array(data.draw(st.lists(st.lists(st.integers(0, 12), min_size=T, max_size=T),
                                          min_size=B, max_size=B)))
     caches = [model.new_cache(B) if cached else None for _ in range(2)]
-    got = model.forward(tokens, caches[0], kept, read=read)
-    full = model.forward(tokens, caches[1], kept)
+    got = kept_logits(model, tokens, caches[0], kept, read)
+    full = kept_logits(model, tokens, caches[1], kept)
     want = full[read[kept]]
     assert got.shape == (read.sum(), model.config.vocab_size)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -778,7 +718,7 @@ def test_step_loss_equals_cross_entropy_over_the_kept_forward():
     rows = mask.any(axis=1)  # the kept forward needs a position in every row
     inputs, labels, mask = inputs[rows], labels[rows], mask[rows]
     kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
-    logits = model.forward(inputs, kept=kept)[mask[kept]]
+    logits = kept_logits(model, inputs, None, kept)[mask[kept]]
     want = cross_entropy(logits, labels[mask], np.ones(len(logits), dtype=bool))
     loss, _ = model.loss_and_grads(inputs, labels, mask)
     assert abs(loss - want) <= 1e-12 * want

@@ -79,6 +79,8 @@ def test_decode_params_validation():
             DecodeParams(temperature=bad)
         with pytest.raises(DataError, match="finite"):
             DecodeParams(repetition_penalty=bad)
+    with pytest.raises(DataError, match="seed must be an integer >= 0"):
+        DecodeParams(seed=-1)
 
 
 # ------------------------------------------------------------- stages
@@ -483,7 +485,7 @@ def test_pad_free_prefill_matches_one_row_prefill(lengths, same, seed):
     batch = np.full(kept.shape, PAD_ID)
     batch[kept] = np.concatenate(prompts)
     cache = model.new_cache(len(prompts))
-    logits = model.forward(batch, cache, kept)
+    logits = model._run(batch, cache, None, kept).reshape(-1, CFG.vocab_size)
     assert logits.shape == (lengths.sum(), CFG.vocab_size)
     assert np.array_equal(cache.lengths, lengths)
     nxt = rng.integers(0, CFG.vocab_size, (len(prompts), 1))
@@ -579,17 +581,17 @@ def test_one_overflowing_row_fails_alone(monkeypatch):
     keep their streams and decode as they do alone."""
     model = tiny_model()
     marker = 12  # the prefill logits of a prompt starting with it overflow the temperature
-    forward = model.forward
+    run = model._run
 
-    def stub(tokens, cache=None, kept=None, **kw):
-        logits = forward(tokens, cache, kept, **kw)
-        if "read" not in kw:
+    def stub(tokens, cache, tape, kept=None, read=None):
+        logits = run(tokens, cache, tape, kept, read)
+        if read is None:
             return logits
-        logits = logits.astype(np.float64)
-        logits[np.asarray(tokens)[:, 0] == marker] = np.finfo(np.float64).max * 0.95
+        logits = logits.reshape(-1, logits.shape[-1]).astype(np.float64)
+        logits[tokens[:, 0] == marker] = np.finfo(np.float64).max * 0.95
         return logits
 
-    monkeypatch.setattr(model, "forward", stub)
+    monkeypatch.setattr(model, "_run", stub)
     prompts = [RAGGED[0], [marker] + RAGGED[1], RAGGED[2], RAGGED[4]]
     params = DecodeParams(max_new_tokens=20, seed=3)
     with np.errstate(all="ignore"):

@@ -49,6 +49,8 @@ def test_train_config_defaults_and_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(DataError, match=f"TrainConfig.{name} must be finite"):
                 TrainConfig(**{name: bad})
+    with pytest.raises(DataError, match="TrainConfig.seed must be an integer >= 0"):
+        TrainConfig(seed=-1)
 
 
 # ------------------------------------------------------------- make_batch
@@ -247,6 +249,10 @@ def test_train_requires_adapter_and_records():
         train(bare, records, vocab, small_train_config())
     with pytest.raises(DataError, match="empty"):
         train(fresh(), [], vocab, small_train_config())
+    # a window too short for any target leaves no optimizer step
+    skipped_all = f"all {len(records)} records were skipped.* max_seq_len 1$"
+    with pytest.raises(DataError, match=skipped_all):
+        train(fresh(), records, vocab, small_train_config(max_seq_len=1, epochs=2))
 
 
 def test_accumulation_steps_change_step_count_not_token_count():
