@@ -184,9 +184,6 @@ def _cmd_train(args):
         vocab = build(texts)
         model_config = ModelConfig(vocab_size=vocab.size, max_seq_len=config.max_seq_len)
         model = Model(model_config, init_params(model_config, seed=config.seed))
-        model_out = Path(args.model_out) if args.model_out else Path(args.out).parent / "model.olm"
-        save_model(model, model_out, vocab=vocab)
-        print(f"initialized base model {model_out} (vocab {vocab.size})")
     if config.max_seq_len > model.config.max_seq_len:
         raise DataError(
             f"max_seq_len {config.max_seq_len} exceeds the model's window "
@@ -201,6 +198,10 @@ def _cmd_train(args):
         print(line)
 
     result = train(model, records, vocab, config, template=template, log=log)
+    if not args.model:  # a run that fails leaves no base model behind; training keeps it frozen
+        model_out = Path(args.model_out) if args.model_out else Path(args.out).parent / "model.olm"
+        save_model(model, model_out, vocab=vocab)
+        print(f"initialized base model {model_out} (vocab {vocab.size})")
     save_adapter(result.adapter, args.out)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     log_path.write_text("".join(line + "\n" for line in log_lines), encoding="utf-8")

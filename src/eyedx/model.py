@@ -136,15 +136,27 @@ def init_params(config: ModelConfig, seed: int = 0, scale: float = 0.02, dtype=n
 
 
 def _rmsnorm_fwd(x, gain, eps):
-    """y = gain * x / sqrt(mean(x^2) + eps) over the last axis, and 1/rms."""
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
-    return x * inv * gain, inv
+    """y = gain * x / sqrt(mean(x^2) + eps) over the last axis, and 1/rms;
+    x * inv reuses the buffer that held x^2."""
+    xx = x * x
+    inv = xx.mean(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    return np.multiply(x, inv, out=xx) * gain, inv
 
 
 def _rmsnorm_bwd(x, gain, inv, dy):
-    """dx for the frozen gain; y_j = g_j x_j inv, d inv/d x_k = -inv^3 x_k / d."""
-    s = (dy * gain * x).sum(axis=-1, keepdims=True)
-    return dy * gain * inv - x * (inv**3) * s / x.shape[-1]
+    """dx for the frozen gain; y_j = g_j x_j inv, d inv/d x_k = -inv^3 x_k / d.
+    t holds dy g x for the row sums, then the x term it gives."""
+    dx = dy * gain
+    t = dx * x
+    c = t.sum(axis=-1, keepdims=True)
+    c *= inv**3 / x.shape[-1]
+    np.multiply(x, c, out=t)
+    dx *= inv
+    dx -= t
+    return dx
 
 
 def _rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype):
@@ -162,8 +174,11 @@ def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     c = cos[..., :, None, :]
     s = sin[..., :, None, :]
     out = np.empty_like(x)
-    out[..., 0::2] = e * c - o * s
-    out[..., 1::2] = e * s + o * c
+    even, odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(e, c, out=even)
+    even -= o * s
+    np.multiply(e, s, out=odd)
+    odd += o * c
     return out
 
 
@@ -386,7 +401,7 @@ class Model:
             grads[name + ".lora_a"] = s * (xf.T @ dy_b)
             grads[name + ".lora_b"] = s * ((xf @ a).T @ dyf)
             if need_dx:
-                dx = dx + s * (dy_b @ a.T).reshape(x.shape)
+                dx += s * (dy_b @ a.T).reshape(x.shape)
         return dx
 
     # -- forward --
@@ -488,14 +503,15 @@ class Model:
             v_all = cache.v[layer][:, :S]
         else:
             k_all, v_all = k, v
-        allowed = (np.arange(S) <= positions[..., None])[:, None, None]  # (B, 1, 1, T, S)
+        hidden = (np.arange(S) > positions[..., None])[:, None, None]  # (B, 1, 1, T, S)
 
         # query head h = kv * G + g shares kv head kv; stacking each group's
         # G query heads along the time axis makes one batched matmul per kv head
         G = H // KV
         qg = _group_heads(q, KV)  # (B, KV, G*T, hd)
-        scores = (qg @ k_all.transpose(0, 2, 3, 1)).reshape(B, KV, G, T, S) / math.sqrt(hd)
-        scores = np.where(allowed, scores, -np.inf)
+        scores = (qg @ k_all.transpose(0, 2, 3, 1)).reshape(B, KV, G, T, S)
+        scores /= math.sqrt(hd)
+        np.copyto(scores, -np.inf, where=hidden)
         probs = softmax(scores, axis=-1).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
         # the last layer goes on over the read rows alone, in the rows' layout
@@ -528,9 +544,8 @@ class Model:
         cfg = self.config
         p = f"layers.{layer}."
         xn, inv = _rmsnorm_fwd(x, self.params[p + "ffn_norm"], cfg.rmsnorm_eps)
-        z_gate = xn @ self.params[p + "w_gate"]
         z_up = xn @ self.params[p + "w_up"]
-        act = silu(z_gate)
+        act, den = silu(xn @ self.params[p + "w_gate"])
         h = act * z_up
         out = h @ self.params[p + "w_down"]
         if tape is not None:
@@ -540,9 +555,9 @@ class Model:
                     "layer": layer,
                     "x": x,
                     "inv": inv,
-                    "z_gate": z_gate,
-                    "z_up": z_up,
                     "act": act,
+                    "den": den,
+                    "z_up": z_up,
                 }
             )
         return out
@@ -613,11 +628,12 @@ class Model:
             p = f"layers.{rec['layer']}."
             if rec["kind"] == "ffn":
                 dh = dx @ self.params[p + "w_down"].T
-                dz_gate = silu_backward(rec["z_gate"], dh * rec["z_up"])
-                dz_up = dh * rec["act"]
-                dxn = dz_gate @ self.params[p + "w_gate"].T + dz_up @ self.params[p + "w_up"].T
+                dz_gate = silu_backward(rec["act"], rec["den"], dh * rec["z_up"])
+                dz_up = np.multiply(dh, rec["act"], out=dh)
+                dxn = dz_gate @ self.params[p + "w_gate"].T
+                dxn += dz_up @ self.params[p + "w_up"].T
                 # residual: out = x + ffn(norm(x))
-                dx = dx + _rmsnorm_bwd(rec["x"], self.params[p + "ffn_norm"], rec["inv"], dxn)
+                dx += _rmsnorm_bwd(rec["x"], self.params[p + "ffn_norm"], rec["inv"], dxn)
             else:
                 # layer 0's dx reaches only the frozen embedding
                 dx = self._attention_bwd(rec, dx, grads, need_dx=rec["layer"] > 0)
@@ -660,4 +676,6 @@ class Model:
         # residual: out = x + attn(norm(x)), x narrowed to the out rows
         if rec["out"] is not kept:
             d_out = _scatter(d_out, rec["out"][kept].reshape(lead))
-        return d_out + _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)
+        dx = _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)
+        dx += d_out
+        return dx

@@ -4,6 +4,12 @@ Everything operates on plain numpy arrays and preserves the input dtype, so
 the same code runs in float32 for training and float64 for gradient checks.
 Backward functions return gradients of a scalar loss given upstream grads;
 there is no tape, callers wire the chain rule by hand in model.py.
+
+The forwards run the plain expressions' arithmetic in the same order, but
+with out= and in-place ufuncs in buffers of their own, so their values are
+the plain expressions' bit for bit with fewer temporaries. The backwards
+reuse buffers too; silu_backward overwrites the upstream gradient it is
+given.
 """
 
 from __future__ import annotations
@@ -14,14 +20,18 @@ from .errors import NumericError
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Backward through softmax given its forward output y."""
-    return y * (dy - (dy * y).sum(axis=axis, keepdims=True))
+    """Backward through softmax given its forward output y: y (dy - sum(dy y))."""
+    t = dy * y
+    np.subtract(dy, t.sum(axis=axis, keepdims=True), out=t)
+    t *= y
+    return t
 
 
 def _loss_rows(logits, targets, mask):
@@ -65,10 +75,22 @@ def cross_entropy_backward(logits: np.ndarray, targets: np.ndarray, mask: np.nda
     return probs
 
 
-def silu(z: np.ndarray) -> np.ndarray:
-    return z / (1.0 + np.exp(-z))
+def silu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """act = z sigmoid(z) = z / den, and den = 1 + exp(-z) for the backward.
+    den overflows to inf for very negative z, where act is then -0."""
+    den = np.negative(z)
+    np.exp(den, out=den)
+    den += 1.0
+    return z / den, den
 
 
-def silu_backward(z: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-z))
-    return dy * s * (1.0 + z * (1.0 - s))
+def silu_backward(act: np.ndarray, den: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """dy times silu's derivative, written into dy and returned. With s =
+    1/den = sigmoid(z), the derivative s + z s (1 - s) is (1 - s) act + s;
+    it is 0 where den is inf."""
+    s = 1.0 / den
+    g = 1.0 - s
+    g *= act
+    g += s
+    dy *= g
+    return dy

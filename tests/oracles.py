@@ -28,6 +28,52 @@ DIAGNOSIS_LABELS = frozenset(
 )
 
 
+# The elementwise helpers of eyedx.numerics and eyedx.model as plain
+# expressions, a fresh array for every step. The in-place forwards must equal
+# these bit for bit; the backwards, which compute in another form, must match
+# them to rounding.
+
+
+def softmax_plain(x, axis=-1):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward_plain(y, dy, axis=-1):
+    return y * (dy - (dy * y).sum(axis=axis, keepdims=True))
+
+
+def silu_plain(z):
+    return z / (1.0 + np.exp(-z))
+
+
+def silu_backward_plain(z, dy):
+    """Takes z, where eyedx.numerics.silu_backward takes silu's act and den."""
+    s = 1.0 / (1.0 + np.exp(-z))
+    return dy * s * (1.0 + z * (1.0 - s))
+
+
+def rmsnorm_fwd_plain(x, gain, eps):
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    return x * inv * gain, inv
+
+
+def rmsnorm_bwd_plain(x, gain, inv, dy):
+    s = (dy * gain * x).sum(axis=-1, keepdims=True)
+    return dy * gain * inv - x * (inv**3) * s / x.shape[-1]
+
+
+def apply_rope_plain(x, cos, sin):
+    e, o = x[..., 0::2], x[..., 1::2]
+    c = cos[..., :, None, :]
+    s = sin[..., :, None, :]
+    out = np.empty_like(x)
+    out[..., 0::2] = e * c - o * s
+    out[..., 1::2] = e * s + o * c
+    return out
+
+
 def normalize(text: str) -> str:
     """Canonical text form: tokens joined by single spaces, the form decode gives."""
     return " ".join(segment(text))

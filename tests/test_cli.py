@@ -389,6 +389,15 @@ def test_train_that_skips_every_record_is_a_one_line_data_error(workspace, tmp_p
     assert list(tmp_path.iterdir()) == []  # no adapter, no training log
 
 
+def test_train_that_fails_without_a_base_model_writes_no_base_model(workspace, tmp_path, capsys):
+    """Without --model the base model is saved and announced only once
+    training has run: a failed run leaves no model.olm and prints nothing."""
+    out = tmp_path / "adapter.olr"
+    argv = ["train", "--data", str(workspace["data"]), "--out", str(out), "--max-seq-len", "1"]
+    assert assert_one_line_data_error(main(argv), capsys) == ""
+    assert list(tmp_path.iterdir()) == []  # no model.olm, adapter or log
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["rope_base", "rmsnorm_eps"])
 def test_non_finite_config_in_a_checkpoint_is_a_one_line_data_error(

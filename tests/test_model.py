@@ -783,6 +783,28 @@ def force_shards(monkeypatch, n):
     return calls
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_training_step_writes_into_no_weight_or_batch(monkeypatch, shards, dtype):
+    """The step's in-place arithmetic stays in buffers the step made: every
+    base weight, adapter factor and batch array holds the same bytes after."""
+    model = tiny_model(dtype=dtype)
+    adapter = attach(model, rank=2, alpha=4.0, seed=1)
+    rng = np.random.default_rng(2)
+    for t in adapter.targets:
+        adapter.b[t][:] = rng.standard_normal(adapter.b[t].shape) * 0.3
+    batch = ragged_batch(model.config.vocab_size)[:3]
+    calls = force_shards(monkeypatch, shards)
+    tensors = {**model.params, **{f"{t}.a": adapter.a[t] for t in adapter.targets},
+               **{f"{t}.b": adapter.b[t] for t in adapter.targets},
+               **dict(zip(("inputs", "labels", "mask"), batch))}
+    before = {name: w.copy() for name, w in tensors.items()}
+    model.loss_and_grads(*batch)
+    assert len(calls[-1]) == shards
+    for name, w in tensors.items():
+        assert w.tobytes() == before[name].tobytes(), name
+
+
 def one_loss_row_batch(vocab_size):
     inputs, labels, mask, _ = ragged_batch(vocab_size)
     mask[[0, 2, 3]] = False

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eyedx import NumericError
+from eyedx.model import _apply_rope, _rmsnorm_bwd, _rmsnorm_fwd, _rope_tables
 from eyedx.numerics import (
     cross_entropy,
     cross_entropy_backward,
@@ -15,7 +16,17 @@ from eyedx.numerics import (
     softmax,
     softmax_backward,
 )
-from oracles import finite_difference, grad_relative_error
+from oracles import (
+    apply_rope_plain,
+    finite_difference,
+    grad_relative_error,
+    rmsnorm_bwd_plain,
+    rmsnorm_fwd_plain,
+    silu_backward_plain,
+    silu_plain,
+    softmax_backward_plain,
+    softmax_plain,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -62,17 +73,118 @@ def test_softmax_backward_vs_oracle():
 
 
 def test_silu_values():
-    assert silu(np.array([0.0]))[0] == 0.0
+    assert silu(np.array([0.0]))[0][0] == 0.0
     z = np.array([30.0])
-    assert np.isclose(silu(z)[0], 30.0, atol=1e-8)
+    assert np.isclose(silu(z)[0][0], 30.0, atol=1e-8)
 
 
 def test_silu_backward_vs_oracle():
     z = RNG.standard_normal(20) * 3
     dy = RNG.standard_normal(20)
-    dz = silu_backward(z, dy)
-    num = finite_difference(lambda v: float((silu(v) * dy).sum()), z.copy())
+    dz = silu_backward(*silu(z), dy.copy())
+    num = finite_difference(lambda v: float((silu(v)[0] * dy).sum()), z.copy())
     assert grad_relative_error(dz, num) < 1e-6
+
+
+def test_silu_at_extreme_z_in_float32():
+    """exp(-z) overflows float32 at z = -100 and -1e4: den is inf there, act
+    is -0 and the gradient 0; at z = 100 and 1e4 den is 1 and the gradient 1."""
+    z = np.array([-1e4, -100.0, 100.0, 1e4], dtype=np.float32)
+    with np.errstate(over="ignore"):
+        act, den = silu(z)
+        want = silu_backward_plain(z, np.ones_like(z))
+    assert act.dtype == den.dtype == np.float32
+    assert np.isfinite(act).all() and np.array_equal(act, [0.0, 0.0, 100.0, 1e4])
+    assert np.isinf(den[:2]).all() and np.array_equal(den[2:], [1.0, 1.0])
+    grad = silu_backward(act, den, np.ones_like(z))
+    assert np.array_equal(grad, [0.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(grad, want)
+
+
+def test_silu_backward_writes_into_dy():
+    z = RNG.standard_normal(12)
+    dy = RNG.standard_normal(12)
+    want = silu_backward_plain(z, dy)
+    act, den = silu(z)
+    got = silu_backward(act, den, dy)
+    assert got is dy
+    assert np.max(np.abs(dy - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ------------------------------------------------------------- against the plain expressions
+
+# the layouts the model runs: (1, N, ...) token rows, (N, 1, ...) cached steps,
+# and the attention's (B, KV, G, T, S) scores with the causal mask's -inf
+DTYPES = [np.float32, np.float64]
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def masked_scores(dtype):
+    scores = RNG.standard_normal((2, 2, 3, 7, 9)) * 4
+    positions = np.array([np.arange(2, 9), np.arange(7)])
+    hidden = (np.arange(9) > positions[..., None])[:, None, None]
+    return np.where(hidden, -np.inf, scores).astype(dtype)
+
+
+def unchanged(*arrays):
+    """Copies of arrays, and a check that they still hold the same bytes."""
+    copies = [a.copy() for a in arrays]
+    return lambda: all(same_bits(a, c) for a, c in zip(arrays, copies))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_forward_helpers_equal_the_plain_expressions_bit_for_bit(dtype):
+    scores = masked_scores(dtype)
+    rows = (RNG.standard_normal((5, 31)) * 20).astype(dtype)  # filter_logits' (R, V) rows
+    z = (RNG.standard_normal((1, 37, 24)) * 6).astype(dtype)
+    gain = (1 + RNG.standard_normal(16) * 0.3).astype(dtype)
+    kept = unchanged(scores, rows, z, gain)
+    for x in (scores, rows):
+        assert same_bits(softmax(x, axis=-1), softmax_plain(x, axis=-1))
+    act, den = silu(z)
+    assert same_bits(act, silu_plain(z))
+    assert same_bits(den, 1.0 + np.exp(-z))
+    for lead in ((1, 11), (11, 1)):
+        x = (RNG.standard_normal((*lead, 16)) * 3).astype(dtype)
+        y, inv = _rmsnorm_fwd(x, gain, 1e-5)
+        want_y, want_inv = rmsnorm_fwd_plain(x, gain, 1e-5)
+        assert same_bits(y, want_y) and same_bits(inv, want_inv)
+        cos, sin = _rope_tables(np.arange(11).reshape(lead) + 3, 8, 10000.0, dtype)
+        q = RNG.standard_normal((*lead, 4, 8)).astype(dtype)
+        assert same_bits(_apply_rope(q, cos, sin), apply_rope_plain(q, cos, sin))
+        assert same_bits(_apply_rope(q, cos, -sin), apply_rope_plain(q, cos, -sin))
+    assert kept()
+
+
+def close(got, want, tol=1e-12):
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def test_backward_helpers_match_the_plain_expressions_in_float64():
+    y = softmax_plain(masked_scores(np.float64))
+    dy = RNG.standard_normal(y.shape)
+    kept = unchanged(y, dy)
+    assert close(softmax_backward(y, dy, axis=-1), softmax_backward_plain(y, dy, axis=-1))
+    assert kept()
+
+    z = RNG.standard_normal((1, 37, 24)) * 6
+    act, den = silu(z)
+    dy = RNG.standard_normal(z.shape)
+    want = silu_backward_plain(z, dy)
+    kept = unchanged(act, den)
+    assert close(silu_backward(act, den, dy), want)
+    assert kept()
+
+    x = RNG.standard_normal((1, 11, 16)) * 3
+    gain = 1 + RNG.standard_normal(16) * 0.3
+    _, inv = _rmsnorm_fwd(x, gain, 1e-5)
+    dy = RNG.standard_normal(x.shape)
+    kept = unchanged(x, gain, inv, dy)
+    assert close(_rmsnorm_bwd(x, gain, inv, dy), rmsnorm_bwd_plain(x, gain, inv, dy))
+    assert kept()
 
 
 # ------------------------------------------------------------- cross entropy
