@@ -5,7 +5,7 @@ Five subcommands: prepare (corpus ingestion/synthesis and splitting), train
 comparison across checkpoints), and bench (wall-time measurements).
 
 Exit codes: 0 success, 1 usage error, 2 data error (also a file that cannot
-be read or written), 3 numeric failure.
+be read or written), 3 numeric failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -274,7 +274,8 @@ def _cmd_bench(args):
     template = _template_from(args)
 
     model, vocab = _load_model_with_vocab(args.model)
-    tune_config = TrainConfig(epochs=1, grad_accum_steps=4, seed=args.seed)
+    window = min(TrainConfig.max_seq_len, model.config.max_seq_len)
+    tune_config = TrainConfig(epochs=1, grad_accum_steps=4, seed=args.seed, max_seq_len=window)
     attach(model, rank=tune_config.lora_r, alpha=tune_config.lora_alpha, seed=tune_config.seed)
     tuned = train(model, train_records, vocab, tune_config, template=template)
 
@@ -400,6 +401,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # decode_batch has reaped its forked children by now
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

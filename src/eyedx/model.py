@@ -182,11 +182,6 @@ def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_rope_inverse(x, cos, sin):
-    # rotation by the negated angle; the backward of _apply_rope
-    return _apply_rope(x, cos, -sin)
-
-
 def _group_heads(x: np.ndarray, n_kv: int) -> np.ndarray:
     """(B, T, H, hd) -> (B, KV, G*T, hd): the G query heads of each kv head
     stacked along time, head h = kv * G + g at rows g*T .. g*T + T-1."""
@@ -661,14 +656,15 @@ class Model:
         dscores = softmax_backward(probs, dprobs, axis=-1)
         dscores /= math.sqrt(hd)
         dq = _gather(_ungroup_heads(dscores @ k, T), kept, lead)
-        dq = _apply_rope_inverse(dq, rec["cos"], rec["sin"]).reshape(*lead, H * hd)
+        # the backward of a rotation is the rotation by the negated angle
+        dq = _apply_rope(dq, rec["cos"], -rec["sin"]).reshape(*lead, H * hd)
         dv = _gather(dv.transpose(0, 2, 1, 3), kept, lead).reshape(*lead, KV * hd)
         if not need_dx:  # the adapters sit on wq and wv; wk's dk would feed dx alone
             self._project_bwd(rec["xn"], p + "wq", dq, grads, False)
             self._project_bwd(rec["xn"], p + "wv", dv, grads, False)
             return None
         dk = _gather((dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3), kept, lead)
-        dk = _apply_rope_inverse(dk, rec["cos"], rec["sin"])
+        dk = _apply_rope(dk, rec["cos"], -rec["sin"])
 
         dxn = self._project_bwd(rec["xn"], p + "wq", dq, grads)
         dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(*lead, KV * hd), grads)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_TEMPLATE, PromptTemplate, render_prompt
-from .errors import DataError, EyedxError
+from .errors import DataError
 from .sample import DecodeParams, decode_batch
 
 # Nothing here calls decode any more; the binding stays because
@@ -24,16 +24,11 @@ from .tokenizer import BOS_ID, segment
 
 @dataclass(frozen=True)
 class RougeScore:
-    """Recall/precision/F triple for one metric on one text pair.
-
-    ``degenerate`` marks a score that is zero by convention rather than by
-    measurement, e.g. the reference being shorter than the n-gram order.
-    """
+    """Recall/precision/F triple for one metric on one text pair."""
 
     recall: float
     precision: float
     f1: float
-    degenerate: bool = False
 
     def __post_init__(self):
         for name in ("recall", "precision", "f1"):
@@ -64,13 +59,13 @@ def rouge_n(candidate, reference, n: int) -> RougeScore:
     Recall divides matched n-grams by the reference count, precision by the
     candidate count; each n-gram match is clipped to the smaller multiset
     count. A reference shorter than n has no n-grams to recall, so the score
-    is zero and flagged degenerate.
+    is zero.
     """
     if n < 1:
         raise DataError(f"n-gram order must be >= 1, got {n}")
     ref_counts = _ngram_counts(reference, n)
     if not ref_counts:
-        return RougeScore(0.0, 0.0, 0.0, degenerate=True)
+        return RougeScore(0.0, 0.0, 0.0)
     cand_counts = _ngram_counts(candidate, n)
     matched = sum((cand_counts & ref_counts).values())
     recall = matched / sum(ref_counts.values())
@@ -110,11 +105,8 @@ def rouge_l(candidate, reference, beta: float = 1.0) -> RougeScore:
 
 @dataclass(frozen=True)
 class RecordScore:
-    """Per-record evaluation row: what the model wrote and how it scored.
-
-    ``stop`` is "eos", "budget" or "error"; with a custom ``generate`` it is
-    "error" or None, and ``n_generated`` is None.
-    """
+    """Per-record evaluation row: what the model wrote, how it scored, how
+    many tokens it generated and why it stopped ("eos", "budget" or "error")."""
 
     record_id: str
     modality: str
@@ -122,9 +114,9 @@ class RecordScore:
     rouge1: RougeScore
     rouge2: RougeScore
     rouge_l: RougeScore
-    failed: bool = False
-    n_generated: int | None = None
-    stop: str | None = None
+    failed: bool
+    n_generated: int
+    stop: str
 
     def as_dict(self) -> dict:
         return {
@@ -196,47 +188,28 @@ def evaluate(
     records,
     vocab,
     template: PromptTemplate = DEFAULT_TEMPLATE,
-    params: DecodeParams | None = None,
-    generate=None,
+    params: DecodeParams = DecodeParams(),
 ) -> EvalReport:
     """Decode every test record and score it against its reference diagnosis.
 
-    ``generate`` defaults to sampling from the model with ``params``: all
-    records decode together in one batch, each with its token budget clamped
-    to the room its prompt leaves in the context window. Pass a callable
-    ``generate(record, prompt_text) -> str`` to substitute another text
-    source. A record whose generation fails is scored zero, flagged, and
-    evaluation continues.
+    All records decode together in one batch, each with its token budget
+    clamped to the room its prompt leaves in the context window. A record
+    whose generation fails is scored zero, flagged, and evaluation continues.
     """
     if not records:
         raise DataError("cannot evaluate an empty test split")
-    if params is None:
-        params = DecodeParams()
-    if generate is None and (model is None or vocab is None):
-        raise DataError("evaluate needs a model and vocabulary unless generate is given")
-
     rendered = [render_prompt(record, template) for record in records]
-    if generate is None:
-        prompts = [[BOS_ID] + vocab.encode(prompt_text) for prompt_text, _ in rendered]
-        generations = decode_batch(model, prompts, params)
+    prompts = [[BOS_ID] + vocab.encode(prompt_text) for prompt_text, _ in rendered]
+    generations = decode_batch(model, prompts, params)
 
-    zero = RougeScore(0.0, 0.0, 0.0, degenerate=True)
+    zero = RougeScore(0.0, 0.0, 0.0)
     rows = []
-    for i, (record, (prompt_text, reference_text)) in enumerate(zip(records, rendered)):
-        n_generated = stop = None
-        try:
-            if generate is None:
-                n_generated, stop = len(generations[i].tokens), generations[i].stop
-                candidate = vocab.decode(generations[i].unwrap())
-            else:
-                candidate = generate(record, prompt_text)
-        except EyedxError:
-            rows.append(RecordScore(record.id, record.modality, "", zero, zero, zero, failed=True,
-                                    n_generated=n_generated, stop="error"))
-            continue
-        r1, r2, rl = score_pair(candidate, reference_text)
+    for record, (_, reference_text), gen in zip(records, rendered, generations):
+        failed = gen.error is not None
+        candidate = "" if failed else vocab.decode(gen.tokens)
+        r1, r2, rl = (zero, zero, zero) if failed else score_pair(candidate, reference_text)
         rows.append(RecordScore(record.id, record.modality, candidate, r1, r2, rl,
-                                n_generated=n_generated, stop=stop))
+                                failed, len(gen.tokens), gen.stop))
 
     by_modality = {}
     for modality in sorted({row.modality for row in rows}):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eyedx
-from eyedx import sample
+from eyedx import cli, sample
 from eyedx.cli import main
 from eyedx.container import load_bundle, read_container, save_model, save_quantized, write_container
 from eyedx.corpus import dedup, render_prompt, split, synthesize, write_jsonl
@@ -523,6 +523,43 @@ def test_killed_decode_worker_gives_one_line_numeric_error(
     )
 
 
+def test_ctrl_c_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_prepare", interrupted)
+    assert main(["prepare", "--synthesize", "2", "--out", str(tmp_path / "data")]) == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_ctrl_c_in_forked_decode_reaps_the_workers_first(
+    workspace, tmp_path, capsys, monkeypatch, single_threaded
+):
+    forward, parent, fork, children = Model.forward, os.getpid(), os.fork, []
+
+    def interrupted(self, *args, **kw):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return forward(self, *args, **kw)
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(Model, "forward", interrupted)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(sample, "_shard_count", lambda rows: min(2, rows))
+    code = main(evaluate_args(workspace, tmp_path / "r.json", "--model", str(workspace["model"])))
+    assert (code, capsys.readouterr().err) == (130, "interrupted\n")
+    assert children
+    for pid in children:  # reaped: no longer this process's child
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 # -- byte-mutation fuzz --------------------------------------------------------
 
 
@@ -605,6 +642,19 @@ def test_bench_emits_two_column_table(workspace, capsys):
         r"\| inference per report \(\d+ reports, \d+ tokens generated\) \| \d+\.\d{3} ± \d+\.\d{3} \|",
         lines[3],
     )
+
+
+def test_bench_fine_tunes_within_the_model_window(workspace, tmp_path, capsys):
+    """bench trains at the model's window when it is under TrainConfig's."""
+    model = tmp_path / "model.olm"
+    argv = ["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "adapter.olr"),
+            "--epochs", "1", "--max-seq-len", "40", "--lora-r", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["bench", "--model", str(model), "--data", str(workspace["data"])]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[0] == "| phase | seconds |"
 
 
 # -- process-level ------------------------------------------------------------

@@ -15,7 +15,6 @@ from eyedx.model import (
     Model,
     ModelConfig,
     _apply_rope,
-    _apply_rope_inverse,
     _rmsnorm_bwd,
     _rmsnorm_fwd,
     _rope_tables,
@@ -448,8 +447,8 @@ def test_taped_attention_and_backward_match_repeat_einsum_oracle(n_kv):
 
     dctx = (d_out @ model.params[p + "wo"].T).reshape(B, T, cfg.n_heads, cfg.head_dim)
     dq, dk, dv = oracle_attention_bwd(q, k, v, probs, dctx)
-    dq = _apply_rope_inverse(dq, cos, sin).reshape(B, T, -1)
-    dk = _apply_rope_inverse(dk, cos, sin).reshape(B, T, -1)
+    dq = _apply_rope(dq, cos, -sin).reshape(B, T, -1)
+    dk = _apply_rope(dk, cos, -sin).reshape(B, T, -1)
     dv = dv.reshape(B, T, -1)
     for name, expect in (("wq", dq), ("wk", dk), ("wv", dv)):
         (_, _, got, _), = calls[p + name]

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eyedx import rouge
 from eyedx.corpus import render_prompt, synthesize
-from eyedx.errors import DataError
+from eyedx.errors import DataError, NumericError
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.rouge import (
     RougeScore,
@@ -22,7 +23,7 @@ from eyedx.rouge import (
     score_pair,
     write_report,
 )
-from eyedx.sample import DecodeParams, decode
+from eyedx.sample import DecodeParams, Generation, decode
 from eyedx.tokenizer import BOS_ID, build, segment
 from oracles import lcs_oracle
 
@@ -54,7 +55,6 @@ def test_identical_sequences_score_one():
     for n in (1, 2):
         score = rouge_n(REF, REF, n)
         assert score.recall == score.precision == score.f1 == 1.0
-        assert not score.degenerate
 
 
 def test_detachment_pair_rouge1():
@@ -79,13 +79,11 @@ def test_rouge_n_rejects_nonpositive_order():
 def test_reference_shorter_than_n_is_degenerate_zero():
     score = rouge_n(["a", "b"], ["a"], 2)
     assert score.recall == score.precision == score.f1 == 0.0
-    assert score.degenerate
 
 
 def test_short_candidate_alone_is_not_degenerate():
     score = rouge_n(["a"], ["a", "b"], 2)
     assert score == RougeScore(0.0, 0.0, 0.0)
-    assert not score.degenerate
 
 
 def test_matches_are_clipped_to_reference_multiplicity():
@@ -196,19 +194,36 @@ def small_records(n_per_modality=3, seed=0):
     return synthesize(n_per_modality, seed=seed)
 
 
+def stub_evaluate(monkeypatch, records, generation_of):
+    """evaluate with decode_batch replaced by generation_of(record, vocab),
+    each record's Generation. The vocabulary is built from the records'
+    texts, so a Generation spelled with it decodes without unk."""
+    vocab = build([f"{r.findings} {r.diagnosis}" for r in records])
+
+    def decode_batch(model, prompts, params):
+        assert prompts == [[BOS_ID] + vocab.encode(render_prompt(r)[0]) for r in records]
+        return [generation_of(record, vocab) for record in records]
+
+    monkeypatch.setattr(rouge, "decode_batch", decode_batch)
+    return evaluate(None, records, vocab)
+
+
+def echo(record, vocab):
+    return Generation(vocab.encode(record.diagnosis), "eos")
+
+
+def silent(record, vocab):
+    return Generation([], "eos")
+
+
 def test_evaluate_rejects_empty_split():
     with pytest.raises(DataError):
-        evaluate(None, [], None, generate=lambda record, prompt: "")
+        evaluate(None, [], None)
 
 
-def test_evaluate_requires_model_or_generate():
-    with pytest.raises(DataError):
-        evaluate(None, small_records(), None)
-
-
-def test_echo_stub_scores_one_everywhere():
+def test_echo_stub_scores_one_everywhere(monkeypatch):
     records = small_records()
-    report = evaluate(None, records, None, generate=lambda record, prompt: record.diagnosis)
+    report = stub_evaluate(monkeypatch, records, echo)
     for mean in (report.rouge1, report.rouge2, report.rouge_l):
         assert mean == RougeScore(1.0, 1.0, 1.0)
     for r1, r2, rl in report.by_modality.values():
@@ -217,48 +232,68 @@ def test_echo_stub_scores_one_everywhere():
     assert not any(row.failed for row in report.records)
 
 
-def test_empty_string_stub_scores_zero_everywhere():
-    report = evaluate(None, small_records(), None, generate=lambda record, prompt: "")
+def test_empty_string_stub_scores_zero_everywhere(monkeypatch):
+    report = stub_evaluate(monkeypatch, small_records(), silent)
     for mean in (report.rouge1, report.rouge2, report.rouge_l):
         assert mean == RougeScore(0.0, 0.0, 0.0)
 
 
-def test_generation_failure_is_flagged_and_skipped():
+def test_generation_failure_is_flagged_and_skipped(monkeypatch):
     records = small_records()
     doomed = records[0].id
 
-    def generate(record, prompt):
+    def generation_of(record, vocab):
         if record.id == doomed:
-            raise DataError("injected failure")
-        return record.diagnosis
+            return Generation([], "error", DataError("injected failure"))
+        return echo(record, vocab)
 
-    report = evaluate(None, records, None, generate=generate)
+    report = stub_evaluate(monkeypatch, records, generation_of)
     failures = [row for row in report.records if row.failed]
     assert [row.record_id for row in failures] == [doomed]
-    assert failures[0].rouge1.f1 == 0.0
-    assert failures[0].rouge1.degenerate
+    assert failures[0].rouge1 == failures[0].rouge2 == failures[0].rouge_l == RougeScore(0, 0, 0)
     expected = (len(records) - 1) / len(records)
     assert abs(report.rouge1.f1 - expected) < 1e-12
 
 
-def test_means_average_per_record_scores():
+def test_means_average_per_record_scores(monkeypatch):
     records = small_records()
     half = {r.id for r in records[: len(records) // 2]}
 
-    def generate(record, prompt):
-        return record.diagnosis if record.id in half else ""
+    def generation_of(record, vocab):
+        return echo(record, vocab) if record.id in half else silent(record, vocab)
 
-    report = evaluate(None, records, None, generate=generate)
+    report = stub_evaluate(monkeypatch, records, generation_of)
     expected = len(half) / len(records)
     for mean in (report.rouge1, report.rouge2, report.rouge_l):
         assert abs(mean.f1 - expected) < 1e-12
         assert abs(mean.recall - expected) < 1e-12
 
 
-def test_by_modality_covers_each_modality_once():
+def test_by_modality_covers_each_modality_once(monkeypatch):
     records = small_records()
-    report = evaluate(None, records, None, generate=lambda record, prompt: record.diagnosis)
+    report = stub_evaluate(monkeypatch, records, echo)
     assert sorted(report.by_modality) == sorted({r.modality for r in records})
+
+
+def test_rows_take_stop_and_count_from_their_generation(monkeypatch):
+    """A failed row keeps its partial count; its candidate is empty."""
+    records = small_records()[:3]
+
+    def generation_of(record, vocab):
+        ids = vocab.encode(record.diagnosis)
+        return [
+            Generation(ids, "eos"),
+            Generation(ids[:2], "budget"),
+            Generation([5, 6, 7], "error", NumericError("non-finite logits")),
+        ][records.index(record)]
+
+    rows = stub_evaluate(monkeypatch, records, generation_of).records
+    words = [segment(record.diagnosis) for record in records]
+    assert [(row.failed, row.n_generated, row.stop) for row in rows] == [
+        (False, len(words[0]), "eos"), (False, 2, "budget"), (True, 3, "error")
+    ]
+    assert [row.candidate for row in rows] == [" ".join(words[0]), " ".join(words[1][:2]), ""]
+    assert rows[2].as_dict()["n_generated"] == 3
 
 
 def eval_fixture_model():
@@ -353,27 +388,18 @@ def test_report_records_stop_reason_and_generated_count():
         assert len(segment(row["candidate"])) <= row["n_generated"]
     assert (rows[3]["failed"], rows[3]["stop"], rows[3]["n_generated"]) == (True, "error", 0)
 
-    def generate(record, prompt):
-        if record.id == records[0].id:
-            raise DataError("injected failure")
-        return record.diagnosis
-
-    custom = evaluate(None, records, None, generate=generate).records
-    assert [(row.stop, row.n_generated) for row in custom] == [("error", None)] + [(None, None)] * 3
-
 
 # -- report emission ----------------------------------------------------------
 
 
-def two_reports():
+def two_reports(monkeypatch):
     records = small_records()
-    echo = evaluate(None, records, None, generate=lambda record, prompt: record.diagnosis)
-    silent = evaluate(None, records, None, generate=lambda record, prompt: "")
-    return [("tuned", echo), ("base", silent)]
+    return [("tuned", stub_evaluate(monkeypatch, records, echo)),
+            ("base", stub_evaluate(monkeypatch, records, silent))]
 
 
-def test_format_table_one_row_per_model():
-    table = format_table(two_reports())
+def test_format_table_one_row_per_model(monkeypatch):
+    table = format_table(two_reports(monkeypatch))
     lines = table.strip().splitlines()
     assert lines[0] == "| model | R-1 | R-2 | R-L |"
     assert len(lines) == 4
@@ -381,9 +407,9 @@ def test_format_table_one_row_per_model():
     assert lines[3] == "| base | 0.0000 | 0.0000 | 0.0000 |"
 
 
-def test_written_report_is_valid_json_with_all_components(tmp_path):
+def test_written_report_is_valid_json_with_all_components(tmp_path, monkeypatch):
     path = tmp_path / "report.json"
-    write_report(path, two_reports())
+    write_report(path, two_reports(monkeypatch))
     payload = json.loads(path.read_text())
     assert set(payload) == {"tuned", "base"}
     means = payload["tuned"]["means"]
