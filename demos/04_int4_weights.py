@@ -19,6 +19,7 @@ import numpy as np
 from eyedx import quant
 from eyedx.container import save_model, save_quantized
 from eyedx.model import Model, ModelConfig, init_params
+from eyedx.tokenizer import SPECIAL_TOKENS, Vocabulary
 
 rng = np.random.default_rng(0)
 
@@ -57,12 +58,16 @@ config = ModelConfig(d_model=256, n_layers=4, n_heads=8, n_kv_heads=2,
                      d_ff=688, vocab_size=312, max_seq_len=64)
 model = Model(config, init_params(config, seed=1))
 qmodel = quant.QuantizedModel(config, quant.quantize_model(model.params, config))
+# a checkpoint carries its vocabulary, of exactly config.vocab_size tokens;
+# this untrained model gets placeholder words
+words = tuple(f"w{i}" for i in range(config.vocab_size - len(SPECIAL_TOKENS)))
+vocab = Vocabulary(tokens=SPECIAL_TOKENS + words)
 
 with tempfile.TemporaryDirectory() as tmp:
     float_path = os.path.join(tmp, "model.olm")
     quant_path = os.path.join(tmp, "model.olq")
-    save_model(model, float_path)
-    save_quantized(qmodel, quant_path)
+    save_model(model, float_path, vocab)
+    save_quantized(qmodel, quant_path, vocab)
     float_size = os.path.getsize(float_path)
     quant_size = os.path.getsize(quant_path)
 

@@ -5,13 +5,15 @@ Five subcommands: prepare (corpus ingestion/synthesis and splitting), train
 comparison across checkpoints), and bench (wall-time measurements).
 
 Exit codes: 0 success, 1 usage error, 2 data error (also a file that cannot
-be read or written), 3 numeric failure, 130 interrupted (Ctrl-C).
+be read or written), 3 numeric failure, 130 interrupted (Ctrl-C), 141 stdout
+closed by its reader (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -73,41 +75,46 @@ def _template_from(args):
     return load_template(args.template) if args.template else DEFAULT_TEMPLATE
 
 
-def _load_model_with_vocab(path):
-    model, vocab = load_bundle(path)
-    if vocab is None:
-        raise DataError(f"{path} carries no vocabulary; re-export it with one")
-    return model, vocab
-
-
 def _merge_adapter(model, adapter_path):
     attach(model, adapter=load_adapter(adapter_path))
     merge(model)
 
 
-def _add_decode_flags(parser):
-    d = DecodeParams
-    parser.add_argument("--temperature", type=float, default=None,
-                        help=f"softmax temperature (default {d.temperature})")
-    parser.add_argument("--max-new-tokens", type=int, default=None,
-                        help=f"generation budget, clamped to the context window (default {d.max_new_tokens})")
-    parser.add_argument("--repetition-penalty", type=float, default=None,
-                        help=f"penalty on already-seen tokens (default {d.repetition_penalty})")
-    parser.add_argument("--top-k", type=int, default=None,
-                        help=f"keep the k most likely tokens (default {d.top_k})")
-    parser.add_argument("--top-p", type=float, default=None,
-                        help=f"nucleus mass to keep (default {d.top_p})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"sampling seed (default {d.seed})")
+# one help line per field; each flag's type and default come from the field
+_FIELD_HELP = {
+    TrainConfig: {
+        "learning_rate": "Adam learning rate",
+        "batch_size": "records per micro-batch",
+        "max_seq_len": "token window per record",
+        "grad_accum_steps": "micro-batches per optimizer step",
+        "lora_r": "adapter rank",
+        "lora_alpha": "adapter scale numerator",
+        "epochs": "passes over the data",
+        "seed": "shuffle/init seed",
+    },
+    DecodeParams: {
+        "temperature": "softmax temperature",
+        "max_new_tokens": "generation budget, clamped to the context window",
+        "repetition_penalty": "penalty on already-seen tokens",
+        "top_k": "keep the k most likely tokens",
+        "top_p": "nucleus mass to keep",
+        "seed": "sampling seed",
+    },
+}
 
 
-def _decode_params(args) -> DecodeParams:
-    values = {}
-    for name in ("temperature", "max_new_tokens", "repetition_penalty", "top_k", "top_p", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            values[name] = value
-    return DecodeParams(**values)
+def _add_field_flags(parser, cls):
+    """One --field-name flag per dataclass field; an unset flag reads None."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], default=None,
+                            help=f"{_FIELD_HELP[cls][f.name]} (default {f.default})")
+
+
+def _from_flags(cls, args, values=()):
+    """cls built from values, each overridden by its flag if that flag was given."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name) is not None}
+    return cls(**{**dict(values), **given})
 
 
 def _parse_config_file(path) -> dict:
@@ -132,15 +139,6 @@ def _parse_config_file(path) -> dict:
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value for {name}: {value!r}") from exc
     return values
-
-
-def _train_config(args) -> TrainConfig:
-    values = _parse_config_file(args.config) if args.config else {}
-    for f in fields(TrainConfig):
-        flag = getattr(args, f.name)
-        if flag is not None:
-            values[f.name] = flag
-    return TrainConfig(**values)
 
 
 # ----------------------------------------------------------------- commands
@@ -175,10 +173,10 @@ def _cmd_prepare(args):
 def _cmd_train(args):
     records = _read_records(args.data, "train")
     template = _template_from(args)
-    config = _train_config(args)
+    config = _from_flags(TrainConfig, args, _parse_config_file(args.config) if args.config else {})
 
     if args.model:
-        model, vocab = _load_model_with_vocab(args.model)
+        model, vocab = load_bundle(args.model)
     else:
         texts = [" ".join(render_prompt(r, template)) for r in records]
         vocab = build(texts)
@@ -213,7 +211,7 @@ def _cmd_train(args):
 
 
 def _cmd_infer(args):
-    model, vocab = _load_model_with_vocab(args.model)
+    model, vocab = load_bundle(args.model)
     if args.adapter:
         _merge_adapter(model, args.adapter)
     if args.quant:
@@ -232,7 +230,7 @@ def _cmd_infer(args):
         raise DataError("empty report text")
 
     ids = [BOS_ID] + vocab.encode(_template_from(args).render(args.modality, findings))
-    [generation] = decode_batch(model, [ids], _decode_params(args))
+    [generation] = decode_batch(model, [ids], _from_flags(DecodeParams, args))
     print(vocab.decode(generation.unwrap()))
 
 
@@ -251,11 +249,11 @@ def _cmd_evaluate(args):
             raise _UsageError("--limit must be >= 1")
         records = records[: args.limit]
     template = _template_from(args)
-    params = _decode_params(args)
+    params = _from_flags(DecodeParams, args)
 
     rows = []
     for model_path, adapter_path in zip(args.model, adapters):
-        model, vocab = _load_model_with_vocab(model_path)
+        model, vocab = load_bundle(model_path)
         name = Path(model_path).stem
         if adapter_path != "-":
             _merge_adapter(model, adapter_path)
@@ -273,14 +271,14 @@ def _cmd_bench(args):
     test_records = _read_records(args.data, "test")[:8]
     template = _template_from(args)
 
-    model, vocab = _load_model_with_vocab(args.model)
+    model, vocab = load_bundle(args.model)
     window = min(TrainConfig.max_seq_len, model.config.max_seq_len)
     tune_config = TrainConfig(epochs=1, grad_accum_steps=4, seed=args.seed, max_seq_len=window)
     attach(model, rank=tune_config.lora_r, alpha=tune_config.lora_alpha, seed=tune_config.seed)
     tuned = train(model, train_records, vocab, tune_config, template=template)
 
     # Time inference on a fresh load so the throwaway adapter plays no part.
-    model, vocab = _load_model_with_vocab(args.model)
+    model, vocab = load_bundle(args.model)
     if args.adapter:
         _merge_adapter(model, args.adapter)
     params = DecodeParams(seed=args.seed)
@@ -332,20 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", help="where to write a fresh base model (default: model.olm beside the adapter)")
     p.add_argument("--log", help="loss log file (default: adapter path + .log)")
     p.add_argument("--template", help="prompt template file")
-    t = TrainConfig
-    p.add_argument("--learning-rate", type=float, default=None,
-                   help=f"Adam learning rate (default {t.learning_rate})")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help=f"records per micro-batch (default {t.batch_size})")
-    p.add_argument("--max-seq-len", type=int, default=None,
-                   help=f"token window per record (default {t.max_seq_len})")
-    p.add_argument("--grad-accum-steps", type=int, default=None,
-                   help=f"micro-batches per optimizer step (default {t.grad_accum_steps})")
-    p.add_argument("--lora-r", type=int, default=None, help=f"adapter rank (default {t.lora_r})")
-    p.add_argument("--lora-alpha", type=float, default=None,
-                   help=f"adapter scale numerator (default {t.lora_alpha})")
-    p.add_argument("--epochs", type=int, default=None, help=f"passes over the data (default {t.epochs})")
-    p.add_argument("--seed", type=int, default=None, help=f"shuffle/init seed (default {t.seed})")
+    _add_field_flags(p, TrainConfig)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("infer", help="generate a diagnosis for one report")
@@ -355,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="findings text, or @path to read a file")
     p.add_argument("--modality", required=True, choices=MODALITIES, help="report modality")
     p.add_argument("--template", help="prompt template file")
-    _add_decode_flags(p)
+    _add_field_flags(p, DecodeParams)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("evaluate", help="score checkpoints on the test split")
@@ -367,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSON report file to write")
     p.add_argument("--limit", type=int, default=None, help="score only the first N test records")
     p.add_argument("--template", help="prompt template file")
-    _add_decode_flags(p)
+    _add_field_flags(p, DecodeParams)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("bench", help="time fine-tuning and per-report inference")
@@ -391,10 +376,16 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush
         return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader left; on devnull the exit-time flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -163,38 +163,16 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
 # ----------------------------------------------------------- model files
 
 
-def _config_header(config: ModelConfig, kind: str, vocab: Vocabulary | None) -> dict:
-    header = {"kind": kind, "config": dataclasses.asdict(config)}
-    if vocab is not None:
-        header["vocab"] = list(vocab.tokens[len(SPECIAL_TOKENS) :])
-    return header
+def _config_header(config: ModelConfig, kind: str, vocab: Vocabulary) -> dict:
+    words = list(vocab.tokens[len(SPECIAL_TOKENS) :])
+    return {"kind": kind, "config": dataclasses.asdict(config), "vocab": words}
 
 
-def _config_of(header: dict, path, kind: str) -> ModelConfig:
-    if header.get("kind") != kind:
-        raise DataError(f"{path}: expected a {kind} container, got {header.get('kind')!r}")
-    try:
-        return ModelConfig(**header["config"])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: bad config in header: {exc}") from exc
-
-
-def _vocab_of(header: dict, path) -> Vocabulary | None:
-    if "vocab" not in header:
-        return None
-    words = header["vocab"]
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise DataError(f"{path}: header vocab must be a list of strings")
-    return Vocabulary(tokens=SPECIAL_TOKENS + tuple(words))
-
-
-def save_model(model: Model, path: str | Path, vocab: Vocabulary | None = None) -> None:
+def save_model(model: Model, path: str | Path, vocab: Vocabulary) -> None:
     write_container(path, _config_header(model.config, "model", vocab), model.params)
 
 
-def save_quantized(
-    qmodel: QuantizedModel, path: str | Path, vocab: Vocabulary | None = None
-) -> None:
+def save_quantized(qmodel: QuantizedModel, path: str | Path, vocab: Vocabulary) -> None:
     if qmodel.merged is not None:
         # the int4 tensors predate the merge, so writing them would drop the adapter
         raise DataError("cannot save a quantized model with a merged adapter; save the adapter")
@@ -205,15 +183,21 @@ def load_bundle(path: str | Path):
     """Load a float or quantized model together with its stored vocabulary.
 
     Returns (model, vocab): the model is a Model for both kinds (a
-    QuantizedModel for int4), and vocab is None for checkpoints written
-    without one.
+    QuantizedModel for int4), and vocab holds exactly config.vocab_size
+    tokens.
     """
     header, tensors = read_container(path)
-    kind = header.get("kind")
-    if kind == "model":
-        model = Model(_config_of(header, path, kind), tensors)
-    elif kind == "quant-model":
-        model = QuantizedModel(_config_of(header, path, kind), tensors)
-    else:
+    kind, words = header.get("kind"), header.get("vocab")
+    if kind not in ("model", "quant-model"):
         raise DataError(f"{path}: expected a model or quant-model container, got {kind!r}")
-    return model, _vocab_of(header, path)
+    try:
+        config = ModelConfig(**header["config"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: bad config in header: {exc}") from exc
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise DataError(f"{path}: header needs a vocab list of strings")
+    vocab = Vocabulary(tokens=SPECIAL_TOKENS + tuple(words))
+    if vocab.size != config.vocab_size:
+        raise DataError(f"{path}: vocabulary has {vocab.size} tokens, "
+                        f"config.vocab_size is {config.vocab_size}")
+    return (Model if kind == "model" else QuantizedModel)(config, tensors), vocab

@@ -137,8 +137,10 @@ def ingest(path: str | Path) -> list[ReportRecord]:
         for key in IDENTIFIER_FIELDS:
             obj.pop(key, None)
         try:
-            flags = frozenset(obj.get("flags") or ())
-            unknown = flags - EXCLUSION_FLAGS
+            flags = obj.get("flags", [])
+            if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+                raise DataError("flags must be a list of strings")
+            unknown = set(flags) - EXCLUSION_FLAGS
             if unknown:
                 raise DataError(f"unknown flags {sorted(unknown)}")
             record = ReportRecord(
@@ -146,7 +148,7 @@ def ingest(path: str | Path) -> list[ReportRecord]:
                 modality=obj["modality"],
                 findings=str(obj["findings"]).strip(),
                 diagnosis=str(obj["diagnosis"]).strip(),
-                flags=flags,
+                flags=frozenset(flags),
             )
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc

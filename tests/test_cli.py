@@ -7,7 +7,9 @@ import re
 import signal
 import subprocess
 import sys
+import typing
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,9 @@ from eyedx.corpus import dedup, render_prompt, split, synthesize, write_jsonl
 from eyedx.lora import attach, load_adapter, save_adapter
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.quant import QuantizedModel, quantize_model
+from eyedx.sample import DecodeParams
 from eyedx.tokenizer import build
+from eyedx.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +83,16 @@ def test_prepare_ingests_an_existing_file(tmp_path):
     out = tmp_path / "corpus"
     assert main(["prepare", "--input", str(source), "--out", str(out)]) == 0
     assert (out / "train.jsonl").exists()
+
+
+@pytest.mark.parametrize("flags", [5, [[1]], [1], "possible_misdiagnosis", {"a": 1}, None])
+def test_prepare_rejects_malformed_flags_in_one_line(tmp_path, capsys, flags):
+    source = tmp_path / "reports.jsonl"
+    record = {"id": "a", "modality": "OSA", "findings": "f", "diagnosis": "d", "flags": flags}
+    source.write_text(json.dumps(record) + "\n")
+    code = main(["prepare", "--input", str(source), "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"data error: {source}:1: flags must be a list of strings\n"))
 
 
 # -- train --------------------------------------------------------------------
@@ -141,6 +155,26 @@ def test_train_rejects_bad_config_value(workspace, tmp_path, capsys):
     ])
     assert code == 2
     assert "bad value" in capsys.readouterr().err
+
+
+# the required arguments of each command with config-field flags
+FIELD_COMMANDS = {
+    "train": (TrainConfig, ["train", "--data", "d", "--out", "a.olr"]),
+    "infer": (DecodeParams, ["infer", "--model", "m", "--report", "r", "--modality", "OSA"]),
+    "evaluate": (DecodeParams, ["evaluate", "--model", "m", "--data", "d", "--out", "r.json"]),
+}
+
+
+@pytest.mark.parametrize("command", FIELD_COMMANDS)
+def test_every_config_field_is_a_flag_of_its_type(command):
+    cls, argv = FIELD_COMMANDS[command]
+    parser = cli.build_parser()
+    assert cli._from_flags(cls, parser.parse_args(argv)) == cls()  # unset flags: the defaults
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        args = parser.parse_args(argv + ["--" + f.name.replace("_", "-"), "1"])
+        assert type(getattr(args, f.name)) is hints[f.name]
+        assert cli._from_flags(cls, args) == replace(cls(), **{f.name: hints[f.name](1)})
 
 
 # -- infer --------------------------------------------------------------------
@@ -213,6 +247,22 @@ def test_infer_rejects_unknown_config_key(workspace, tmp_path, capsys):
     write_container(bad, header, tensors)
     code = main(["infer", "--model", str(bad), "--modality", "OSA", "--report", FINDINGS])
     assert_one_line_data_error(code, capsys)
+
+
+def test_infer_rejects_a_vocab_short_of_vocab_size_before_decoding(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    header, tensors = read_container(workspace["model"])
+    header["vocab"] = header["vocab"][:-1]
+    bad = tmp_path / "model.olm"
+    write_container(bad, header, tensors)
+
+    def no_decoding(*args, **kw):
+        raise AssertionError("decoded with a vocabulary short of the model's")
+
+    monkeypatch.setattr(cli, "decode_batch", no_decoding)
+    code = main(["infer", "--model", str(bad), "--modality", "OSA", "--report", FINDINGS])
+    assert assert_one_line_data_error(code, capsys) == ""
 
 
 def test_infer_rejects_malformed_header_json(workspace, tmp_path, capsys):
@@ -658,6 +708,23 @@ def test_bench_fine_tunes_within_the_model_window(workspace, tmp_path, capsys):
 
 
 # -- process-level ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_141_in_silence(tmp_path, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is printed
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eyedx", "prepare", "--synthesize", "6", "--seed", "0",
+             "--out", str(tmp_path / "data")],
+            stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == [
+        "manifest.json", "test.jsonl", "train.jsonl"]
 
 
 def test_module_entry_point_help():

@@ -15,12 +15,15 @@ from eyedx.container import (
 from eyedx.lora import attach, merge, save_adapter
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.quant import QuantizedModel, QuantTensor, codes_of, quantize, quantize_model
+from eyedx.tokenizer import SPECIAL_TOKENS, Vocabulary
 
 RNG = np.random.default_rng(5)
 
 CFG = ModelConfig(
     d_model=16, n_layers=1, n_heads=2, n_kv_heads=1, d_ff=24, vocab_size=11, max_seq_len=16
 )
+WORDS = ["a", "b", "c", "d", "e", "f", "g"]  # CFG.vocab_size tokens with the specials
+VOCAB = Vocabulary(tokens=SPECIAL_TOKENS + tuple(WORDS))
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -106,8 +109,9 @@ def test_unsupported_dtype_rejected(tmp_path):
 def test_model_checkpoint_round_trip(tmp_path):
     model = Model(CFG, init_params(CFG, seed=3))
     path = tmp_path / "model.bin"
-    save_model(model, path)
-    back, _ = load_bundle(path)
+    save_model(model, path, VOCAB)
+    back, vocab = load_bundle(path)
+    assert vocab == VOCAB
     assert back.config == CFG
     for name, w in model.params.items():
         assert np.array_equal(back.params[name], w)
@@ -119,8 +123,9 @@ def test_quantized_checkpoint_round_trip(tmp_path):
     params = init_params(CFG, seed=4)
     qmodel = QuantizedModel(CFG, quantize_model(params, CFG))
     path = tmp_path / "model.q4"
-    save_quantized(qmodel, path)
-    back, _ = load_bundle(path)
+    save_quantized(qmodel, path, VOCAB)
+    back, vocab = load_bundle(path)
+    assert vocab == VOCAB
     tokens = RNG.integers(0, CFG.vocab_size, 9)
     assert np.array_equal(qmodel.forward(tokens), back.forward(tokens))
 
@@ -140,7 +145,7 @@ def test_save_quantized_refuses_a_merged_adapter(tmp_path):
     merge(qmodel)
     path = tmp_path / "model.q4"
     with pytest.raises(DataError, match="merged adapter"):
-        save_quantized(qmodel, path)
+        save_quantized(qmodel, path, VOCAB)
     assert not path.exists()
 
 
@@ -148,7 +153,7 @@ def test_wrongly_shaped_tensor_rejected_at_load(tmp_path):
     params = init_params(CFG)
     params["layers.0.wq"] = params["layers.0.wq"][:, :-1]  # a truncated float tensor
     path = tmp_path / "model.bin"
-    write_container(path, {"kind": "model", "config": vars(CFG)}, params)
+    write_container(path, {"kind": "model", "config": vars(CFG), "vocab": WORDS}, params)
     with pytest.raises(DataError, match="layers.0.wq"):
         load_bundle(path)
 
@@ -158,7 +163,7 @@ def test_wrongly_shaped_quant_tensor_rejected_at_load(tmp_path):
     # a self-consistent int4 payload of the wrong shape, so only the model check sees it
     tensors["layers.0.wv"] = quantize(init_params(CFG)["layers.0.wv"][:-1])
     path = tmp_path / "model.q4"
-    write_container(path, {"kind": "quant-model", "config": vars(CFG)}, tensors)
+    write_container(path, {"kind": "quant-model", "config": vars(CFG), "vocab": WORDS}, tensors)
     with pytest.raises(DataError, match="layers.0.wv"):
         load_bundle(path)
 
@@ -189,11 +194,24 @@ def test_header_errors_raise_data_error(tmp_path):
         write_container(path, header, params)
         with pytest.raises(DataError, match="config|integer"):
             load_bundle(path)
-    for vocab in (5, [["a"]], ["a", 3]):
-        write_container(path, {"kind": "model", "config": vars(CFG), "vocab": vocab}, params)
-        with pytest.raises(DataError, match="vocab"):
-            load_bundle(path)
     for raw in (b"{not json", b"[1, 2]", b"\xff\xfe"):
         path.write_bytes(MAGIC + (1).to_bytes(4, "little") + len(raw).to_bytes(4, "little") + raw)
         with pytest.raises(DataError, match="header|utf-8"):
             read_container(path)
+
+
+@pytest.mark.parametrize("kind", ["model", "quant-model"])
+@pytest.mark.parametrize("vocab", [
+    "missing", 5, "abcdefg", [["a"]], ["a", 3], WORDS[:-1], WORDS + ["h"],
+])
+def test_load_bundle_needs_a_vocab_of_vocab_size(tmp_path, kind, vocab):
+    tensors = init_params(CFG)
+    if kind == "quant-model":
+        tensors = quantize_model(tensors, CFG)
+    header = {"kind": kind, "config": vars(CFG)}
+    if vocab != "missing":
+        header["vocab"] = vocab
+    path = tmp_path / "model.bin"
+    write_container(path, header, tensors)
+    with pytest.raises(DataError, match="vocab"):
+        load_bundle(path)

@@ -245,10 +245,12 @@ def test_adapter_file_round_trip(tmp_path):
 
 def test_load_adapter_rejects_model_container(tmp_path):
     from eyedx.container import save_model
+    from eyedx.tokenizer import SPECIAL_TOKENS, Vocabulary
 
     model = fresh_model()
     path = tmp_path / "m.bin"
-    save_model(model, path)
+    words = tuple("abcdefghi")  # CFG.vocab_size tokens with the specials
+    save_model(model, path, Vocabulary(tokens=SPECIAL_TOKENS + words))
     with pytest.raises(DataError, match="adapter"):
         load_adapter(path)
 
