@@ -26,7 +26,7 @@ rng = np.random.default_rng(0)
 # ------------------------------------------------------------------ one matrix
 
 w = rng.normal(0.0, 0.05, (8, 16)).astype(np.float32)
-q = quant.quantize(w, block_size=64)
+q = quant.quantize(w)
 
 print(f"original: {w.shape} float32, {w.nbytes} bytes")
 print(f"packed:   {q.packed.shape[0]} bytes of codes "

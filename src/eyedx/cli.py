@@ -203,9 +203,9 @@ def _cmd_train(args):
     save_adapter(result.adapter, args.out)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     log_path.write_text("".join(line + "\n" for line in log_lines), encoding="utf-8")
-    final = result.loss_history[-1] if result.loss_history else float("nan")
     print(
-        f"saved adapter to {args.out}: {result.steps} steps, final loss {final:.4f}, "
+        f"saved adapter to {args.out}: {result.steps} steps, "
+        f"final loss {result.loss_history[-1]:.4f}, "
         f"{result.tokens_seen} tokens in {result.seconds:.1f}s"
     )
 

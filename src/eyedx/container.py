@@ -82,10 +82,9 @@ def write_container(path: str | Path, header: dict, tensors: dict) -> None:
         if len(t.shape) > 2:
             raise DataError(f"tensor {name} has rank {len(t.shape)}, above 2")
         nb = name.encode("utf-8")
-        parts += [_u32(len(nb)), nb]
+        parts += [_u32(len(nb)), nb, _u32(len(t.shape))]
+        parts += [_u32(d) for d in t.shape]
         if isinstance(t, QuantTensor):
-            parts += [_u32(len(t.shape))]
-            parts += [_u32(d) for d in t.shape]
             parts += [bytes([DTYPE_INT4])]
             scales = np.ascontiguousarray(t.scales, dtype=np.float32)
             packed = np.ascontiguousarray(t.packed, dtype=np.uint8)
@@ -100,8 +99,6 @@ def write_container(path: str | Path, header: dict, tensors: dict) -> None:
             arr = np.asarray(t)
             if arr.dtype not in _CODE_OF:
                 raise DataError(f"tensor {name}: unsupported dtype {arr.dtype}")
-            parts += [_u32(arr.ndim)]
-            parts += [_u32(d) for d in arr.shape]
             parts += [bytes([_CODE_OF[arr.dtype]])]
             parts += [np.ascontiguousarray(arr).tobytes("C")]
     path = Path(path)

@@ -23,9 +23,6 @@ MODALITIES = ("OSA", "CFP", "OCT")
 # clinician judged unreliable as ground truth.
 EXCLUSION_FLAGS = frozenset({"possible_misdiagnosis", "needs_further_exam"})
 
-# Identifier fields are stripped at ingest and never stored on the record.
-IDENTIFIER_FIELDS = ("name", "gender", "age")
-
 _WS_RE = re.compile(r"\s+")
 
 
@@ -134,8 +131,6 @@ def ingest(path: str | Path) -> list[ReportRecord]:
             raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected an object per line")
-        for key in IDENTIFIER_FIELDS:
-            obj.pop(key, None)
         try:
             flags = obj.get("flags", [])
             if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):

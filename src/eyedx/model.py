@@ -61,15 +61,13 @@ class ModelConfig:
     rmsnorm_eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "vocab_size",
-                     "max_seq_len"):
+        sizes = ("d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "vocab_size", "max_seq_len")
+        for name in sizes:
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise DataError(f"{name} must be an integer")
-        for name in ("d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "vocab_size"):
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive")
-        if self.max_seq_len < 1:
-            raise DataError("max_seq_len must be >= 1")
         if self.d_model % self.n_heads:
             raise DataError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.n_kv_heads > self.n_heads or self.n_heads % self.n_kv_heads:
@@ -363,8 +361,8 @@ class Model:
         self.params = params
         self.adapter = None
         self.merged = None
-        # the training step's shard threads: started by its first step with
-        # more than one shard, then reused, as are their malloc arenas
+        # the training step's shard threads, reused with their malloc arenas by
+        # the steps of one train call, which shuts them down as it ends
         self._pool = None
 
     @property
@@ -507,7 +505,7 @@ class Model:
         scores = (qg @ k_all.transpose(0, 2, 3, 1)).reshape(B, KV, G, T, S)
         scores /= math.sqrt(hd)
         np.copyto(scores, -np.inf, where=hidden)
-        probs = softmax(scores, axis=-1).reshape(B, KV, G * T, S)
+        probs = softmax(scores).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
         # the last layer goes on over the read rows alone, in the rows' layout
         rows = (1, -1) if lead[0] == 1 else (-1, 1)
@@ -653,7 +651,7 @@ class Model:
         # contracting over the G*T axis sums each group onto its shared kv head
         dprobs = dctx @ rec["v"].transpose(0, 2, 3, 1)
         dv = probs.transpose(0, 1, 3, 2) @ dctx
-        dscores = softmax_backward(probs, dprobs, axis=-1)
+        dscores = softmax_backward(probs, dprobs)
         dscores /= math.sqrt(hd)
         dq = _gather(_ungroup_heads(dscores @ k, T), kept, lead)
         # the backward of a rotation is the rotation by the negated angle

@@ -19,17 +19,17 @@ import numpy as np
 from .errors import NumericError
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def softmax_backward(y: np.ndarray, dy: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Backward through softmax given its forward output y: y (dy - sum(dy y))."""
     t = dy * y
-    np.subtract(dy, t.sum(axis=axis, keepdims=True), out=t)
+    np.subtract(dy, t.sum(axis=-1, keepdims=True), out=t)
     t *= y
     return t
 
@@ -66,7 +66,7 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> 
 def cross_entropy_backward(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """d loss / d logits, shaped like logits: (softmax - onehot) / n."""
     targets, n = _loss_rows(logits, targets, mask)
-    probs = softmax(logits, axis=-1)
+    probs = softmax(logits)
     np.put_along_axis(
         probs, targets[:, None], np.take_along_axis(probs, targets[:, None], axis=-1) - 1.0, axis=-1
     )

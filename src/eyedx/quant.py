@@ -1,8 +1,8 @@
 """Blockwise symmetric int4 weight quantization.
 
-Each weight tensor is flattened row-major and cut into fixed-size blocks; a
-block stores one float32 scale = absmax/7 and 4-bit codes in [-7, 7]
-(round-to-nearest-even, code -8 unused so the range stays symmetric).
+Each weight tensor is flattened row-major and cut into 64-value blocks, the
+last one zero-padded; a block stores one float32 scale = absmax/7 and 4-bit
+codes in [-7, 7] (round-to-nearest-even, -8 unused to keep them symmetric).
 Dequantized value = code * scale. Norm gains, the embedding table, and the
 output projection are left in float; only the per-layer projection matrices
 are quantized.
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import NumericError
 from .model import Model, ModelConfig, matmul_weight_names
+
+BLOCK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -42,29 +44,26 @@ class QuantTensor:
         return np.repeat(self.scales, self.block_size)[:n].reshape(self.shape)
 
 
-def quantize(w: np.ndarray, block_size: int = 64) -> QuantTensor:
-    if block_size < 2:
-        raise DataError(f"block_size must be >= 2, got {block_size}")
+def quantize(w: np.ndarray) -> QuantTensor:
     if not np.isfinite(w).all():
         raise NumericError("quantize: input contains NaN or Inf")
     flat = np.asarray(w, dtype=np.float32).reshape(-1)
     n = flat.size
-    n_blocks = -(-n // block_size)
-    padded = np.zeros(n_blocks * block_size, dtype=np.float32)
+    n_blocks = -(-n // BLOCK_SIZE)
+    padded = np.zeros(n_blocks * BLOCK_SIZE, dtype=np.float32)
     padded[:n] = flat
-    blocks = padded.reshape(n_blocks, block_size)
+    blocks = padded.reshape(n_blocks, BLOCK_SIZE)
 
     scales = (np.abs(blocks).max(axis=1) / 7.0).astype(np.float32)
+    # a block of scale 0 divides by 1, and its values (all below 1e-44) round to code 0
     safe = np.where(scales > 0, scales, 1.0)[:, None]
     codes = np.rint(blocks / safe).astype(np.int8)
-    codes[scales == 0] = 0
     codes = np.clip(codes, -7, 7).reshape(-1)
 
+    # BLOCK_SIZE is even, so the padded codes pair up into whole bytes
     nibbles = (codes + 8).astype(np.uint8)
-    if nibbles.size % 2:
-        nibbles = np.append(nibbles, np.uint8(8))  # pad slot, code 0
     packed = nibbles[0::2] | (nibbles[1::2] << 4)
-    return QuantTensor(packed=packed, scales=scales, block_size=block_size, shape=tuple(w.shape))
+    return QuantTensor(packed=packed, scales=scales, block_size=BLOCK_SIZE, shape=tuple(w.shape))
 
 
 def codes_of(q: QuantTensor) -> np.ndarray:
@@ -81,12 +80,12 @@ def dequantize(q: QuantTensor) -> np.ndarray:
     return codes_of(q).reshape(q.shape) * q.element_scales()
 
 
-def quantize_model(params: dict, config: ModelConfig, block_size: int = 64) -> dict:
+def quantize_model(params: dict, config: ModelConfig) -> dict:
     """Quantize the projection matrices; pass everything else through."""
     targets = set(matmul_weight_names(config))
     out: dict = {}
     for name, w in params.items():
-        out[name] = quantize(w, block_size) if name in targets else w
+        out[name] = quantize(w) if name in targets else w
     return out
 
 

@@ -97,10 +97,10 @@ def make_batch(
 class Adam:
     """Adam with bias correction; decoupled weight decay held at zero."""
 
-    def __init__(self, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -174,39 +174,45 @@ def train(
     result = TrainResult(adapter=adapter)
 
     t0 = time.perf_counter()
-    for _epoch in range(config.epochs):
-        order = rng.permutation(len(records))
-        batches = _micro_batches(records, order, vocab, template, config, result)
-        while True:
-            started = time.perf_counter()
-            grad_sum = {name: np.zeros_like(w) for name, w in trainable.items()}
-            loss_sum = 0.0
-            n_tokens = 0
-            input_tokens = 0
-            for batch in islice(batches, config.grad_accum_steps):
-                loss, grads = model.loss_and_grads(batch.inputs, batch.labels, batch.mask)
-                if not np.isfinite(loss):
-                    raise NumericError(f"non-finite loss at optimizer step {result.steps + 1}")
-                n = batch.n_tokens
+    try:
+        for _epoch in range(config.epochs):
+            order = rng.permutation(len(records))
+            batches = _micro_batches(records, order, vocab, template, config, result)
+            while True:
+                started = time.perf_counter()
+                grad_sum = {name: np.zeros_like(w) for name, w in trainable.items()}
+                loss_sum = 0.0
+                n_tokens = 0
+                input_tokens = 0
+                for batch in islice(batches, config.grad_accum_steps):
+                    loss, grads = model.loss_and_grads(batch.inputs, batch.labels, batch.mask)
+                    if not np.isfinite(loss):
+                        raise NumericError(f"non-finite loss at optimizer step {result.steps + 1}")
+                    n = batch.n_tokens
+                    for name in trainable:
+                        grad_sum[name] += n * grads[name]
+                    loss_sum += n * loss
+                    n_tokens += n
+                    if log is not None:
+                        input_tokens += int((batch.inputs != PAD_ID).sum())
+                if n_tokens == 0:  # the epoch's batches are spent
+                    break
                 for name in trainable:
-                    grad_sum[name] += n * grads[name]
-                loss_sum += n * loss
-                n_tokens += n
+                    grad_sum[name] /= n_tokens
+                opt.step(trainable, grad_sum)
+                loss = loss_sum / n_tokens
+                result.loss_history.append(loss)
+                result.steps += 1
+                result.tokens_seen += n_tokens
                 if log is not None:
-                    input_tokens += int((batch.inputs != PAD_ID).sum())
-            if n_tokens == 0:  # the epoch's batches are spent
-                break
-            for name in trainable:
-                grad_sum[name] /= n_tokens
-            opt.step(trainable, grad_sum)
-            loss = loss_sum / n_tokens
-            result.loss_history.append(loss)
-            result.steps += 1
-            result.tokens_seen += n_tokens
-            if log is not None:
-                elapsed = max(time.perf_counter() - started, 1e-9)
-                tokens_per_sec = input_tokens / elapsed
-                log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={tokens_per_sec:.1f}")
+                    elapsed = max(time.perf_counter() - started, 1e-9)
+                    tokens_per_sec = input_tokens / elapsed
+                    log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={tokens_per_sec:.1f}")
+    finally:
+        # end the shard threads with the run, so that decode_batch can fork
+        if model._pool is not None:
+            model._pool.shutdown()
+            model._pool = None
     if result.steps == 0:
         raise DataError(f"no optimizer step ran: all {len(records)} records were skipped, "
                         f"none leaves room for a target within max_seq_len {config.max_seq_len}")

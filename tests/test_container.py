@@ -44,16 +44,20 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_round_trip_quant_tensor(tmp_path):
-    q = quantize(RNG.standard_normal(200).astype(np.float32), block_size=32)
-    path = tmp_path / "q.bin"
-    write_container(path, {"kind": "test"}, {"q": q})
-    _, t2 = read_container(path)
-    q2 = t2["q"]
-    assert q2.block_size == 32
-    assert q2.shape == (200,)
-    assert np.array_equal(q2.packed, q.packed)
-    assert np.array_equal(q2.scales, q.scales)
-    assert np.array_equal(codes_of(q2), codes_of(q))
+    # quantize's 64-value blocks, and 32-value ones built by hand: the format
+    # holds any block size that fits the shape
+    hand_built = QuantTensor(RNG.integers(0, 256, 112, dtype=np.uint8),
+                             RNG.random(7).astype(np.float32), 32, (200,))
+    for q in (quantize(RNG.standard_normal(200).astype(np.float32)), hand_built):
+        path = tmp_path / "q.bin"
+        write_container(path, {"kind": "test"}, {"q": q})
+        _, t2 = read_container(path)
+        q2 = t2["q"]
+        assert q2.block_size == q.block_size
+        assert q2.shape == (200,)
+        assert np.array_equal(q2.packed, q.packed)
+        assert np.array_equal(q2.scales, q.scales)
+        assert np.array_equal(codes_of(q2), codes_of(q))
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -169,7 +173,7 @@ def test_wrongly_shaped_quant_tensor_rejected_at_load(tmp_path):
 
 
 def test_int4_payload_inconsistent_with_shape_rejected(tmp_path):
-    q = quantize(RNG.standard_normal(200).astype(np.float32), block_size=32)
+    q = quantize(RNG.standard_normal(200).astype(np.float32))
     for bad in (
         QuantTensor(q.packed, q.scales, q.block_size, (300,)),
         QuantTensor(q.packed[:-1], q.scales, q.block_size, q.shape),

@@ -356,7 +356,7 @@ def oracle_attention(q, k, v, past):
     scores = np.einsum("bthd,bshd->bhts", q, k_exp) / math.sqrt(hd)
     allowed = np.arange(S)[None, :] <= (past + np.arange(T))[:, None]
     scores = np.where(allowed[None, None], scores, -np.inf)
-    probs = softmax(scores, axis=-1)
+    probs = softmax(scores)
     ctx = np.einsum("bhts,bshd->bthd", probs, v_exp).reshape(B, T, H * hd)
     return ctx, probs
 
@@ -371,7 +371,7 @@ def oracle_attention_bwd(q, k, v, probs, dctx):
     v_exp = np.repeat(v, group, axis=2)
     dprobs = np.einsum("bthd,bshd->bhts", dctx, v_exp)
     dv_exp = np.einsum("bhts,bthd->bshd", probs, dctx)
-    dscores = softmax_backward(probs, dprobs, axis=-1) / math.sqrt(hd)
+    dscores = softmax_backward(probs, dprobs) / math.sqrt(hd)
     dq = np.einsum("bhts,bshd->bthd", dscores, k_exp)
     dk_exp = np.einsum("bhts,bthd->bshd", dscores, q)
     # collapse each query-head group back onto its shared kv head

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eyedx import DataError, NumericError
+from eyedx import NumericError
 from eyedx.model import Model, ModelConfig, init_params, matmul_weight_names
 from eyedx.quant import QuantizedModel, QuantTensor, codes_of, dequantize, quantize, quantize_model
 
@@ -14,15 +14,17 @@ RNG = np.random.default_rng(11)
 
 
 def test_all_zero_tensor():
-    q = quantize(np.zeros((8, 16), dtype=np.float32))
-    assert np.all(codes_of(q) == 0)
-    assert np.all(q.scales == 0.0)
-    assert np.array_equal(dequantize(q), np.zeros((8, 16), dtype=np.float32))
+    # -0.0, and values whose absmax / 7 rounds to a float32 0, code to 0 too
+    for fill in (0.0, -0.0, 4e-45):
+        q = quantize(np.full((8, 16), fill, dtype=np.float32))
+        assert np.all(codes_of(q) == 0)
+        assert np.all(q.scales == 0.0)
+        assert np.array_equal(dequantize(q), np.zeros((8, 16), dtype=np.float32))
 
 
 def test_constant_block_recovers_exactly():
     w = np.full(64, 3.5, dtype=np.float32)
-    q = quantize(w, block_size=64)
+    q = quantize(w)
     assert np.all(codes_of(q) == 7)
     assert np.isclose(q.scales[0], 3.5 / 7)
     assert np.allclose(dequantize(q), w, rtol=1e-6)
@@ -30,14 +32,14 @@ def test_constant_block_recovers_exactly():
 
 def test_codes_stay_in_symmetric_range():
     w = RNG.standard_normal(4096).astype(np.float32) * 5
-    codes = codes_of(quantize(w, 64))
+    codes = codes_of(quantize(w))
     assert codes.min() >= -7
     assert codes.max() <= 7
 
 
 def test_error_bound_every_block():
     w = (RNG.standard_normal((40, 96)) * np.exp(RNG.standard_normal((40, 1)))).astype(np.float32)
-    q = quantize(w, block_size=64)
+    q = quantize(w)
     err = np.abs(w.astype(np.float64) - dequantize(q).astype(np.float64))
     bound = q.element_scales().astype(np.float64) * 0.5
     assert np.all(err <= bound * (1 + 1e-6) + 1e-12)
@@ -47,15 +49,15 @@ def test_round_to_nearest_even():
     # values landing exactly on half-integers of the scale tie to even codes
     scale = 1.0
     w = np.array([7.0, 0.5, 1.5, 2.5, -0.5, -2.5], dtype=np.float32)
-    codes = codes_of(quantize(w, block_size=8))
+    codes = codes_of(quantize(w))
     assert codes[0] == 7  # absmax pins the scale
     assert list(codes[1:]) == [0, 2, 2, 0, -2]
 
 
 def test_quantize_dequantize_fixpoint():
     w = RNG.standard_normal(1000).astype(np.float32)
-    q1 = quantize(w, 64)
-    q2 = quantize(dequantize(q1), 64)
+    q1 = quantize(w)
+    q2 = quantize(dequantize(q1))
     assert np.array_equal(codes_of(q1), codes_of(q2))
     assert np.allclose(q1.scales, q2.scales, rtol=1e-6)
 
@@ -63,28 +65,23 @@ def test_quantize_dequantize_fixpoint():
 def test_block_padding_and_odd_lengths():
     for n in (1, 63, 64, 65, 130):
         w = RNG.standard_normal(n).astype(np.float32)
-        q = quantize(w, 64)
+        q = quantize(w)
         back = dequantize(q)
         assert back.shape == (n,)
         assert q.scales.size == -(-n // 64)
 
 
 def test_quantize_rejects_bad_input():
-    with pytest.raises(DataError, match="block_size"):
-        quantize(np.ones(4), block_size=1)
     w = np.ones(8, dtype=np.float32)
     w[3] = np.nan
     with pytest.raises(NumericError, match="NaN"):
         quantize(w)
 
 
-@given(
-    arrays(np.float32, st.integers(1, 200), elements=st.floats(-100, 100, width=32)),
-    st.sampled_from([2, 16, 64]),
-)
+@given(arrays(np.float32, st.integers(1, 200), elements=st.floats(-100, 100, width=32)))
 @settings(max_examples=100, deadline=None)
-def test_bound_property(w, block_size):
-    q = quantize(w, block_size)
+def test_bound_property(w):
+    q = quantize(w)
     err = np.abs(w.astype(np.float64) - dequantize(q).astype(np.float64))
     bound = q.element_scales().astype(np.float64) * 0.5
     assert np.all(err <= bound * (1 + 1e-6) + 1e-12)

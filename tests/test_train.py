@@ -1,14 +1,18 @@
 """Batch assembly, Adam, accumulation equivalence, and the training loop."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
 from eyedx import DataError, NumericError
+from eyedx import model as model_module
+from eyedx import sample as sample_module
 from eyedx.corpus import DEFAULT_TEMPLATE, ReportRecord, synthesize
 from eyedx.lora import attach
 from eyedx.model import Model, ModelConfig, init_params
+from eyedx.sample import DecodeParams, decode_batch
 from eyedx.tokenizer import BOS_ID, EOS_ID, PAD_ID, build
 from eyedx.train import Adam, TrainConfig, make_batch, train
 
@@ -262,3 +266,34 @@ def test_accumulation_steps_change_step_count_not_token_count():
     assert r1.tokens_seen == r2.tokens_seen
     assert r1.steps == 12
     assert r2.steps == 3
+
+
+def test_train_ends_its_shard_threads(monkeypatch, single_threaded):
+    """The step's shard threads end with train, as it returns and as it
+    raises, so decode_batch forks its decode shards straight after."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(model_module, "_usable_cores", lambda: 2)
+
+    def shard_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("eyedx-shard")]
+
+    records, vocab = corpus_and_vocab(4)
+    model = fresh()
+    during = []
+    train(model, records, vocab, small_train_config(), log=lambda _: during.append(shard_threads()))
+    assert during and all(during)  # every step ran on a second thread
+    assert shard_threads() == []
+
+    splits = []
+    split = sample_module._split_rows
+    monkeypatch.setattr(sample_module, "_split_rows",
+                        lambda weights, n: splits.append(split(weights, n)) or splits[-1])
+    decode_batch(model, [[BOS_ID, 5, 6], [BOS_ID, 7]], DecodeParams(max_new_tokens=2))
+    assert [len(shards) for shards in splits] == [2]
+
+    poisoned = fresh()
+    for t in poisoned.adapter.targets:
+        poisoned.adapter.b[t][:] = np.nan
+    with pytest.raises(NumericError, match="step 1"):
+        train(poisoned, records, vocab, small_train_config())
+    assert shard_threads() == []
