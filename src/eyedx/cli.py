@@ -367,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         # numpy's overflow warnings would print ahead of the one-line error the
         # finite checks raise; a filter, not np.errstate, since errstate is per
         # thread and the training step's shard threads start with the defaults

@@ -12,7 +12,7 @@ import json
 import random
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DataError
@@ -161,19 +161,8 @@ def write_jsonl(records: list[ReportRecord] | tuple[ReportRecord, ...], path: st
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "modality": rec.modality,
-                        "findings": rec.findings,
-                        "diagnosis": rec.diagnosis,
-                        "flags": sorted(rec.flags),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            row = {**asdict(rec), "flags": sorted(rec.flags)}
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def dedup(records: list[ReportRecord]) -> list[ReportRecord]:

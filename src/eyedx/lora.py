@@ -37,6 +37,15 @@ class LoraAdapter:
     def delta(self, target: str) -> np.ndarray:
         return self.scale * (self.a[target] @ self.b[target])
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """The factors under their file names, t.lora_a and t.lora_b per target
+        t: the adapter's own arrays, so writing into one writes the adapter."""
+        tensors = {}
+        for t in self.targets:
+            tensors[t + ".lora_a"] = self.a[t]
+            tensors[t + ".lora_b"] = self.b[t]
+        return tensors
+
 
 def target_names(config: ModelConfig) -> list[str]:
     names = []
@@ -138,11 +147,8 @@ def swap(model: Model, old: LoraAdapter, new: LoraAdapter) -> None:
 
 
 def save_adapter(adapter: LoraAdapter, path) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for t in adapter.targets:
-        tensors[t + ".lora_a"] = adapter.a[t]
-        tensors[t + ".lora_b"] = adapter.b[t]
-    write_container(path, {"kind": "adapter", "rank": adapter.rank, "alpha": adapter.alpha}, tensors)
+    header = {"kind": "adapter", "rank": adapter.rank, "alpha": adapter.alpha}
+    write_container(path, header, adapter.tensors())
 
 
 def load_adapter(path) -> LoraAdapter:

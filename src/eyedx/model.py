@@ -112,11 +112,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
 def matmul_weight_names(config: ModelConfig) -> list[str]:
     """The per-layer projection matrices; what int4 quantization targets.
     Norm gains, the embedding table, and lm_head stay in float."""
-    names = []
-    for i in range(config.n_layers):
-        p = f"layers.{i}."
-        names += [p + w for w in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")]
-    return names
+    return [name for name, shape in param_shapes(config).items()
+            if name.startswith("layers.") and len(shape) == 2]
 
 
 def init_params(config: ModelConfig, seed: int = 0, scale: float = 0.02, dtype=np.float32):
@@ -362,8 +359,16 @@ class Model:
         self.adapter = None
         self.merged = None
         # the training step's shard threads, reused with their malloc arenas by
-        # the steps of one train call, which shuts them down as it ends
+        # the steps that follow, until end_shard_threads
         self._pool = None
+
+    def end_shard_threads(self) -> None:
+        """End the training step's shard threads, if any run. train calls
+        this as it ends and decode_batch before it decides whether to fork,
+        since a forked child gets only the forking thread."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     @property
     def dtype(self):

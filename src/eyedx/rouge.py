@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_TEMPLATE, PromptTemplate, render_prompt
@@ -37,9 +37,6 @@ class RougeScore:
                 raise DataError(f"{name} must be in [0, 1], got {value}")
         if self.recall + self.precision == 0.0 and self.f1 != 0.0:
             raise DataError("f1 must be 0 when recall and precision are both 0")
-
-    def as_dict(self) -> dict:
-        return {"recall": self.recall, "precision": self.precision, "f1": self.f1}
 
 
 def _f_measure(recall: float, precision: float, beta: float) -> float:
@@ -105,31 +102,18 @@ def rouge_l(candidate, reference, beta: float = 1.0) -> RougeScore:
 
 @dataclass(frozen=True)
 class RecordScore:
-    """Per-record evaluation row: what the model wrote, how it scored, how
-    many tokens it generated and why it stopped ("eos", "budget" or "error")."""
+    """Per-record evaluation row, its fields in the report's key order: what the
+    model wrote, how many tokens, why it stopped ("eos", "budget" or "error"), scores."""
 
-    record_id: str
+    id: str
     modality: str
     candidate: str
-    rouge1: RougeScore
-    rouge2: RougeScore
-    rouge_l: RougeScore
     failed: bool
     n_generated: int
     stop: str
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.record_id,
-            "modality": self.modality,
-            "candidate": self.candidate,
-            "failed": self.failed,
-            "n_generated": self.n_generated,
-            "stop": self.stop,
-            "rouge1": self.rouge1.as_dict(),
-            "rouge2": self.rouge2.as_dict(),
-            "rouge_l": self.rouge_l.as_dict(),
-        }
+    rouge1: RougeScore
+    rouge2: RougeScore
+    rouge_l: RougeScore
 
 
 @dataclass(frozen=True)
@@ -143,21 +127,13 @@ class EvalReport:
     by_modality: dict
 
     def as_dict(self) -> dict:
+        def metrics(r1, r2, rl):
+            return {"rouge1": asdict(r1), "rouge2": asdict(r2), "rouge_l": asdict(rl)}
         return {
-            "means": {
-                "rouge1": self.rouge1.as_dict(),
-                "rouge2": self.rouge2.as_dict(),
-                "rouge_l": self.rouge_l.as_dict(),
-            },
-            "by_modality": {
-                modality: {
-                    "rouge1": r1.as_dict(),
-                    "rouge2": r2.as_dict(),
-                    "rouge_l": rl.as_dict(),
-                }
-                for modality, (r1, r2, rl) in sorted(self.by_modality.items())
-            },
-            "records": [row.as_dict() for row in self.records],
+            "means": metrics(self.rouge1, self.rouge2, self.rouge_l),
+            "by_modality": {modality: metrics(*scores)
+                            for modality, scores in sorted(self.by_modality.items())},
+            "records": [asdict(row) for row in self.records],
         }
 
 
@@ -208,8 +184,8 @@ def evaluate(
         failed = gen.error is not None
         candidate = "" if failed else vocab.decode(gen.tokens)
         r1, r2, rl = (zero, zero, zero) if failed else score_pair(candidate, reference_text)
-        rows.append(RecordScore(record.id, record.modality, candidate, r1, r2, rl,
-                                failed, len(gen.tokens), gen.stop))
+        rows.append(RecordScore(record.id, record.modality, candidate,
+                                failed, len(gen.tokens), gen.stop, r1, r2, rl))
 
     by_modality = {}
     for modality in sorted({row.modality for row in rows}):

@@ -142,8 +142,9 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     length plus budget, one per core BLAS leaves idle (model._shard_count):
     this process steps the first shard, and a child forked for this call
     steps each other one. Forking waits for a process with no other thread,
-    since a forked child gets only the forking thread; with a thread alive
-    the rows run as one shard here. A row keeps its seed stream in any
+    since a forked child gets only the forking thread, so the model's own
+    idle training shard threads end first; with another thread alive the
+    rows run as one shard here. A row keeps its seed stream in any
     shard, but its logits may differ in the last bit, as ragged rows round
     with the batch they step in.
     """
@@ -167,6 +168,7 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     if not live:
         return results
 
+    model.end_shard_threads()
     count = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
         count = _shard_count(len(live))

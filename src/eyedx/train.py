@@ -164,11 +164,7 @@ def train(
     if not records:
         raise DataError("training corpus is empty")
 
-    trainable: dict[str, np.ndarray] = {}
-    for t in adapter.targets:
-        trainable[t + ".lora_a"] = adapter.a[t]
-        trainable[t + ".lora_b"] = adapter.b[t]
-
+    trainable = adapter.tensors()
     opt = Adam(config.learning_rate)
     rng = np.random.default_rng(config.seed)
     result = TrainResult(adapter=adapter)
@@ -209,10 +205,7 @@ def train(
                     tokens_per_sec = input_tokens / elapsed
                     log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={tokens_per_sec:.1f}")
     finally:
-        # end the shard threads with the run, so that decode_batch can fork
-        if model._pool is not None:
-            model._pool.shutdown()
-            model._pool = None
+        model.end_shard_threads()
     if result.steps == 0:
         raise DataError(f"no optimizer step ran: all {len(records)} records were skipped, "
                         f"none leaves room for a target within max_seq_len {config.max_seq_len}")

@@ -582,6 +582,26 @@ def test_ctrl_c_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr() == ("", "interrupted\n")
 
 
+def test_ctrl_c_while_the_cli_loads_is_one_line_and_exit_130():
+    """A Ctrl-C that lands while python -m eyedx still imports eyedx.cli,
+    before main's handler is in place, ends as one during a command does."""
+    script = (
+        "import runpy, sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'eyedx.cli':\n"
+        "            raise KeyboardInterrupt\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+        "runpy.run_module('eyedx', run_name='__main__')\n"
+    )
+    src = str(Path(eyedx.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, "prepare", "--synthesize", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (130, "interrupted\n")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_ctrl_c_in_forked_decode_reaps_the_workers_first(
     workspace, tmp_path, capsys, monkeypatch, single_threaded

@@ -126,6 +126,12 @@ def test_write_then_ingest_round_trips(tmp_path):
     assert back == records
 
 
+def test_written_lines_keep_the_record_key_order(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl([make_record(0, flags=("needs_further_exam",))], path)
+    assert list(json.loads(path.read_text())) == ["id", "modality", "findings", "diagnosis", "flags"]
+
+
 # ---------------------------------------------------------------- dedup
 
 

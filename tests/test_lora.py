@@ -230,6 +230,17 @@ def test_adapter_gradcheck_float64():
             assert err < 1e-4, f"{t}{suffix}: rel err {err:.2e}"
 
 
+def test_adapter_tensors_are_its_own_arrays():
+    """tensors() hands out the factors themselves, so an optimizer's in-place
+    step on them is a step of the adapter."""
+    adapter = init_adapter(CFG, rank=2, alpha=4.0)
+    tensors = adapter.tensors()
+    assert list(tensors) == [t + s for t in adapter.targets for s in (".lora_a", ".lora_b")]
+    for t in adapter.targets:
+        assert tensors[t + ".lora_a"] is adapter.a[t]
+        assert tensors[t + ".lora_b"] is adapter.b[t]
+
+
 def test_adapter_file_round_trip(tmp_path):
     adapter = randomized(init_adapter(CFG, rank=4, alpha=16.0, seed=3))
     path = tmp_path / "adapter.bin"

@@ -1,6 +1,7 @@
 """Transformer forward/backward: norms, rotary positions, GQA, cache, gradients."""
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from eyedx import DataError, NumericError
 from eyedx import model as model_module
+from eyedx import sample as sample_module
 from eyedx.lora import attach
 from eyedx.model import (
     Model,
@@ -23,6 +25,7 @@ from eyedx.model import (
     param_shapes,
 )
 from eyedx.numerics import cross_entropy, softmax, softmax_backward
+from eyedx.sample import DecodeParams, decode_batch
 
 RNG = np.random.default_rng(7)
 
@@ -70,6 +73,17 @@ def test_param_shapes_default_config():
     assert shapes["layers.3.w_gate"] == (256, 688)
     assert shapes["lm_head"] == (256, 4096)
     assert len(matmul_weight_names(ModelConfig())) == 4 * 7
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_matmul_weight_names_are_each_layers_seven_projections(n_layers):
+    config = ModelConfig(d_model=16, n_layers=n_layers, n_heads=4, n_kv_heads=2, d_ff=24,
+                         vocab_size=13, max_seq_len=16)
+    assert matmul_weight_names(config) == [
+        f"layers.{i}.{w}"
+        for i in range(n_layers)
+        for w in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+    ]
 
 
 def test_model_rejects_wrongly_shaped_or_typed_tensors():
@@ -852,6 +866,23 @@ def test_row_splitter_is_contiguous_and_balanced(data):
     sizes = [int(weights[rows].sum()) for rows in shards]
     assert min(sizes) > 0
     assert max(sizes) - min(sizes) <= weights.max()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_decode_batch_ends_the_shard_threads_of_a_direct_step(monkeypatch, single_threaded):
+    """A multi-shard loss_and_grads outside train leaves its shard threads
+    alive; decode_batch on that model ends them and forks its decode shards."""
+    model = adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
+    calls = force_shards(monkeypatch, 2)
+    model.loss_and_grads(inputs, labels, mask)
+    assert len(calls[0]) == 2
+    splits = []
+    split = sample_module._split_rows
+    monkeypatch.setattr(sample_module, "_split_rows",
+                        lambda weights, n: splits.append(split(weights, n)) or splits[-1])
+    decode_batch(model, [[1, 5, 6], [1, 7]], DecodeParams(max_new_tokens=2))
+    assert [len(shards) for shards in splits] == [2]
 
 
 def test_row_splitter_needs_a_weighted_row_per_shard():

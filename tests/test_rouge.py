@@ -2,7 +2,7 @@
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -249,7 +249,7 @@ def test_generation_failure_is_flagged_and_skipped(monkeypatch):
 
     report = stub_evaluate(monkeypatch, records, generation_of)
     failures = [row for row in report.records if row.failed]
-    assert [row.record_id for row in failures] == [doomed]
+    assert [row.id for row in failures] == [doomed]
     assert failures[0].rouge1 == failures[0].rouge2 == failures[0].rouge_l == RougeScore(0, 0, 0)
     expected = (len(records) - 1) / len(records)
     assert abs(report.rouge1.f1 - expected) < 1e-12
@@ -293,7 +293,7 @@ def test_rows_take_stop_and_count_from_their_generation(monkeypatch):
         (False, len(words[0]), "eos"), (False, 2, "budget"), (True, 3, "error")
     ]
     assert [row.candidate for row in rows] == [" ".join(words[0]), " ".join(words[1][:2]), ""]
-    assert rows[2].as_dict()["n_generated"] == 3
+    assert asdict(rows[2])["n_generated"] == 3
 
 
 def eval_fixture_model():
@@ -381,7 +381,7 @@ def test_report_records_stop_reason_and_generated_count():
     records = list(records[:4])
     records[3] = replace(records[3], findings=records[3].findings * 20)  # fills the window
     report = evaluate(model, records, vocab, params=DecodeParams(max_new_tokens=8, seed=0))
-    rows = [row.as_dict() for row in report.records]
+    rows = [asdict(row) for row in report.records]
     for row in rows[:3]:
         assert row["stop"] in ("eos", "budget")
         assert (row["stop"] == "budget") == (row["n_generated"] == 8)
@@ -417,3 +417,22 @@ def test_written_report_is_valid_json_with_all_components(tmp_path, monkeypatch)
     assert {"rouge1", "rouge2", "rouge_l"} <= set(means)
     assert len(payload["base"]["records"]) == len(small_records())
     assert payload["base"]["by_modality"].keys() == {"OSA", "CFP", "OCT"}
+
+
+def test_written_report_keys_are_in_order(tmp_path, monkeypatch):
+    """The report's key order at every level: the layout, each record's
+    fields, each record's and each mean's metrics, each score's triple."""
+    path = tmp_path / "report.json"
+    write_report(path, two_reports(monkeypatch))
+    metrics = ["rouge1", "rouge2", "rouge_l"]
+    for report in json.loads(path.read_text()).values():
+        assert list(report) == ["means", "by_modality", "records"]
+        means = [report["means"], *report["by_modality"].values()]
+        for scores in means:
+            assert list(scores) == metrics
+        for row in report["records"]:
+            assert list(row) == ["id", "modality", "candidate", "failed", "n_generated", "stop",
+                                 *metrics]
+        for scores in means + report["records"]:
+            for metric in metrics:
+                assert list(scores[metric]) == ["recall", "precision", "f1"]
