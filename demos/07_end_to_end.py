@@ -72,8 +72,8 @@ print()
 print(rouge.format_table([("base", base_report), ("tuned", tuned_report)]))
 
 print("\nper modality (tuned, ROUGE-1 F1):")
-for modality, (r1, _, _) in sorted(tuned_report.by_modality.items()):
-    print(f"  {modality}: {r1.f1:.4f}")
+for modality, means in tuned_report.by_modality.items():
+    print(f"  {modality}: {means['rouge1'].f1:.4f}")
 
 # ------------------------------------------------------------------ a look
 #

@@ -203,6 +203,9 @@ def split(records: list[ReportRecord], ratio: float = 0.6, seed: int = 0) -> Cor
             raise DataError(f"modality {m} has {len(recs)} record(s); need at least 2 to stratify")
 
     n_train_total = round(ratio * len(records))
+    if n_train_total in (0, len(records)):
+        side = "train" if n_train_total == 0 else "test"
+        raise DataError(f"split ratio {ratio} of {len(records)} records leaves the {side} side empty")
     # Largest-remainder allocation: floor each quota, hand out the remainder
     # by descending fractional part (ties broken by modality name).
     quotas = {m: ratio * len(recs) for m, recs in strata.items()}

@@ -284,12 +284,29 @@ def _split_rows(weights: np.ndarray, n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _map_shards(pool, fn, items) -> list:
-    """[fn(item) for item in items]: the first on the calling thread, the
-    rest on pool."""
-    rest = [pool.submit(fn, item) for item in items[1:]]
+_pool = None  # the process's shard threads; cores and the fork rule are per process
+
+
+def _map_shards(fn, items) -> list:
+    """[fn(item) for item in items]: the first on the calling thread, the rest
+    on the process's shard threads, started by the first call of several items
+    and kept, with their malloc arenas, until end_shard_threads; one caller at a time."""
+    global _pool
+    if len(items) > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(thread_name_prefix="eyedx-shard")
+    rest = [_pool.submit(fn, item) for item in items[1:]]
     first = fn(items[0])
     return [first] + [future.result() for future in rest]
+
+
+def end_shard_threads() -> None:
+    """End the shard threads, if any run. train calls this as it ends and
+    decode_batch before it decides whether to fork, since a forked child gets
+    only the forking thread."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
 
 
 # ------------------------------------------------------------------ cache
@@ -358,17 +375,6 @@ class Model:
         self.params = params
         self.adapter = None
         self.merged = None
-        # the training step's shard threads, reused with their malloc arenas by
-        # the steps that follow, until end_shard_threads
-        self._pool = None
-
-    def end_shard_threads(self) -> None:
-        """End the training step's shard threads, if any run. train calls
-        this as it ends and decode_batch before it decides whether to fork,
-        since a forked child gets only the forking thread."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     @property
     def dtype(self):
@@ -448,8 +454,6 @@ class Model:
         row. Only attention sees the (B, T) grid, with zeros where kept is
         False. The last layer narrows to the read rows after its attention
         context. The logits come back in the rows' layout."""
-        if tape is not None and cache is not None:
-            raise NumericError("taped forward does not take a cache")
         cfg = self.config
         positions = self._positions(tokens, cache)
         kept = np.ones(tokens.shape, dtype=bool) if kept is None else kept
@@ -599,9 +603,7 @@ class Model:
             tape: list = []
             return tape, self._run(inputs[rows], None, tape, kept[rows], mask[rows])
 
-        if len(shards) > 1 and self._pool is None:
-            self._pool = ThreadPoolExecutor(thread_name_prefix="eyedx-shard")
-        tapes, logits = zip(*_map_shards(self._pool, forward, shards))
+        tapes, logits = zip(*_map_shards(forward, shards))
         # the loss positions' logits, summed over the kept positions' layout
         logits = np.concatenate(logits, axis=1)[0]
         labels, mask_kept = labels[kept][None], mask[kept][None]
@@ -609,7 +611,7 @@ class Model:
         dlogits = cross_entropy_backward(logits, labels, mask_kept)
         ends = np.cumsum([0] + [int(mask[rows].sum()) for rows in shards])
         jobs = [(tape, dlogits[None, lo:hi]) for tape, lo, hi in zip(tapes, ends, ends[1:])]
-        parts = _map_shards(self._pool, lambda job: self._backward(*job), jobs)
+        parts = _map_shards(lambda job: self._backward(*job), jobs)
         grads = parts[0]
         for part in parts[1:]:
             for name in grads:

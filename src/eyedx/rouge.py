@@ -118,38 +118,25 @@ class RecordScore:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Corpus-level evaluation: per-record rows plus componentwise means."""
+    """Corpus-level evaluation, its fields in the report's key order: each
+    metric's componentwise means, overall and per modality (sorted), then rows."""
 
+    means: dict[str, RougeScore]
+    by_modality: dict[str, dict[str, RougeScore]]
     records: tuple[RecordScore, ...]
-    rouge1: RougeScore
-    rouge2: RougeScore
-    rouge_l: RougeScore
-    by_modality: dict
-
-    def as_dict(self) -> dict:
-        def metrics(r1, r2, rl):
-            return {"rouge1": asdict(r1), "rouge2": asdict(r2), "rouge_l": asdict(rl)}
-        return {
-            "means": metrics(self.rouge1, self.rouge2, self.rouge_l),
-            "by_modality": {modality: metrics(*scores)
-                            for modality, scores in sorted(self.by_modality.items())},
-            "records": [asdict(row) for row in self.records],
-        }
 
 
-def _mean_scores(rows) -> tuple[RougeScore, RougeScore, RougeScore]:
+def _mean_scores(rows) -> dict[str, RougeScore]:
     count = len(rows)
-    means = []
+    means = {}
     for metric in ("rouge1", "rouge2", "rouge_l"):
         scores = [getattr(row, metric) for row in rows]
-        means.append(
-            RougeScore(
-                sum(s.recall for s in scores) / count,
-                sum(s.precision for s in scores) / count,
-                sum(s.f1 for s in scores) / count,
-            )
+        means[metric] = RougeScore(
+            sum(s.recall for s in scores) / count,
+            sum(s.precision for s in scores) / count,
+            sum(s.f1 for s in scores) / count,
         )
-    return tuple(means)
+    return means
 
 
 def score_pair(candidate_text: str, reference_text: str) -> tuple[RougeScore, RougeScore, RougeScore]:
@@ -190,8 +177,7 @@ def evaluate(
     by_modality = {}
     for modality in sorted({row.modality for row in rows}):
         by_modality[modality] = _mean_scores([row for row in rows if row.modality == modality])
-    r1, r2, rl = _mean_scores(rows)
-    return EvalReport(tuple(rows), r1, r2, rl, by_modality)
+    return EvalReport(_mean_scores(rows), by_modality, tuple(rows))
 
 
 def format_table(named_reports) -> str:
@@ -199,13 +185,13 @@ def format_table(named_reports) -> str:
     lines = ["| model | R-1 | R-2 | R-L |", "| --- | --- | --- | --- |"]
     for name, report in named_reports:
         lines.append(
-            f"| {name} | {report.rouge1.f1:.4f} | {report.rouge2.f1:.4f} "
-            f"| {report.rouge_l.f1:.4f} |"
+            f"| {name} | {report.means['rouge1'].f1:.4f} | {report.means['rouge2'].f1:.4f} "
+            f"| {report.means['rouge_l'].f1:.4f} |"
         )
     return "\n".join(lines) + "\n"
 
 
 def write_report(path, named_reports) -> None:
     """Write the full componentwise report for each model as JSON."""
-    payload = {name: report.as_dict() for name, report in named_reports}
+    payload = {name: asdict(report) for name, report in named_reports}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

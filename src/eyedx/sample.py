@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EyedxError, NumericError
-from .model import Model, _shard_count, _split_rows
+from .model import Model, _shard_count, _split_rows, end_shard_threads
 from .numerics import softmax
 from .tokenizer import EOS_ID, PAD_ID
 
@@ -168,7 +168,7 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     if not live:
         return results
 
-    model.end_shard_threads()
+    end_shard_threads()
     count = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
         count = _shard_count(len(live))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import DEFAULT_TEMPLATE, PromptTemplate, render_prompt
 from .errors import DataError, NumericError
-from .model import Model
+from .model import Model, end_shard_threads
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
 
@@ -205,7 +205,7 @@ def train(
                     tokens_per_sec = input_tokens / elapsed
                     log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={tokens_per_sec:.1f}")
     finally:
-        model.end_shard_threads()
+        end_shard_threads()
     if result.steps == 0:
         raise DataError(f"no optimizer step ran: all {len(records)} records were skipped, "
                         f"none leaves room for a target within max_seq_len {config.max_seq_len}")

@@ -1,19 +1,16 @@
 """Fixtures shared across the test modules."""
 
-import gc
 import threading
-import time
 
 import pytest
+
+from eyedx.model import end_shard_threads
 
 
 @pytest.fixture
 def single_threaded():
-    """Wait for the shard threads of earlier training steps to end with their
-    models' pools: sample.decode_batch forks its decode shards only when no
-    other thread is alive."""
-    gc.collect()
-    deadline = time.monotonic() + 10
-    while threading.active_count() > 1 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    """End the shard threads that earlier training steps left running:
+    sample.decode_batch forks its decode shards only when no other thread is
+    alive."""
+    end_shard_threads()
     assert threading.active_count() == 1, threading.enumerate()

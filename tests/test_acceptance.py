@@ -96,8 +96,8 @@ def test_finetuned_beats_untrained_base_on_all_rouge_means(pipeline):
     counts = modality_counts(pipeline.records)
     assert all(n >= 300 for n in counts.values()), counts
     for metric in ("rouge1", "rouge2", "rouge_l"):
-        base = getattr(pipeline.base_report, metric).f1
-        tuned = getattr(pipeline.tuned_report, metric).f1
+        base = pipeline.base_report.means[metric].f1
+        tuned = pipeline.tuned_report.means[metric].f1
         assert base <= 0.15, f"{metric}: untrained base scored {base:.4f}"
         assert tuned - base >= 0.2, f"{metric}: gain {tuned - base:.4f} (tuned {tuned:.4f})"
     assert pipeline.seconds < 900, f"pipeline took {pipeline.seconds:.0f}s"

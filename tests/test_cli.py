@@ -61,6 +61,17 @@ def test_prepare_writes_split_and_manifest(tmp_path):
     assert len(train_lines) == manifest["train"]["total"]
 
 
+@pytest.mark.parametrize("ratio, side", [("0.01", "train"), ("0.99", "test")])
+def test_prepare_with_a_split_side_left_empty_is_a_data_error(tmp_path, capsys, ratio, side):
+    out = tmp_path / "corpus"
+    code = main(["prepare", "--synthesize", "2", "--ratio", ratio, "--out", str(out)])
+    printed, err = capsys.readouterr()
+    assert code == 2
+    assert err == f"data error: split ratio {ratio} of 6 records leaves the {side} side empty\n"
+    assert printed == ""
+    assert not out.exists()
+
+
 def test_prepare_requires_exactly_one_source(tmp_path, capsys):
     assert main(["prepare", "--out", str(tmp_path / "a")]) == 1
     assert main([

@@ -231,6 +231,13 @@ def test_split_rejects_degenerate_input():
         split(one, ratio=0.5)
 
 
+@pytest.mark.parametrize("ratio, side", [(0.01, "train"), (0.99, "test")])
+def test_split_rejects_a_ratio_that_empties_a_side(ratio, side):
+    records = synthesize(2, seed=0)
+    with pytest.raises(DataError, match=f"ratio {ratio} of 6 records leaves the {side} side empty"):
+        split(records, ratio=ratio)
+
+
 @given(n=st.integers(min_value=2, max_value=80), ratio=st.floats(0.2, 0.8), seed=st.integers(0, 99))
 @settings(max_examples=50, deadline=None)
 def test_split_size_property(n, ratio, seed):

@@ -885,6 +885,23 @@ def test_decode_batch_ends_the_shard_threads_of_a_direct_step(monkeypatch, singl
     assert [len(shards) for shards in splits] == [2]
 
 
+def test_decode_batch_ends_the_shard_threads_of_another_models_step(monkeypatch, single_threaded):
+    """The shard threads belong to the process: those a multi-shard step on
+    one model leaves alive do not keep decode_batch on another model from
+    forking its decode shards."""
+    stepped, decoded = adapted_gqa_model(), adapted_gqa_model()
+    inputs, labels, mask, _ = ragged_batch(stepped.config.vocab_size)
+    calls = force_shards(monkeypatch, 2)
+    stepped.loss_and_grads(inputs, labels, mask)
+    assert len(calls[0]) == 2
+    splits = []
+    split = sample_module._split_rows
+    monkeypatch.setattr(sample_module, "_split_rows",
+                        lambda weights, n: splits.append(split(weights, n)) or splits[-1])
+    decode_batch(decoded, [[1, 5, 6], [1, 7]], DecodeParams(max_new_tokens=2))
+    assert [len(shards) for shards in splits] == [2]
+
+
 def test_row_splitter_needs_a_weighted_row_per_shard():
     with pytest.raises(ValueError, match="3 shards need 3 rows"):
         model_module._split_rows(np.array([4, 0, 5, 0]), 3)

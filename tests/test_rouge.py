@@ -224,9 +224,9 @@ def test_evaluate_rejects_empty_split():
 def test_echo_stub_scores_one_everywhere(monkeypatch):
     records = small_records()
     report = stub_evaluate(monkeypatch, records, echo)
-    for mean in (report.rouge1, report.rouge2, report.rouge_l):
+    for mean in (report.means[metric] for metric in ("rouge1", "rouge2", "rouge_l")):
         assert mean == RougeScore(1.0, 1.0, 1.0)
-    for r1, r2, rl in report.by_modality.values():
+    for r1, r2, rl in (m.values() for m in report.by_modality.values()):
         assert r1 == r2 == rl == RougeScore(1.0, 1.0, 1.0)
     assert len(report.records) == len(records)
     assert not any(row.failed for row in report.records)
@@ -234,7 +234,7 @@ def test_echo_stub_scores_one_everywhere(monkeypatch):
 
 def test_empty_string_stub_scores_zero_everywhere(monkeypatch):
     report = stub_evaluate(monkeypatch, small_records(), silent)
-    for mean in (report.rouge1, report.rouge2, report.rouge_l):
+    for mean in (report.means[metric] for metric in ("rouge1", "rouge2", "rouge_l")):
         assert mean == RougeScore(0.0, 0.0, 0.0)
 
 
@@ -252,7 +252,7 @@ def test_generation_failure_is_flagged_and_skipped(monkeypatch):
     assert [row.id for row in failures] == [doomed]
     assert failures[0].rouge1 == failures[0].rouge2 == failures[0].rouge_l == RougeScore(0, 0, 0)
     expected = (len(records) - 1) / len(records)
-    assert abs(report.rouge1.f1 - expected) < 1e-12
+    assert abs(report.means["rouge1"].f1 - expected) < 1e-12
 
 
 def test_means_average_per_record_scores(monkeypatch):
@@ -264,7 +264,7 @@ def test_means_average_per_record_scores(monkeypatch):
 
     report = stub_evaluate(monkeypatch, records, generation_of)
     expected = len(half) / len(records)
-    for mean in (report.rouge1, report.rouge2, report.rouge_l):
+    for mean in (report.means[metric] for metric in ("rouge1", "rouge2", "rouge_l")):
         assert abs(mean.f1 - expected) < 1e-12
         assert abs(mean.recall - expected) < 1e-12
 
@@ -318,7 +318,7 @@ def test_evaluate_with_real_model_is_deterministic():
     params = DecodeParams(max_new_tokens=8, seed=3)
     first = evaluate(model, records[:4], vocab, params=params)
     second = evaluate(model, records[:4], vocab, params=params)
-    assert first.as_dict() == second.as_dict()
+    assert asdict(first) == asdict(second)
     assert not any(row.failed for row in first.records)
 
 
@@ -336,7 +336,7 @@ def test_nan_weights_flag_every_record_instead_of_aborting():
     for params in (DecodeParams(max_new_tokens=4), DecodeParams(max_new_tokens=4, top_k=1)):
         report = evaluate(model, records[:3], vocab, params=params)
         assert [row.failed for row in report.records] == [True, True, True]
-        assert report.rouge1.f1 == 0.0
+        assert report.means["rouge1"].f1 == 0.0
 
 
 def one_record_at_a_time(model, records, vocab, params):
