@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from eyedx.lora import attach
-from eyedx.model import Model, ModelConfig, _apply_rope, _rmsnorm_fwd, _rope_tables, init_params
+from eyedx.model import (
+    Model,
+    ModelConfig,
+    _apply_rope,
+    _rmsnorm_fwd,
+    _rope_pairs,
+    _rope_tables,
+    init_params,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import finite_difference, grad_relative_error  # noqa: E402
@@ -48,12 +56,12 @@ for c in (2.0, 1024.0, 3.7):
 # vectors depends only on the distance between their positions, which is
 # what lets attention score by relative offset.
 
-cos, sin = _rope_tables(np.arange(10), 8, 10000.0, np.float64)
+cf, sf = _rope_pairs(*_rope_tables(np.arange(10), 8, 10000.0, np.float64))
 
 
 def rope(vec):
     """vec rotated to each of positions 0..9, one row per position."""
-    return _apply_rope(np.broadcast_to(vec, (10, 1, 8)), cos, sin)[:, 0]
+    return _apply_rope(np.broadcast_to(vec, (10, 1, 8)), cf, sf)[:, 0]
 
 
 v = rng.standard_normal(8)

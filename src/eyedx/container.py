@@ -118,8 +118,8 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
         raise DataError(f"{path}: unsupported container version {version}")
     try:
         header = json.loads(r.text(r.u32()))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed header JSON ({exc.msg})") from exc
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise DataError(f"{path}: malformed header JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: header is not a JSON object")
 
@@ -128,7 +128,7 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
         name = r.text(r.u32())
         rank = r.u32()
         if rank > 2:
-            raise DataError(f"{path}: tensor {name} has rank {rank}, above 2")
+            raise DataError(f"{path}: tensor {name!r} has rank {rank}, above 2")
         shape = tuple(r.u32() for _ in range(rank))
         code = r.u8()
         if code == DTYPE_INT4:
@@ -143,7 +143,7 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
                 and packed.size == (n_scales * block_size + 1) // 2
             )
             if not consistent:
-                raise DataError(f"{path}: int4 tensor {name} payload does not match shape {shape}")
+                raise DataError(f"{path}: int4 tensor {name!r} payload does not match shape {shape}")
             tensors[name] = QuantTensor(
                 packed=packed, scales=scales, block_size=block_size, shape=shape
             )
@@ -153,7 +153,7 @@ def read_container(path: str | Path) -> tuple[dict, dict]:
             arr = np.frombuffer(r.take(n * dt.itemsize), dtype=dt).copy()
             tensors[name] = arr.astype(arr.dtype.newbyteorder("=")).reshape(shape)
         else:
-            raise DataError(f"{path}: tensor {name} has unknown dtype code {code}")
+            raise DataError(f"{path}: tensor {name!r} has unknown dtype code {code}")
     return header, tensors
 
 

@@ -127,8 +127,8 @@ def ingest(path: str | Path) -> list[ReportRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+            raise DataError(f"{path}:{lineno}: malformed JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected an object per line")
         try:

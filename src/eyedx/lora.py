@@ -163,13 +163,16 @@ def load_adapter(path) -> LoraAdapter:
         elif name.endswith(".lora_b"):
             b[name[: -len(".lora_b")]] = arr
         else:
-            raise DataError(f"{path}: unexpected tensor {name} in adapter file")
+            raise DataError(f"{path}: unexpected tensor {name!r} in adapter file")
     if set(a) != set(b):
         raise DataError(f"{path}: unpaired adapter tensors")
+    rank = header.get("rank")
+    if type(rank) is not int or rank < 1:  # JSON gives an int; true is a bool
+        raise DataError(f"{path}: adapter rank must be an integer >= 1, got {rank!r}")
     try:
-        rank, alpha = int(header["rank"]), float(header["alpha"])
+        alpha = float(header["alpha"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: adapter header needs numeric rank and alpha") from exc
-    if rank < 1 or not (math.isfinite(alpha) and alpha > 0):
-        raise DataError(f"{path}: adapter rank {rank} / alpha {alpha} out of range")
+        raise DataError(f"{path}: adapter header needs a numeric alpha") from exc
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DataError(f"{path}: adapter alpha {alpha} out of range")
     return LoraAdapter(rank=rank, alpha=alpha, a=a, b=b)

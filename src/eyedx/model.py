@@ -21,6 +21,13 @@ layer's output projection on, only the positions whose logits are read run:
 the loss positions in training, each prompt's last token in a prefill. Past
 its last layer's keys and values a position feeds no other.
 
+What every layer of a run shares is built once per run, not once per layer
+(_RunTables): the rotary tables, the causal mask, the cache slots the run's
+keys and values go to, and whether every position runs. Rotary positions take
+one pass over per-pair tables, x * cf + (x, each pair swapped) * sf, with cf
+each angle's cos twice and sf its (-sin, +sin); the backward passes -sf. Each
+entry is the sum the pairwise rotation computes, so the bits are its bits.
+
 A training step splits its batch into row shards, one for each core that BLAS
 leaves idle, and runs their forward and backward on threads; the loss runs
 once, on the calling thread.
@@ -134,7 +141,8 @@ def _rmsnorm_fwd(x, gain, eps):
     """y = gain * x / sqrt(mean(x^2) + eps) over the last axis, and 1/rms;
     x * inv reuses the buffer that held x^2."""
     xx = x * x
-    inv = xx.mean(axis=-1, keepdims=True)
+    inv = np.add.reduce(xx, axis=-1, keepdims=True)
+    inv /= x.shape[-1]  # the mean, as xx.mean computes it
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -162,18 +170,26 @@ def _rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype):
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
-def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate consecutive pairs (x_2i, x_2i+1); x is (..., T, n_heads, head_dim),
-    cos/sin are (..., T, head_dim/2) and broadcast over the head axis."""
-    e, o = x[..., 0::2], x[..., 1::2]
-    c = cos[..., :, None, :]
-    s = sin[..., :, None, :]
-    out = np.empty_like(x)
-    even, odd = out[..., 0::2], out[..., 1::2]
-    np.multiply(e, c, out=even)
-    even -= o * s
-    np.multiply(e, s, out=odd)
-    odd += o * c
+def _rope_pairs(cos: np.ndarray, sin: np.ndarray):
+    """The per-pair tables _apply_rope reads, from cos/sin (..., T, head_dim/2):
+    cf repeats each cos for its pair, sf holds (-sin, +sin) per pair; both are
+    (..., T, 1, head_dim) and broadcast over the head axis."""
+    cf = np.repeat(cos, 2, axis=-1)[..., None, :]
+    sf = np.stack((-sin, sin), axis=-1).reshape(cf.shape)
+    return cf, sf
+
+
+def _apply_rope(x: np.ndarray, cf: np.ndarray, sf: np.ndarray) -> np.ndarray:
+    """Rotate consecutive pairs (x_2i, x_2i+1) of x (..., T, n_heads, head_dim)
+    in one pass, x * cf + (x with each pair swapped) * sf, over _rope_pairs'
+    tables; -sf rotates by the negated angle. The even entry e*c + o*(-s) is
+    e*c - o*s exactly, the odd o*c + e*s."""
+    swapped = np.empty_like(x)
+    swapped[..., 0::2] = x[..., 1::2]
+    swapped[..., 1::2] = x[..., 0::2]
+    swapped *= sf
+    out = x * cf
+    out += swapped
     return out
 
 
@@ -204,10 +220,10 @@ def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _gather(grid: np.ndarray, kept: np.ndarray, lead: tuple) -> np.ndarray:
+def _gather(grid: np.ndarray, kept: np.ndarray, lead: tuple, every: bool) -> np.ndarray:
     """Inverse of _scatter: the kept positions of a (B, T, ...) grid as token
     rows of shape lead + (...), the grid itself when every position is kept."""
-    rows = grid if kept.all() else grid[kept]
+    rows = grid if every else grid[kept]
     return rows.reshape(lead + grid.shape[2:])
 
 
@@ -332,13 +348,6 @@ class KVCache:
     def batch(self) -> int:
         return self.lengths.shape[0]
 
-    def store(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Write (B, T, KV, hd) keys/values at each row's own next T slots."""
-        slots = self.lengths[:, None] + np.arange(k_new.shape[1])
-        rows = np.arange(self.batch)[:, None]
-        self.k[layer][rows, slots] = k_new
-        self.v[layer][rows, slots] = v_new
-
     def keep(self, rows) -> None:
         """Keep only the given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -350,6 +359,19 @@ class KVCache:
 # ------------------------------------------------------------------ model
 
 
+@dataclass(frozen=True)
+class _RunTables:
+    """What every layer of one _run reads, built once for the run."""
+
+    kept: np.ndarray  # (B, T) bool: the positions that run
+    every: bool  # kept holds every position
+    cf: np.ndarray  # _rope_pairs' tables at the kept positions, in the rows' layout
+    sf: np.ndarray
+    S: int  # key slots attention reads: the last position + 1
+    hidden: np.ndarray  # (B, 1, 1, T, S): key s is hidden from the query at p when s > p
+    slots: tuple | None  # (rows, positions): each row's cache slots for its T tokens
+
+
 class Model:
     """Weights plus adapter state; forward is pure given the weights.
 
@@ -359,6 +381,10 @@ class Model:
     """
 
     def __init__(self, config: ModelConfig, params: dict):
+        n_tensors = 3 + 9 * config.n_layers  # before param_shapes builds n_layers entries
+        if len(params) < n_tensors:
+            raise DataError(f"params missing tensors: {len(params)} given, "
+                            f"a {config.n_layers}-layer model takes {n_tensors}")
         shapes = param_shapes(config)
         missing = set(shapes) - set(params)
         if missing:
@@ -443,7 +469,18 @@ class Model:
             raise DataError(f"sequence length {S} exceeds max_seq_len {cfg.max_seq_len}")
         if cache is not None and S > cache.capacity:
             raise DataError(f"sequence length {S} exceeds the cache's {cache.capacity} slots")
-        return positions
+        return positions, S
+
+    def _tables(self, positions, S, kept, lead, cache) -> _RunTables:
+        """The run's RoPE pair tables, causal mask and cache slots, for every
+        layer; a cached row's free slots past its own length lie past the
+        positions of its queries, so the mask hides them."""
+        cfg = self.config
+        cos, sin = _rope_tables(positions[kept].reshape(lead), cfg.head_dim, cfg.rope_base,
+                                self.dtype)
+        hidden = (np.arange(S) > positions[..., None])[:, None, None]
+        slots = None if cache is None else (np.arange(len(positions))[:, None], positions)
+        return _RunTables(kept, bool(kept.all()), *_rope_pairs(cos, sin), S, hidden, slots)
 
     def _run(self, tokens, cache, tape, kept=None, read=None):
         """Logits for the positions of tokens (B, T) that read, a (B, T) bool
@@ -455,18 +492,17 @@ class Model:
         False. The last layer narrows to the read rows after its attention
         context. The logits come back in the rows' layout."""
         cfg = self.config
-        positions = self._positions(tokens, cache)
+        positions, S = self._positions(tokens, cache)
         kept = np.ones(tokens.shape, dtype=bool) if kept is None else kept
         if read is None or np.count_nonzero(read) == np.count_nonzero(kept):
             read = kept  # read lies inside kept, so as many positions are the same ones
         lead = (-1, 1) if cache is not None and tokens.shape[1] == 1 else (1, -1)
-        rope_positions = positions[kept].reshape(lead)
-        cos, sin = _rope_tables(rope_positions, cfg.head_dim, cfg.rope_base, self.dtype)
+        run = self._tables(positions, S, kept, lead, cache)
         x = self.params["tok_embed"][tokens[kept].reshape(lead)]
 
         for i in range(cfg.n_layers):
             out = read if i == cfg.n_layers - 1 else kept
-            x = self._attention(x, i, cache, cos, sin, positions, tape, kept, out)
+            x = self._attention(x, i, cache, run, tape, out)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
             cache.lengths += kept.sum(axis=1)
@@ -477,9 +513,9 @@ class Model:
             tape.append({"x_final": x, "inv_final": inv})
         return logits
 
-    def _attention(self, x, layer, cache, cos, sin, positions, tape, kept, out):
+    def _attention(self, x, layer, cache, run: _RunTables, tape, out):
         """x plus the attention block's output, over the positions of out, a
-        (B, T) mask inside kept: kept itself but at the last layer."""
+        (B, T) mask inside run.kept: run.kept itself but at the last layer."""
         cfg = self.config
         p = f"layers.{layer}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
@@ -489,23 +525,21 @@ class Model:
         q = self._project(xn, p + "wq").reshape(*lead, H, hd)
         k = self._project(xn, p + "wk").reshape(*lead, KV, hd)
         v = self._project(xn, p + "wv").reshape(*lead, KV, hd)
-        q = _apply_rope(q, cos, sin)
-        k = _apply_rope(k, cos, sin)
+        q = _apply_rope(q, run.cf, run.sf)
+        k = _apply_rope(k, run.cf, run.sf)
         # token rows onto the (B, T) grid; a zero key past a row's end sits
         # after every kept query of that row, so the mask hides it
+        kept, S = run.kept, run.S
         q, k, v = _scatter(q, kept), _scatter(k, kept), _scatter(v, kept)
         B, T = kept.shape
 
-        # key s is visible to the query at position p when s <= p; a cached
-        # row's free slots past its own length fall outside that
-        S = int(positions.max()) + 1
         if cache is not None:
-            cache.store(layer, k, v)
+            cache.k[layer][run.slots] = k
+            cache.v[layer][run.slots] = v
             k_all = cache.k[layer][:, :S]
             v_all = cache.v[layer][:, :S]
         else:
             k_all, v_all = k, v
-        hidden = (np.arange(S) > positions[..., None])[:, None, None]  # (B, 1, 1, T, S)
 
         # query head h = kv * G + g shares kv head kv; stacking each group's
         # G query heads along the time axis makes one batched matmul per kv head
@@ -513,13 +547,13 @@ class Model:
         qg = _group_heads(q, KV)  # (B, KV, G*T, hd)
         scores = (qg @ k_all.transpose(0, 2, 3, 1)).reshape(B, KV, G, T, S)
         scores /= math.sqrt(hd)
-        np.copyto(scores, -np.inf, where=hidden)
+        np.copyto(scores, -np.inf, where=run.hidden)
         probs = softmax(scores).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
         # the last layer goes on over the read rows alone, in the rows' layout
         rows = (1, -1) if lead[0] == 1 else (-1, 1)
-        ctx = _gather(ctx, out, rows)
-        residual = x if out is kept else _gather(x, out[kept].reshape(lead), rows)
+        ctx = _gather(ctx, out, rows, run.every and out is kept)
+        residual = x if out is kept else _gather(x, out[kept].reshape(lead), rows, False)
 
         if tape is not None:
             tape.append(
@@ -534,9 +568,7 @@ class Model:
                     "v": v,
                     "probs": probs,
                     "ctx": ctx,
-                    "cos": cos,
-                    "sin": sin,
-                    "kept": kept,
+                    "run": run,
                     "out": out,
                 }
             )
@@ -646,7 +678,8 @@ class Model:
         p = f"layers.{rec['layer']}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
         lead = rec["x"].shape[:2]  # (1, N) token rows
-        kept = rec["kept"]
+        run = rec["run"]
+        kept, every = run.kept, run.every
         T = kept.shape[1]
 
         ctx = rec["ctx"]
@@ -660,16 +693,18 @@ class Model:
         dv = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = softmax_backward(probs, dprobs)
         dscores /= math.sqrt(hd)
-        dq = _gather(_ungroup_heads(dscores @ k, T), kept, lead)
+        dq = _gather(_ungroup_heads(dscores @ k, T), kept, lead, every)
         # the backward of a rotation is the rotation by the negated angle
-        dq = _apply_rope(dq, rec["cos"], -rec["sin"]).reshape(*lead, H * hd)
-        dv = _gather(dv.transpose(0, 2, 1, 3), kept, lead).reshape(*lead, KV * hd)
+        back = -run.sf
+        dq = _apply_rope(dq, run.cf, back).reshape(*lead, H * hd)
+        dv = _gather(dv.transpose(0, 2, 1, 3), kept, lead, every).reshape(*lead, KV * hd)
         if not need_dx:  # the adapters sit on wq and wv; wk's dk would feed dx alone
             self._project_bwd(rec["xn"], p + "wq", dq, grads, False)
             self._project_bwd(rec["xn"], p + "wv", dv, grads, False)
             return None
-        dk = _gather((dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3), kept, lead)
-        dk = _apply_rope(dk, rec["cos"], -rec["sin"])
+        dk = _gather((dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3), kept, lead,
+                     every)
+        dk = _apply_rope(dk, run.cf, back)
 
         dxn = self._project_bwd(rec["xn"], p + "wq", dq, grads)
         dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(*lead, KV * hd), grads)

@@ -29,6 +29,7 @@ from eyedx.model import (
     ModelConfig,
     _apply_rope,
     _rmsnorm_fwd,
+    _rope_pairs,
     _rope_tables,
     init_params,
     matmul_weight_names,
@@ -182,7 +183,7 @@ def test_cached_decode_matches_full_recompute():
 def reference_mha(model, tokens):
     """Per-head loop attention over the first layer with one kv head per
     query head: plain multi-head attention, independent of einsum/repeat."""
-    from eyedx.model import _apply_rope, _rmsnorm_fwd, _rope_tables
+    from eyedx.model import _apply_rope, _rmsnorm_fwd, _rope_pairs, _rope_tables
 
     cfg = model.config
     hd = cfg.head_dim
@@ -190,9 +191,9 @@ def reference_mha(model, tokens):
     x = model.params["tok_embed"][np.asarray(tokens)[None, :]]
     xn, _ = _rmsnorm_fwd(x, model.params[p + "attn_norm"], cfg.rmsnorm_eps)
     T = xn.shape[1]
-    cos, sin = _rope_tables(np.arange(T), hd, cfg.rope_base, xn.dtype)
-    q = _apply_rope((xn @ model.params[p + "wq"]).reshape(1, T, cfg.n_heads, hd), cos, sin)[0]
-    k = _apply_rope((xn @ model.params[p + "wk"]).reshape(1, T, cfg.n_kv_heads, hd), cos, sin)[0]
+    cf, sf = _rope_pairs(*_rope_tables(np.arange(T), hd, cfg.rope_base, xn.dtype))
+    q = _apply_rope((xn @ model.params[p + "wq"]).reshape(1, T, cfg.n_heads, hd), cf, sf)[0]
+    k = _apply_rope((xn @ model.params[p + "wk"]).reshape(1, T, cfg.n_kv_heads, hd), cf, sf)[0]
     v = (xn @ model.params[p + "wv"]).reshape(1, T, cfg.n_kv_heads, hd)[0]
 
     heads = []
@@ -221,10 +222,10 @@ def test_attention_rope_and_rmsnorm_degeneracies():
 
     # rotary encoding at position 0 is the identity; rows are positions 0..7
     rng = np.random.default_rng(9)
-    cos, sin = _rope_tables(np.arange(8), 16, 10000.0, np.float64)
+    cf, sf = _rope_pairs(*_rope_tables(np.arange(8), 16, 10000.0, np.float64))
 
     def rope(vec):
-        return _apply_rope(np.broadcast_to(vec, (8, 1, 16)), cos, sin)[:, 0]
+        return _apply_rope(np.broadcast_to(vec, (8, 1, 16)), cf, sf)[:, 0]
 
     vec = rng.normal(size=16)
     assert np.max(np.abs(rope(vec)[0] - vec)) < 1e-5

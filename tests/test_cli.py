@@ -294,6 +294,105 @@ def test_infer_rejects_adapter_without_rank(workspace, tmp_path, capsys):
     assert_one_line_data_error(code, capsys)
 
 
+@pytest.mark.parametrize("rank", [float("inf"), 2.5, True, 0, -2, "2", None])
+def test_infer_rejects_an_adapter_rank_that_is_not_a_positive_integer(
+    workspace, tmp_path, capsys, rank
+):
+    # the trained adapter holds rank-2 factors, so a rank of 2.5 read as
+    # int(2.5) = 2 would load, and int(Infinity) raises OverflowError
+    header, tensors = read_container(workspace["adapter"])
+    bad = tmp_path / "adapter.olm"
+    write_container(bad, {**header, "rank": rank}, tensors)
+    code = main(infer_args(workspace, "--report", FINDINGS, "--adapter", str(bad)))
+    assert_one_line_data_error(code, capsys)
+
+
+def u32s(*values) -> bytes:
+    return b"".join(n.to_bytes(4, "little") for n in values)
+
+
+def container_bytes(header: dict, name: str, rest: bytes) -> bytes:
+    """A container holding header and one tensor called name, written by
+    hand from its rank field on (rest), so a malformed tensor can be made."""
+    hdr, nb = json.dumps(header).encode(), name.encode()
+    return b"OLM2" + u32s(1, len(hdr)) + hdr + u32s(len(nb)) + nb + rest
+
+
+MALFORMED_TENSORS = {
+    "rank above 2": u32s(3, 2, 2, 2),
+    "int4 payload off its shape": u32s(1, 8) + bytes([2]) + u32s(4, 3) + bytes(12) + u32s(0),
+    "unknown dtype code": u32s(1, 2) + bytes([7]),
+}
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["newline", "carriage-return"])
+@pytest.mark.parametrize("case", [*MALFORMED_TENSORS, "adapter tensor of no target"])
+def test_a_line_break_in_a_file_tensor_name_keeps_the_error_on_one_line(
+    workspace, tmp_path, capsys, case, brk
+):
+    name = f"layers.0{brk}wq"
+    bad = tmp_path / "bad.olm"
+    if case in MALFORMED_TENSORS:
+        bad.write_bytes(container_bytes({}, name, MALFORMED_TENSORS[case]))
+        argv = ["infer", "--model", str(bad), "--modality", "OSA", "--report", FINDINGS]
+    else:
+        header, tensors = read_container(workspace["adapter"])
+        write_container(bad, header, {**tensors, name: np.zeros(2, dtype=np.float32)})
+        argv = infer_args(workspace, "--report", FINDINGS, "--adapter", str(bad))
+    code = main(argv)
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert repr(name) in err
+
+
+def test_infer_rejects_a_huge_layer_count_within_bounded_memory(workspace, tmp_path):
+    """A header's n_layers of 10**20 is a data error found before the model
+    lists the tensors such a model takes. The command runs in a process that
+    caps its own address space, so a model that starts listing them fails
+    there with MemoryError instead of exhausting the machine's memory."""
+    header, tensors = read_container(workspace["model"])
+    header["config"]["n_layers"] = 10**20
+    bad = tmp_path / "layers.olm"
+    write_container(bad, header, tensors)
+    script = (
+        "import resource, sys\n"
+        "cap = 1 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from eyedx.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(eyedx.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "infer", "--model", str(bad), "--modality", "OSA",
+         "--report", FINDINGS], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
+    assert "missing tensors" in proc.stderr
+
+
+def test_an_integer_past_the_digit_limit_in_a_file_is_a_data_error(workspace, tmp_path, capsys):
+    # Python parses an integer of more than 4300 digits to a ValueError that
+    # is not a JSONDecodeError
+    huge = "9" * 5000
+    header, tensors = read_container(workspace["model"])
+    bad = tmp_path / "model.olm"
+    write_container(bad, header, tensors)
+    data = bad.read_bytes()
+    n = int.from_bytes(data[8:12], "little")
+    text = data[12 : 12 + n].replace(b'"kind"', f'"x": {huge}, "kind"'.encode(), 1)
+    bad.write_bytes(data[:8] + len(text).to_bytes(4, "little") + text + data[12 + n :])
+    code = main(["infer", "--model", str(bad), "--modality", "OSA", "--report", FINDINGS])
+    assert_one_line_data_error(code, capsys)
+
+    source = tmp_path / "reports.jsonl"
+    source.write_text('{"id": ' + huge + ', "modality": "OSA", "findings": "f", "diagnosis": "d"}\n')
+    code = main(["prepare", "--input", str(source), "--out", str(tmp_path / "out")])
+    assert_one_line_data_error(code, capsys)
+
+
 # -- evaluate -----------------------------------------------------------------
 
 

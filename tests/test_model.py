@@ -19,6 +19,7 @@ from eyedx.model import (
     _apply_rope,
     _rmsnorm_bwd,
     _rmsnorm_fwd,
+    _rope_pairs,
     _rope_tables,
     init_params,
     matmul_weight_names,
@@ -137,8 +138,8 @@ def test_rmsnorm_scale_invariance():
 
 def rope_positions(vec, n):
     """vec (head_dim,) rotated to each of positions 0..n-1, as (n, head_dim)."""
-    cos, sin = _rope_tables(np.arange(n), vec.shape[-1], 10000.0, vec.dtype)
-    return _apply_rope(np.broadcast_to(vec, (n, 1, vec.shape[-1])), cos, sin)[:, 0]
+    cf, sf = _rope_pairs(*_rope_tables(np.arange(n), vec.shape[-1], 10000.0, vec.dtype))
+    return _apply_rope(np.broadcast_to(vec, (n, 1, vec.shape[-1])), cf, sf)[:, 0]
 
 
 def test_rope_position_zero_is_identity():
@@ -313,12 +314,12 @@ def reference_attention(model, tokens, kv_of_head):
     x = model.params["tok_embed"][np.asarray(tokens)[None, :]]
     xn, _ = _rmsnorm_fwd(x, model.params[p + "attn_norm"], cfg.rmsnorm_eps)
     T = xn.shape[1]
-    cos, sin = _rope_tables(np.arange(T), hd, cfg.rope_base, xn.dtype)
+    cf, sf = _rope_pairs(*_rope_tables(np.arange(T), hd, cfg.rope_base, xn.dtype))
     q = (xn @ model.params[p + "wq"]).reshape(1, T, cfg.n_heads, hd)
     k = (xn @ model.params[p + "wk"]).reshape(1, T, cfg.n_kv_heads, hd)
     v = (xn @ model.params[p + "wv"]).reshape(1, T, cfg.n_kv_heads, hd)
-    q = _apply_rope(q, cos, sin)[0]
-    k = _apply_rope(k, cos, sin)[0]
+    q = _apply_rope(q, cf, sf)[0]
+    k = _apply_rope(k, cf, sf)[0]
     v = v[0]
 
     heads = []
@@ -409,14 +410,60 @@ def first_layer_qkv(model, tokens):
     x = model.params["tok_embed"][tokens]
     xn, inv = _rmsnorm_fwd(x, model.params[p + "attn_norm"], cfg.rmsnorm_eps)
     B, T, _ = xn.shape
-    cos, sin = _rope_tables(np.arange(T), cfg.head_dim, cfg.rope_base, xn.dtype)
+    cf, sf = _rope_pairs(*_rope_tables(np.arange(T), cfg.head_dim, cfg.rope_base, xn.dtype))
 
     def heads(name, n):
         return (xn @ model.params[p + name]).reshape(B, T, n, cfg.head_dim)
 
-    q = _apply_rope(heads("wq", cfg.n_heads), cos, sin)
-    k = _apply_rope(heads("wk", cfg.n_kv_heads), cos, sin)
-    return x, xn, inv, q, k, heads("wv", cfg.n_kv_heads), cos, sin
+    q = _apply_rope(heads("wq", cfg.n_heads), cf, sf)
+    k = _apply_rope(heads("wk", cfg.n_kv_heads), cf, sf)
+    return x, xn, inv, q, k, heads("wv", cfg.n_kv_heads), cf, sf
+
+
+def test_per_run_tables_are_built_once_per_run_not_per_layer(monkeypatch):
+    """The RoPE pair tables, causal mask and cache slots of a run are built
+    once by Model._tables and read by each of the 4 layers: in a ragged
+    prefill, a cached step and a training step."""
+    config = ModelConfig(d_model=16, n_layers=4, n_heads=4, n_kv_heads=2, d_ff=24,
+                         vocab_size=13, max_seq_len=32)
+    model = Model(config, init_params(config, seed=3))
+    runs, built, pairs, read = [], [], [], []
+    run, tables, attention, rope_pairs = (
+        Model._run, Model._tables, Model._attention, model_module._rope_pairs)
+
+    def counted(record, fn):
+        def wrapper(*args, **kw):
+            got = fn(*args, **kw)
+            record.append(got)
+            return got
+        return wrapper
+
+    def attention_reading(self, x, layer, cache, run_tables, *rest):
+        read.append(run_tables)
+        return attention(self, x, layer, cache, run_tables, *rest)
+
+    monkeypatch.setattr(Model, "_run", counted(runs, run))
+    monkeypatch.setattr(Model, "_tables", counted(built, tables))
+    monkeypatch.setattr(Model, "_attention", attention_reading)
+    monkeypatch.setattr(model_module, "_rope_pairs", counted(pairs, rope_pairs))
+
+    tokens = RNG.integers(0, config.vocab_size, (3, 6))
+    kept = np.arange(6) < np.array([[6], [4], [2]])
+    cache = model.new_cache(3, 8)
+    steps = {
+        "prefill": lambda: model._run(tokens, cache, None, kept, None),
+        "cached step": lambda: model.forward(tokens[:, :1], cache),
+        "training step": lambda: model.loss_and_grads(tokens, tokens, kept),
+    }
+    for phase, step in steps.items():
+        if phase == "training step":
+            attach(model, rank=2, alpha=4.0)
+        for record in (runs, built, pairs, read):
+            record.clear()
+        step()
+        assert runs and len(built) == len(pairs) == len(runs), phase
+        assert len(read) == config.n_layers * len(runs), phase
+        assert {id(t) for t in read} == {id(t) for t in built}, phase
 
 
 def record_calls(model, method):
@@ -445,7 +492,7 @@ def test_taped_attention_and_backward_match_repeat_einsum_oracle(n_kv):
     rec = next(r for r in tape if r.get("kind") == "attn")
 
     # the taped path runs the B*T positions as (1, N) token rows, row-major
-    x, xn, inv, q, k, v, cos, sin = first_layer_qkv(model, tokens)
+    x, xn, inv, q, k, v, cf, sf = first_layer_qkv(model, tokens)
     B, T, _ = x.shape
 
     def rows(a):
@@ -461,8 +508,8 @@ def test_taped_attention_and_backward_match_repeat_einsum_oracle(n_kv):
 
     dctx = (d_out @ model.params[p + "wo"].T).reshape(B, T, cfg.n_heads, cfg.head_dim)
     dq, dk, dv = oracle_attention_bwd(q, k, v, probs, dctx)
-    dq = _apply_rope(dq, cos, -sin).reshape(B, T, -1)
-    dk = _apply_rope(dk, cos, -sin).reshape(B, T, -1)
+    dq = _apply_rope(dq, cf, -sf).reshape(B, T, -1)
+    dk = _apply_rope(dk, cf, -sf).reshape(B, T, -1)
     dv = dv.reshape(B, T, -1)
     for name, expect in (("wq", dq), ("wk", dk), ("wv", dv)):
         (_, _, got, _), = calls[p + name]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eyedx import NumericError
-from eyedx.model import _apply_rope, _rmsnorm_bwd, _rmsnorm_fwd, _rope_tables
+from eyedx.model import _apply_rope, _rmsnorm_bwd, _rmsnorm_fwd, _rope_pairs, _rope_tables
 from eyedx.numerics import (
     cross_entropy,
     cross_entropy_backward,
@@ -154,8 +154,36 @@ def test_forward_helpers_equal_the_plain_expressions_bit_for_bit(dtype):
         assert same_bits(y, want_y) and same_bits(inv, want_inv)
         cos, sin = _rope_tables(np.arange(11).reshape(lead) + 3, 8, 10000.0, dtype)
         q = RNG.standard_normal((*lead, 4, 8)).astype(dtype)
-        assert same_bits(_apply_rope(q, cos, sin), apply_rope_plain(q, cos, sin))
-        assert same_bits(_apply_rope(q, cos, -sin), apply_rope_plain(q, cos, -sin))
+        cf, sf = _rope_pairs(cos, sin)
+        assert same_bits(_apply_rope(q, cf, sf), apply_rope_plain(q, cos, sin))
+        assert same_bits(_apply_rope(q, cf, -sf), apply_rope_plain(q, cos, -sin))
+    assert kept()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from(DTYPES),
+    cached=st.booleans(),
+    rows=st.integers(1, 9),
+    heads=st.sampled_from([1, 2, 3, 4, 8]),
+    head_dim=st.sampled_from([2, 4, 8, 16, 32, 64]),
+    data=st.data(),
+)
+def test_one_pass_rope_equals_the_plain_rotation_bit_for_bit(
+    dtype, cached, rows, heads, head_dim, data
+):
+    # _rope_pairs' tables turn the rotation into x * cf + swapped pairs * sf;
+    # forward and the negated angle of the backward, in both row layouts
+    lead = (rows, 1) if cached else (1, rows)
+    positions = data.draw(arrays(np.int64, lead, elements=st.integers(0, 4095)))
+    width = np.finfo(dtype).bits
+    x = data.draw(arrays(dtype, (*lead, heads, head_dim),
+                         elements=st.floats(-1e4, 1e4, width=width)))
+    cos, sin = _rope_tables(positions, head_dim, 10000.0, dtype)
+    cf, sf = _rope_pairs(cos, sin)
+    kept = unchanged(x, cf, sf)
+    assert same_bits(_apply_rope(x, cf, sf), apply_rope_plain(x, cos, sin))
+    assert same_bits(_apply_rope(x, cf, -sf), apply_rope_plain(x, cos, -sin))
     assert kept()
 
 
