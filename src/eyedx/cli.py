@@ -1,8 +1,8 @@
 """Command-line surface for the report-to-diagnosis pipeline.
 
-Five subcommands: prepare (corpus ingestion/synthesis and splitting), train
-(LoRA fine-tuning), infer (single-report diagnosis), evaluate (ROUGE
-comparison across checkpoints), and bench (wall-time measurements).
+Four subcommands: prepare (corpus ingestion/synthesis and splitting), train
+(LoRA fine-tuning), infer (single-report diagnosis) and evaluate (ROUGE
+comparison across checkpoints, with each checkpoint's decode time).
 
 Exit codes: 0 success, 1 usage error, 2 data error (also a file that cannot
 be read or written), 3 numeric failure, 130 interrupted (Ctrl-C), 141 stdout
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 import typing
@@ -238,6 +237,12 @@ def _cmd_evaluate(args):
     adapters = args.adapter or ["-"] * len(args.model)
     if len(adapters) != len(args.model):
         raise _UsageError("--adapter count must match --model count (use '-' for none)")
+    # the report is keyed by row name, so two rows of one name would lose one
+    names = [Path(m).stem + ("" if a == "-" else "+" + Path(a).stem)
+             for m, a in zip(args.model, adapters)]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise _UsageError(f"two rows are named {name!r}; the report keys rows by name")
     out = Path(args.out)  # checked before any model is decoded; not yet created
     if out.is_dir():
         raise DataError(f"--out {out} is a directory")
@@ -251,59 +256,23 @@ def _cmd_evaluate(args):
     template = _template_from(args)
     params = _from_flags(DecodeParams, args)
 
-    rows = []
-    for model_path, adapter_path in zip(args.model, adapters):
+    rows, seconds = [], []
+    for name, model_path, adapter_path in zip(names, args.model, adapters):
         model, vocab = load_bundle(model_path)
-        name = Path(model_path).stem
         if adapter_path != "-":
             _merge_adapter(model, adapter_path)
-            name += "+" + Path(adapter_path).stem
+        start = time.perf_counter()
         report = evaluate_corpus(model, records, vocab, template=template, params=params)
+        seconds.append(time.perf_counter() - start)
         rows.append((name, report))
 
     print(format_table(rows), end="")
     write_report(args.out, rows)
     print(f"wrote {args.out}")
-
-
-def _cmd_bench(args):
-    train_records = _read_records(args.data, "train")[:32]
-    test_records = _read_records(args.data, "test")[:8]
-    template = _template_from(args)
-
-    model, vocab = load_bundle(args.model)
-    window = min(TrainConfig.max_seq_len, model.config.max_seq_len)
-    tune_config = TrainConfig(epochs=1, grad_accum_steps=4, seed=args.seed, max_seq_len=window)
-    attach(model, rank=tune_config.lora_r, alpha=tune_config.lora_alpha, seed=tune_config.seed)
-    tuned = train(model, train_records, vocab, tune_config, template=template)
-
-    # Time inference on a fresh load so the throwaway adapter plays no part.
-    model, vocab = load_bundle(args.model)
-    if args.adapter:
-        _merge_adapter(model, args.adapter)
-    params = DecodeParams(seed=args.seed)
-    latencies = []
-    generated = 0
-    for record in test_records:
-        prompt_text, _ = render_prompt(record, template)
-        start = time.perf_counter()  # one record per call: latency per report
-        ids = [BOS_ID] + vocab.encode(prompt_text)
-        [generation] = decode_batch(model, [ids], params)
-        latencies.append(time.perf_counter() - start)
-        generated += len(generation.unwrap())
-    mean = statistics.fmean(latencies)
-    spread = statistics.stdev(latencies) if len(latencies) > 1 else 0.0
-
-    print("| phase | seconds |")
-    print("| --- | --- |")
-    print(
-        f"| fine-tune ({len(train_records)} reports, {tune_config.epochs} epoch, "
-        f"{tuned.tokens_seen} tokens) | {tuned.seconds:.2f} |"
-    )
-    print(
-        f"| inference per report ({len(test_records)} reports, {generated} tokens generated) "
-        f"| {mean:.3f} ± {spread:.3f} |"
-    )
+    # timings go to stdout, not the report, so the report's bytes repeat
+    for (name, report), took in zip(rows, seconds):
+        generated = sum(r.n_generated for r in report.records)
+        print(f"{name}: {len(report.records)} records, {generated} tokens generated in {took:.2f} s")
 
 
 # ------------------------------------------------------------------- parser
@@ -354,14 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", help="prompt template file")
     _add_field_flags(p, DecodeParams)
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("bench", help="time fine-tuning and per-report inference")
-    p.add_argument("--model", required=True, help="model checkpoint (float or quantized)")
-    p.add_argument("--adapter", help="adapter to merge for the inference timing")
-    p.add_argument("--data", required=True, help="directory written by prepare")
-    p.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    p.add_argument("--template", help="prompt template file")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

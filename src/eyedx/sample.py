@@ -235,7 +235,10 @@ def _fork_map(fn, items) -> list:
 
 def _child(fn, item, write: int):
     """The forked child's whole life: fn(item), its pickled outcome written
-    to the pipe's write end, then os._exit, status 0 only once it is sent."""
+    to the pipe's write end, then os._exit, status 0 only once it is sent.
+    A Ctrl-C reaches this process's group as a whole: the parent reports it
+    and kills its children, so a child ignores SIGINT."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     code = 1
     try:
         try:

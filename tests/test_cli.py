@@ -438,6 +438,41 @@ def test_evaluate_rejects_mismatched_adapter_count(workspace, tmp_path):
     assert code == 1
 
 
+def test_evaluate_rows_of_one_name_are_a_usage_error(workspace, tmp_path, capsys):
+    """Rows are named by file stem, and the report is keyed by row name: two
+    models both called model.olm would leave one row in the report."""
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "model.olm").write_bytes(workspace["model"].read_bytes())
+    out = tmp_path / "report.json"
+    code = main(evaluate_args(
+        workspace, out, "--model", str(tmp_path / "a" / "model.olm"),
+        "--model", str(tmp_path / "b" / "model.olm"),
+    ))
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "usage error: two rows are named 'model'; the report keys rows by name\n")
+    assert not out.exists()
+
+
+def test_evaluate_prints_each_models_decode_time_after_the_report(workspace, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(evaluate_args(
+        workspace, out,
+        "--model", str(workspace["model"]), "--model", str(workspace["model"]),
+        "--adapter", "-", "--adapter", str(workspace["adapter"]),
+    ))
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3] == f"wrote {out}"
+    payload = json.loads(out.read_text())
+    for name, line in zip(["model", "model+adapter"], lines[-2:]):
+        generated = sum(record["n_generated"] for record in payload[name]["records"])
+        assert generated > 0
+        pattern = rf"{re.escape(name)}: 3 records, {generated} tokens generated in \d+\.\d\d s"
+        assert re.fullmatch(pattern, line), line
+
+
 # -- QLoRA: adapters on an int4 base -----------------------------------------
 
 
@@ -525,7 +560,7 @@ def test_non_finite_train_setting_is_a_one_line_data_error(workspace, tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == (["train.conf"] if form == "config" else [])
 
 
-@pytest.mark.parametrize("command", ["train", "infer", "evaluate", "bench"])
+@pytest.mark.parametrize("command", ["train", "infer", "evaluate"])
 def test_negative_seed_is_a_one_line_data_error(workspace, tmp_path, capsys, command):
     out = tmp_path / "out"
     model, data = str(workspace["model"]), str(workspace["data"])
@@ -533,7 +568,6 @@ def test_negative_seed_is_a_one_line_data_error(workspace, tmp_path, capsys, com
         "train": ["train", "--data", data, "--out", str(out)],
         "infer": infer_args(workspace, "--report", FINDINGS),
         "evaluate": evaluate_args(workspace, out, "--model", model),
-        "bench": ["bench", "--model", model, "--data", data],
     }[command]
     assert main([*argv, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
@@ -808,33 +842,62 @@ def test_mutated_input_keeps_the_cli_contract(fuzz_inputs, target, truncate, whe
     assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
-# -- bench --------------------------------------------------------------------
+# -- header-field fuzz ---------------------------------------------------------
 
 
-def test_bench_emits_two_column_table(workspace, capsys):
-    code = main(["bench", "--model", str(workspace["model"]), "--data", str(workspace["data"])])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "| phase | seconds |"
-    assert re.fullmatch(r"\| fine-tune \(\d+ reports, 1 epoch, \d+ tokens\) \| \d+\.\d{2} \|",
-                        lines[2])
-    assert re.fullmatch(
-        r"\| inference per report \(\d+ reports, \d+ tokens generated\) \| \d+\.\d{3} ± \d+\.\d{3} \|",
-        lines[3],
-    )
+HOSTILE_VALUES = [0, -1, 2.5, "x", None, [], {}, True, 10**20, float("nan"), float("inf"),
+                  float("-inf")]
+HEADER_FUZZ = (
+    "import contextlib, io, json, resource, sys\n"
+    "cap = 1 << 30\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "from eyedx.cli import main\n"
+    "outcomes = []\n"
+    "for argv in json.load(sys.stdin):\n"
+    "    err = io.StringIO()\n"
+    "    try:\n"
+    "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+    "            code = main(argv)\n"
+    "    except BaseException as exc:\n"
+    "        code = 'escaped ' + repr(exc)\n"
+    "    outcomes.append([code, err.getvalue()])\n"
+    "json.dump(outcomes, sys.stdout)\n"
+)
 
 
-def test_bench_fine_tunes_within_the_model_window(workspace, tmp_path, capsys):
-    """bench trains at the model's window when it is under TrainConfig's."""
-    model = tmp_path / "model.olm"
-    argv = ["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "adapter.olr"),
-            "--epochs", "1", "--max-seq-len", "40", "--lora-r", "2"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(["bench", "--model", str(model), "--data", str(workspace["data"])]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert out.splitlines()[0] == "| phase | seconds |"
+def test_hostile_header_fields_keep_the_cli_contract(fuzz_inputs, tmp_path):
+    """Each header field of the float, int4 and adapter files, set to each
+    hostile value or left out, then read through infer: exit 0, 2 or 3 with
+    at most one stderr line. The cases run in a process that caps its own
+    address space, so a field that makes a reader allocate without bound
+    fails here instead of exhausting the machine's memory."""
+    cases = []
+    for target in ("model.olm", "q.olm", "adapter.olm"):
+        header, tensors = read_container(fuzz_inputs / target)
+        keys = [(None, key) for key in header if key != "vocab"]
+        keys += [("config", key) for key in header.get("config", {})]
+        for section, key in keys:
+            for value in [*HOSTILE_VALUES, "absent"]:
+                bad = json.loads(json.dumps(header))  # a deep copy
+                inner = bad[section] if section else bad
+                if value == "absent":
+                    del inner[key]
+                else:
+                    inner[key] = value
+                label = f"{target}:{section or ''}.{key}={value!r}"
+                file = tmp_path / f"{len(cases)}.olm"
+                write_container(file, bad, tensors)
+                cases.append((label, [str(a) for a in FUZZ_TARGETS[target](fuzz_inputs, file)]))
+    assert len(cases) == 13 * (2 * 11 + 3)
+    src = str(Path(eyedx.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", HEADER_FUZZ], capture_output=True, text=True,
+                          env=env, timeout=300, input=json.dumps([argv for _, argv in cases]))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    broken = [(label, code, err) for (label, _), (code, err) in zip(cases, json.loads(proc.stdout))
+              if code not in (0, 2, 3) or err.count("\n") > 1]
+    assert broken == []
 
 
 # -- process-level ------------------------------------------------------------
@@ -862,5 +925,13 @@ def test_module_entry_point_help():
         [sys.executable, "-m", "eyedx", "--help"], capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    for command in ("prepare", "train", "infer", "evaluate", "bench"):
-        assert command in proc.stdout
+    listed = re.findall(r"^ {4}(\w+) ", proc.stdout, flags=re.M)
+    assert listed == ["prepare", "train", "infer", "evaluate"]
+
+
+def test_bench_is_no_longer_a_command(workspace, capsys):
+    assert main(["bench", "--model", str(workspace["model"]), "--data", str(workspace["data"])]) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("usage error: argument command: invalid choice: 'bench'")
+    assert err.count("\n") == 1

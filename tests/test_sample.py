@@ -717,6 +717,27 @@ def test_an_error_in_either_process_is_raised_and_every_child_reaped(monkeypatch
     assert_no_child_left()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_child_ignores_ctrl_c():
+    """A Ctrl-C reaches the children too; the parent reports it, so a child's
+    SIGINT does not end it without a result."""
+    # KeyboardInterrupt on SIGINT, as in an interactive run; a background
+    # job in a non-interactive shell starts with SIGINT ignored
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    parent = os.getpid()
+
+    def times_ten(x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        return x * 10
+
+    try:
+        assert sample_module._fork_map(times_ten, [1, 2]) == [10, 20]
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert_no_child_left()
+
+
 def test_no_fork_while_another_thread_is_alive(monkeypatch):
     model = tiny_model()
     want = [outcome(g) for g in decode_batch(model, RAGGED, DecodeParams(max_new_tokens=20))]
