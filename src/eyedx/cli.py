@@ -295,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory written by prepare")
     p.add_argument("--out", required=True, help="adapter file to write")
     p.add_argument("--config", help="key = value file; keys mirror the training fields")
-    p.add_argument("--model", help="base model checkpoint, float or quantized (default: initialize a fresh one)")
-    p.add_argument("--model-out", help="where to write a fresh base model (default: model.olm beside the adapter)")
+    base = p.add_mutually_exclusive_group()  # with --model no base model is written
+    base.add_argument("--model", help="base model checkpoint, float or quantized (default: initialize a fresh one)")
+    base.add_argument("--model-out", help="where to write a fresh base model (default: model.olm beside the adapter)")
     p.add_argument("--log", help="loss log file (default: adapter path + .log)")
     p.add_argument("--template", help="prompt template file")
     _add_field_flags(p, TrainConfig)

@@ -27,19 +27,12 @@ keys and values go to, and whether every position runs. Rotary positions take
 one pass over per-pair tables, x * cf + (x, each pair swapped) * sf, with cf
 each angle's cos twice and sf its (-sin, +sin); the backward passes -sf. Each
 entry is the sum the pairwise rotation computes, so the bits are its bits.
-
-A training step splits its batch into row shards, one for each core that BLAS
-leaves idle, and runs their forward and backward on threads; the loss runs
-once, on the calling thread.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +46,7 @@ from .numerics import (
     softmax,
     softmax_backward,
 )
+from .shards import threaded
 
 
 @dataclass(frozen=True)
@@ -225,104 +219,6 @@ def _gather(grid: np.ndarray, kept: np.ndarray, lead: tuple, every: bool) -> np.
     rows of shape lead + (...), the grid itself when every position is kept."""
     rows = grid if every else grid[kept]
     return rows.reshape(lead + grid.shape[2:])
-
-
-# ------------------------------------------------------------------ row shards
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _blas_threads() -> int | None:
-    """The BLAS thread setting: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS.
-    None, for BLAS on every core, when neither is set or the one read is not
-    a positive integer."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        if var in os.environ:
-            try:
-                threads = int(os.environ[var])
-            except ValueError:
-                return None
-            return threads if threads > 0 else None
-    return None
-
-
-def _shard_count(loss_rows: int) -> int:
-    """One shard per core that BLAS leaves idle, and none without a loss row."""
-    blas = _blas_threads()
-    if blas is None:
-        return 1
-    return max(1, min(_usable_cores() // blas, loss_rows))
-
-
-def _split_rows(weights: np.ndarray, n: int) -> list[slice]:
-    """Cut rows of these weights into n contiguous shards, each of positive
-    weight, whose weights differ by at most the largest row's (d).
-
-    Greedy cutting at x cuts each shard at the first boundary at least x
-    past the last cut; the larger x, the later every cut, so bisection finds
-    low, the largest x at which greedy cutting does not fall short of n
-    shards. One reach pass, a step per shard, then finds n shards of weight
-    in [low, low + d] that end at the last row. They exist: k such steps
-    reach every boundary from the k-th greedy cut at low to the latest cut k
-    steps can reach, since every span of weight d holds a boundary. Greedy
-    cutting at low + 1 ends within low of the last boundary after fewer
-    than n shards, the latest cuts lie no earlier, so some k < n steps reach
-    the last boundary, and then so do k + 1 up to n.
-    """
-    rows = len(weights)
-    if n == 1:
-        return [slice(0, rows)]
-    ends = np.concatenate([[0], np.cumsum(weights)])
-
-    def greedy_falls_short(x):
-        cut = 0
-        for _ in range(n):  # past the last row, cut stays at rows + 1
-            cut = np.searchsorted(ends, ends[min(cut, rows)] + x)
-        return cut > rows
-
-    low = bisect.bisect_left(range(1, int(ends[-1]) // n + 1), True, key=greedy_falls_short)
-    if low == 0:
-        raise ValueError(f"{n} shards need {n} rows of positive weight")
-    span = ends[None, :] - ends[:, None]  # span[i, j]: weight of rows i .. j-1
-    fits = (span >= low) & (span <= low + weights.max())
-    reach = [np.arange(rows + 1) == 0]
-    for _ in range(n):
-        reach.append((reach[-1][:, None] & fits).any(axis=0))
-    cuts = [rows]
-    for k in range(n - 1, -1, -1):
-        cuts.append(int(np.flatnonzero(reach[k] & fits[:, cuts[-1]])[0]))
-    cuts.reverse()
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
-_pool = None  # the process's shard threads; cores and the fork rule are per process
-
-
-def _map_shards(fn, items) -> list:
-    """[fn(item) for item in items]: the first on the calling thread, the rest
-    on the process's shard threads, started by the first call of several items
-    and kept, with their malloc arenas, until end_shard_threads; one caller at a time."""
-    global _pool
-    if len(items) > 1 and _pool is None:
-        _pool = ThreadPoolExecutor(thread_name_prefix="eyedx-shard")
-    rest = [_pool.submit(fn, item) for item in items[1:]]
-    first = fn(items[0])
-    return [first] + [future.result() for future in rest]
-
-
-def end_shard_threads() -> None:
-    """End the shard threads, if any run. train calls this as it ends and
-    decode_batch before it decides whether to fork, since a forked child gets
-    only the forking thread."""
-    global _pool
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
 
 
 # ------------------------------------------------------------------ cache
@@ -611,12 +507,8 @@ class Model:
         positions alone, and the backward stops at layer 0's adapter
         gradients.
 
-        The rows run as contiguous shards balanced by kept positions, one
-        per core BLAS leaves idle (_shard_count): each shard's forward on
-        its own thread, the shard on the calling thread included; the loss
-        and its gradient once over the shards' logits, in row order, on the
-        calling thread; then each shard's backward from its slice, with the
-        gradients summed in shard order. One shard starts no thread.
+        The rows run as shards.threaded cuts them by kept positions; the loss
+        runs once, on the calling thread, over the shards' logits in row order.
         """
         if self.adapter is None:
             raise NumericError("loss_and_grads needs an attached adapter")
@@ -628,14 +520,13 @@ class Model:
             )
         # kept[b, t]: some position s >= t of row b is a loss position
         kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
-        sizes = kept.sum(axis=1)
-        shards = _split_rows(sizes, _shard_count(int(np.count_nonzero(sizes))))
+        shards, run = threaded(kept.sum(axis=1))
 
         def forward(rows):
             tape: list = []
             return tape, self._run(inputs[rows], None, tape, kept[rows], mask[rows])
 
-        tapes, logits = zip(*_map_shards(forward, shards))
+        tapes, logits = zip(*run(forward, shards))
         # the loss positions' logits, summed over the kept positions' layout
         logits = np.concatenate(logits, axis=1)[0]
         labels, mask_kept = labels[kept][None], mask[kept][None]
@@ -643,7 +534,7 @@ class Model:
         dlogits = cross_entropy_backward(logits, labels, mask_kept)
         ends = np.cumsum([0] + [int(mask[rows].sum()) for rows in shards])
         jobs = [(tape, dlogits[None, lo:hi]) for tape, lo, hi in zip(tapes, ends, ends[1:])]
-        parts = _map_shards(lambda job: self._backward(*job), jobs)
+        parts = run(lambda job: self._backward(*job), jobs)
         grads = parts[0]
         for part in parts[1:]:
             for name in grads:

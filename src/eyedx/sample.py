@@ -9,26 +9,21 @@ approximately. Greedy decoding is top_k=1 with repetition_penalty=1.
 decode_batch is the one way to decode: it steps a batch of prompts in
 lockstep through one KV cache, and samples all live rows of a step in one
 pass: filter_logits over their (R, V) logits and seen mask, then draw, which
-reproduces each row's Generator.choice. Where BLAS leaves cores idle, the
-rows run as shards, each but the first in a process forked for the call.
+reproduces each row's Generator.choice.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, EyedxError, NumericError
-from .model import Model, _shard_count, _split_rows, end_shard_threads
+from .model import Model
 from .numerics import softmax
+from .shards import forked
 from .tokenizer import EOS_ID, PAD_ID
 
 
@@ -138,15 +133,8 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     to non-finite probabilities fails alone with its error in its
     Generation; the other rows' streams go on untouched.
 
-    The rows that can start run as contiguous shards balanced by prompt
-    length plus budget, one per core BLAS leaves idle (model._shard_count):
-    this process steps the first shard, and a child forked for this call
-    steps each other one. Forking waits for a process with no other thread,
-    since a forked child gets only the forking thread, so the model's own
-    idle training shard threads end first; with another thread alive the
-    rows run as one shard here. A row keeps its seed stream in any
-    shard, but its logits may differ in the last bit, as ragged rows round
-    with the batch they step in.
+    The rows that can start run as shards.forked cuts them by prompt length
+    plus budget.
     """
     limit, vocab = model.config.max_seq_len, model.config.vocab_size
     prompts = [list(p) for p in prompts]
@@ -168,89 +156,16 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
     if not live:
         return results
 
-    end_shard_threads()
-    count = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        count = _shard_count(len(live))
-    weights = np.array([len(prompts[i]) + budget[i] for i in live])
-    shards = [live[rows] for rows in _split_rows(weights, count)]
+    cuts, run = forked(np.array([len(prompts[i]) + budget[i] for i in live]))
+    shards = [live[rows] for rows in cuts]
 
-    def run(rows):
+    def lockstep(rows):
         return _lockstep(model, [prompts[i] for i in rows], [budget[i] for i in rows], params)
 
-    for rows, generations in zip(shards, _fork_map(run, shards)):
+    for rows, generations in zip(shards, run(lockstep, shards)):
         for i, generation in zip(rows, generations):
             results[i] = generation
     return results
-
-
-def _fork_map(fn, items) -> list:
-    """[fn(item) for item in items]: the first in this process, each other in
-    a child forked for it.
-
-    A child sends back its result, or the exception it raised, pickled
-    through a pipe, and leaves through os._exit, so it never flushes this
-    process's stdio buffers or runs its exit handlers. A child's exception
-    is raised here; a child that ends without a result (killed, or its
-    reply would not pickle) is a NumericError. Every child is reaped before
-    this returns or raises; on a raise the ones still running are killed.
-    """
-    children = []  # (pid, read end of its pipe), in item order, not yet reaped
-    try:
-        for item in items[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _child(fn, item, write)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        results = [fn(items[0])]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                reply = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise NumericError(f"a decode worker process ended without a result ({how})")
-            ok, value = pickle.loads(reply)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):  # reaped as the raise came
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _child(fn, item, write: int):
-    """The forked child's whole life: fn(item), its pickled outcome written
-    to the pipe's write end, then os._exit, status 0 only once it is sent.
-    A Ctrl-C reaches this process's group as a whole: the parent reports it
-    and kills its children, so a child ignores SIGINT."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    code = 1
-    try:
-        try:
-            reply = (True, fn(item))
-        except Exception as exc:  # sent back and raised in the parent
-            reply = (False, exc)
-        data = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Generation]:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .corpus import DEFAULT_TEMPLATE, PromptTemplate, render_prompt
 from .errors import DataError, NumericError
-from .model import Model, end_shard_threads
+from .model import Model
+from .shards import end_shard_threads
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
 

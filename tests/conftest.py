@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from eyedx.model import end_shard_threads
+from eyedx.shards import end_shard_threads
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ Each one is deliberately naive (brute force, or no cache) so that it shares
 no code path with what it checks.
 """
 
+import itertools
+
 import numpy as np
 
 from eyedx import DataError
@@ -200,3 +202,18 @@ def filter_logits_row(logits, seen_ids, params):
         probs[drop] = 0.0
 
     return probs / probs.sum()
+
+
+def split_rows(weights, n):
+    """Of every cut of the rows into n contiguous shards of positive weight,
+    taken in order of their cut points, the first with the lightest heaviest
+    shard and, among those, the heaviest lightest: the oracle for
+    eyedx.shards._split_rows, which finds it by two passes over prefix cuts."""
+    rows = len(weights)
+    best = None
+    for inner in itertools.combinations(range(1, rows), n - 1):
+        cuts = (0, *inner, rows)
+        sizes = [sum(weights[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        if min(sizes) > 0 and (best is None or (max(sizes), -min(sizes)) < best[0]):
+            best = (max(sizes), -min(sizes)), cuts
+    return [slice(lo, hi) for lo, hi in zip(best[1], best[1][1:])]

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eyedx
-from eyedx import cli, sample
+from eyedx import cli, shards
 from eyedx.cli import main
 from eyedx.container import load_bundle, read_container, save_model, save_quantized, write_container
 from eyedx.corpus import dedup, render_prompt, split, synthesize, write_jsonl
@@ -583,6 +583,18 @@ def test_train_that_skips_every_record_is_a_one_line_data_error(workspace, tmp_p
     assert list(tmp_path.iterdir()) == []  # no adapter, no training log
 
 
+def test_train_with_a_base_model_rejects_model_out(workspace, tmp_path, capsys):
+    """--model-out names the file of a fresh base model; beside --model no
+    base model is written, so the pair is a usage error and nothing is."""
+    argv = ["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "adapter.olr"),
+            "--model", str(workspace["model"]), "--model-out", str(tmp_path / "model.olm"),
+            "--epochs", "1", "--max-seq-len", "96", "--lora-r", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "usage error: argument --model-out: not allowed with argument --model\n")
+    assert list(tmp_path.iterdir()) == []  # no adapter, log or base model
+
+
 def test_train_that_fails_without_a_base_model_writes_no_base_model(workspace, tmp_path, capsys):
     """Without --model the base model is saved and announced only once
     training has run: a failed run leaves no model.olm and prints nothing."""
@@ -708,7 +720,7 @@ def test_killed_decode_worker_gives_one_line_numeric_error(
         return forward(self, *args, **kw)
 
     monkeypatch.setattr(Model, "forward", dying)
-    monkeypatch.setattr(sample, "_shard_count", lambda rows: min(2, rows))
+    monkeypatch.setattr(shards, "_shard_count", lambda rows: min(2, rows))
     code = main(evaluate_args(workspace, tmp_path / "r.json", "--model", str(workspace["model"])))
     assert code == 3
     assert capsys.readouterr().err == (
@@ -746,6 +758,29 @@ def test_ctrl_c_while_the_cli_loads_is_one_line_and_exit_130():
     assert (proc.returncode, proc.stderr) == (130, "interrupted\n")
 
 
+@pytest.mark.parametrize("when, ends", [("in main", (130, "interrupted\n")), ("at exit", (0, ""))])
+def test_ctrl_c_outside_mains_handlers(when, ends):
+    """python -m eyedx, with main stubbed: a Ctrl-C that escapes main prints
+    interrupted and exits 130; one that lands as the interpreter exits, once
+    main has returned, leaves main's status and prints nothing."""
+    stub = "interrupt() or 0" if when == "in main" else "atexit.register(interrupt) and 0"
+    script = (
+        "import atexit, os, runpy, signal\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "import eyedx.cli\n"
+        "def interrupt():\n"
+        "    os.kill(os.getpid(), signal.SIGINT)\n"
+        f"eyedx.cli.main = lambda: {stub}\n"
+        "runpy.run_module('eyedx', run_name='__main__')\n"
+    )
+    src = str(Path(eyedx.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == ends
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_ctrl_c_in_forked_decode_reaps_the_workers_first(
     workspace, tmp_path, capsys, monkeypatch, single_threaded
@@ -765,7 +800,7 @@ def test_ctrl_c_in_forked_decode_reaps_the_workers_first(
 
     monkeypatch.setattr(Model, "forward", interrupted)
     monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(sample, "_shard_count", lambda rows: min(2, rows))
+    monkeypatch.setattr(shards, "_shard_count", lambda rows: min(2, rows))
     code = main(evaluate_args(workspace, tmp_path / "r.json", "--model", str(workspace["model"])))
     assert (code, capsys.readouterr().err) == (130, "interrupted\n")
     assert children

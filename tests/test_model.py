@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from eyedx import DataError, NumericError
 from eyedx import model as model_module
-from eyedx import sample as sample_module
+from eyedx import shards as shards_module
 from eyedx.lora import attach
 from eyedx.model import (
     Model,
@@ -27,6 +27,7 @@ from eyedx.model import (
 )
 from eyedx.numerics import cross_entropy, softmax, softmax_backward
 from eyedx.sample import DecodeParams, decode_batch
+from oracles import split_rows
 
 RNG = np.random.default_rng(7)
 
@@ -831,15 +832,15 @@ def force_shards(monkeypatch, n):
     """Let the step split into up to n shards: n cores, BLAS on one thread.
     Returns the list the row shards of each call are appended to."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(model_module, "_usable_cores", lambda: n)
+    monkeypatch.setattr(shards_module, "_usable_cores", lambda: n)
     calls = []
-    split = model_module._split_rows
+    split = shards_module._split_rows
 
     def recording(weights, count):
         calls.append(split(weights, count))
         return calls[-1]
 
-    monkeypatch.setattr(model_module, "_split_rows", recording)
+    monkeypatch.setattr(shards_module, "_split_rows", recording)
     return calls
 
 
@@ -905,7 +906,7 @@ def test_row_splitter_is_contiguous_and_balanced(data):
         weights[data.draw(st.integers(0, len(weights) - 1))] = 1
         positive = 1
     n = data.draw(st.integers(1, positive))
-    shards = model_module._split_rows(weights, n)
+    shards = shards_module._split_rows(weights, n)
     assert len(shards) == n
     assert shards[0].start == 0 and shards[-1].stop == len(weights)
     for left, right in zip(shards, shards[1:]):
@@ -913,6 +914,32 @@ def test_row_splitter_is_contiguous_and_balanced(data):
     sizes = [int(weights[rows].sum()) for rows in shards]
     assert min(sizes) > 0
     assert max(sizes) - min(sizes) <= weights.max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_splitter_is_the_exact_cut(data):
+    """Small weights give many ties, which the earliest cuts break."""
+    weights = np.array(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=10)))
+    if not weights.any():
+        weights[data.draw(st.integers(0, len(weights) - 1))] = 1
+    n = data.draw(st.integers(1, min(5, int(np.count_nonzero(weights)))))
+    assert shards_module._split_rows(weights, n) == split_rows(weights, n)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_the_training_step_and_decode_batch_follow_one_shard_policy(monkeypatch,
+                                                                    single_threaded):
+    """Three cores and BLAS on one thread, set once, cut a training batch of
+    five loss rows and a decode batch of five prompts into three shards each."""
+    calls = force_shards(monkeypatch, 3)
+    model = adapted_gqa_model()
+    inputs, labels = np.random.default_rng(4).integers(1, model.config.vocab_size, (2, 5, 6))
+    mask = np.arange(6) > np.arange(5)[:, None]  # row r's loss positions start at r + 1
+    model.loss_and_grads(inputs, labels, mask)
+    decode_batch(model, [[1, 5], [2, 6, 7], [3], [4, 8], [9, 10, 11]],
+                 DecodeParams(max_new_tokens=2))
+    assert [len(shards) for shards in calls] == [3, 3]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
@@ -925,8 +952,8 @@ def test_decode_batch_ends_the_shard_threads_of_a_direct_step(monkeypatch, singl
     model.loss_and_grads(inputs, labels, mask)
     assert len(calls[0]) == 2
     splits = []
-    split = sample_module._split_rows
-    monkeypatch.setattr(sample_module, "_split_rows",
+    split = shards_module._split_rows
+    monkeypatch.setattr(shards_module, "_split_rows",
                         lambda weights, n: splits.append(split(weights, n)) or splits[-1])
     decode_batch(model, [[1, 5, 6], [1, 7]], DecodeParams(max_new_tokens=2))
     assert [len(shards) for shards in splits] == [2]
@@ -942,8 +969,8 @@ def test_decode_batch_ends_the_shard_threads_of_another_models_step(monkeypatch,
     stepped.loss_and_grads(inputs, labels, mask)
     assert len(calls[0]) == 2
     splits = []
-    split = sample_module._split_rows
-    monkeypatch.setattr(sample_module, "_split_rows",
+    split = shards_module._split_rows
+    monkeypatch.setattr(shards_module, "_split_rows",
                         lambda weights, n: splits.append(split(weights, n)) or splits[-1])
     decode_batch(decoded, [[1, 5, 6], [1, 7]], DecodeParams(max_new_tokens=2))
     assert [len(shards) for shards in splits] == [2]
@@ -951,7 +978,7 @@ def test_decode_batch_ends_the_shard_threads_of_another_models_step(monkeypatch,
 
 def test_row_splitter_needs_a_weighted_row_per_shard():
     with pytest.raises(ValueError, match="3 shards need 3 rows"):
-        model_module._split_rows(np.array([4, 0, 5, 0]), 3)
+        shards_module._split_rows(np.array([4, 0, 5, 0]), 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1041,5 +1068,5 @@ def test_shard_count_fills_the_cores_blas_leaves(monkeypatch, env, cores, expect
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(model_module, "_usable_cores", lambda: cores)
-    assert model_module._shard_count(3) == expect
+    monkeypatch.setattr(shards_module, "_usable_cores", lambda: cores)
+    assert shards_module._shard_count(3) == expect

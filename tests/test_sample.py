@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from eyedx import DataError, NumericError
 from eyedx import model as model_module
-from eyedx import sample as sample_module
+from eyedx import shards as shards_module
 from eyedx.model import Model, ModelConfig, init_params
 from eyedx.numerics import softmax
 from eyedx.sample import DecodeParams, decode, decode_batch, draw, filter_logits
@@ -513,7 +513,7 @@ def test_prefill_runs_one_row_per_prompt_past_the_last_attention(monkeypatch):
         return silu(z)
 
     monkeypatch.setattr(model_module, "silu", recording)
-    monkeypatch.setattr(sample_module, "_shard_count", lambda rows: 1)  # record every row here
+    monkeypatch.setattr(shards_module, "_shard_count", lambda rows: 1)  # record every row here
     decode_batch(tiny_model(), RAGGED[:3], greedy(1))  # the prefill alone: one token each
     assert rows == [sum(len(p) for p in RAGGED[:3])] * (CFG.n_layers - 1) + [3]
 
@@ -546,7 +546,7 @@ def test_decode_sizes_the_cache_by_need(monkeypatch):
         return caches[-1]
 
     monkeypatch.setattr(model, "new_cache", recording)
-    monkeypatch.setattr(sample_module, "_shard_count", lambda rows: 1)  # one cache per call
+    monkeypatch.setattr(shards_module, "_shard_count", lambda rows: 1)  # one cache per call
     decode_batch(model, [[5, 9, 2], [3, 8, 1, 4, 7], [11]], greedy(6))
     # the neediest row holds 5 prompt tokens and 6 new ones, of a 64-token window
     decode_batch(model, [RAGGED[3], [7, 2]], greedy(20))  # 60 + a budget clamped to 4
@@ -626,7 +626,7 @@ def test_stop_reasons_and_counts():
 def shard_into(monkeypatch, n):
     """Ask decode_batch for n shards, at most one per live row, and return
     the pids it forks."""
-    monkeypatch.setattr(sample_module, "_shard_count", lambda rows: min(n, rows))
+    monkeypatch.setattr(shards_module, "_shard_count", lambda rows: min(n, rows))
     forks = []
     fork = os.fork
 
@@ -667,7 +667,7 @@ def test_sharded_decode_equals_one_shard(monkeypatch, single_threaded, dtype, pa
     prompts = [RAGGED[0], FAILING[0], RAGGED[2], FAILING[1], RAGGED[3], RAGGED[4], FAILING[2],
                RAGGED[5], FAILING[3], RAGGED[1]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sample_module, "_shard_count", lambda rows: 1)
+        mp.setattr(shards_module, "_shard_count", lambda rows: 1)
         want = [outcome(g) for g in decode_batch(model, prompts, params)]
     assert {stop for _, stop, _, _ in want} >= {"error", "eos"}
     forks = shard_into(monkeypatch, shards)
@@ -732,7 +732,7 @@ def test_a_child_ignores_ctrl_c():
         return x * 10
 
     try:
-        assert sample_module._fork_map(times_ten, [1, 2]) == [10, 20]
+        assert shards_module._fork_map(times_ten, [1, 2]) == [10, 20]
     finally:
         signal.signal(signal.SIGINT, previous)
     assert_no_child_left()

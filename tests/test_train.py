@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from eyedx import DataError, NumericError
-from eyedx import model as model_module
-from eyedx import sample as sample_module
+from eyedx import shards as shards_module
 from eyedx.corpus import DEFAULT_TEMPLATE, ReportRecord, synthesize
 from eyedx.lora import attach
 from eyedx.model import Model, ModelConfig, init_params
@@ -272,7 +271,7 @@ def test_train_ends_its_shard_threads(monkeypatch, single_threaded):
     """The step's shard threads end with train, as it returns and as it
     raises, so decode_batch forks its decode shards straight after."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(model_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(shards_module, "_usable_cores", lambda: 2)
 
     def shard_threads():
         return [t for t in threading.enumerate() if t.name.startswith("eyedx-shard")]
@@ -285,8 +284,8 @@ def test_train_ends_its_shard_threads(monkeypatch, single_threaded):
     assert shard_threads() == []
 
     splits = []
-    split = sample_module._split_rows
-    monkeypatch.setattr(sample_module, "_split_rows",
+    split = shards_module._split_rows
+    monkeypatch.setattr(shards_module, "_split_rows",
                         lambda weights, n: splits.append(split(weights, n)) or splits[-1])
     decode_batch(model, [[BOS_ID, 5, 6], [BOS_ID, 7]], DecodeParams(max_new_tokens=2))
     assert [len(shards) for shards in splits] == [2]
