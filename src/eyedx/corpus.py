@@ -114,8 +114,8 @@ def ingest(path: str | Path) -> list[ReportRecord]:
     """Read report records from a JSON-lines file.
 
     Identifier fields (name/gender/age) are dropped, records carrying an
-    exclusion flag are filtered out. Malformed lines raise DataError naming
-    the line number.
+    exclusion flag are filtered out. Malformed lines, findings or diagnosis
+    not a string among them, raise DataError naming the line number.
     """
     path = Path(path)
     if not path.exists():
@@ -138,11 +138,14 @@ def ingest(path: str | Path) -> list[ReportRecord]:
             unknown = set(flags) - EXCLUSION_FLAGS
             if unknown:
                 raise DataError(f"unknown flags {sorted(unknown)}")
+            for name in ("findings", "diagnosis"):
+                if not isinstance(obj[name], str):
+                    raise DataError(f"{name} must be a string")
             record = ReportRecord(
                 id=str(obj["id"]),
                 modality=obj["modality"],
-                findings=str(obj["findings"]).strip(),
-                diagnosis=str(obj["diagnosis"]).strip(),
+                findings=obj["findings"].strip(),
+                diagnosis=obj["diagnosis"].strip(),
                 flags=frozenset(flags),
             )
         except KeyError as exc:

@@ -495,7 +495,9 @@ class Model:
     # -- loss and hand-wired backward --
 
     def loss_and_grads(self, inputs: np.ndarray, labels: np.ndarray, mask: np.ndarray):
-        """Masked next-token loss and the attached adapter's gradients.
+        """Next-token loss, the mean over the mask=True positions, and the
+        attached adapter's gradients. Labels at mask=False positions are never
+        read.
 
         The base weights are frozen: grads holds exactly the ".lora_a" and
         ".lora_b" entries of each adapter target, in the model's dtype.
@@ -527,12 +529,11 @@ class Model:
             return tape, self._run(inputs[rows], None, tape, kept[rows], mask[rows])
 
         tapes, logits = zip(*run(forward, shards))
-        # the loss positions' logits, summed over the kept positions' layout
-        logits = np.concatenate(logits, axis=1)[0]
-        labels, mask_kept = labels[kept][None], mask[kept][None]
-        loss = cross_entropy(logits, labels, mask_kept)
-        dlogits = cross_entropy_backward(logits, labels, mask_kept)
-        ends = np.cumsum([0] + [int(mask[rows].sum()) for rows in shards])
+        ends = np.cumsum([0] + [part.shape[1] for part in logits])
+        # the shards' loss rows, in the row-major order of labels[mask]
+        logits, targets = np.concatenate(logits, axis=1)[0], labels[mask]
+        loss = cross_entropy(logits, targets)
+        dlogits = cross_entropy_backward(logits, targets)
         jobs = [(tape, dlogits[None, lo:hi]) for tape, lo, hi in zip(tapes, ends, ends[1:])]
         parts = run(lambda job: self._backward(*job), jobs)
         grads = parts[0]

@@ -3,7 +3,9 @@
 Everything operates on plain numpy arrays and preserves the input dtype, so
 the same code runs in float32 for training and float64 for gradient checks.
 Backward functions return gradients of a scalar loss given upstream grads;
-there is no tape, callers wire the chain rule by hand in model.py.
+there is no tape, callers wire the chain rule by hand in model.py. The loss
+sees only the loss rows, (n, V) logits and their (n,) targets; which
+positions of a batch those are is the caller's choice (Model.loss_and_grads).
 
 The forwards run the plain expressions' arithmetic in the same order, but
 with out= and in-place ufuncs in buffers of their own, so their values are
@@ -34,44 +36,33 @@ def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return t
 
 
-def _loss_rows(logits, targets, mask):
-    """The targets of the mask=True positions and their count n, once logits
-    is checked to be (n, V): those positions' rows, in row-major order."""
-    n = int(mask.sum())
-    if targets.shape != mask.shape or logits.shape[:-1] != (n,):
+def _loss_rows(logits, targets):
+    """Check that logits is (n, V) and targets (n,), with n > 0."""
+    if logits.ndim != 2 or targets.shape != logits.shape[:1] or len(targets) == 0:
         raise NumericError(
-            f"cross_entropy shape mismatch: logits {logits.shape}, "
-            f"targets {targets.shape}, mask {mask.shape}"
+            f"cross_entropy needs (n, V) logits and (n,) targets with n > 0: "
+            f"logits {logits.shape}, targets {targets.shape}"
         )
-    if n == 0:
-        raise NumericError("cross_entropy: mask selects no positions")
-    return targets[mask], n
 
 
-def cross_entropy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
-    """Mean of -log p(target) over positions where mask is true.
-
-    logits holds the mask=True positions' rows alone (_loss_rows); prompt and
-    padding positions contribute nothing, to the loss or to its gradient. The
-    per-position losses are summed in mask's shape, zeros at mask=False.
-    """
-    targets, n = _loss_rows(logits, targets, mask)
+def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Mean of -log p(target) over the loss rows: logits (n, V), targets (n,)."""
+    _loss_rows(logits, targets)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1))
-    nll = np.zeros(mask.shape, dtype=logits.dtype)
-    nll[mask] = logz - np.take_along_axis(shifted, targets[:, None], axis=-1)[:, 0]
-    return float(nll.sum() / n)
+    nll = np.log(np.exp(shifted).sum(axis=-1))
+    nll -= np.take_along_axis(shifted, targets[:, None], axis=-1)[:, 0]
+    return float(nll.mean())
 
 
-def cross_entropy_backward(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def cross_entropy_backward(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """d loss / d logits, shaped like logits: (softmax - onehot) / n."""
-    targets, n = _loss_rows(logits, targets, mask)
+    _loss_rows(logits, targets)
     probs = softmax(logits)
     np.put_along_axis(
         probs, targets[:, None], np.take_along_axis(probs, targets[:, None], axis=-1) - 1.0, axis=-1
     )
     # 1 / n divided in the logits' dtype; a Python 1 / n would round twice on the way to float32
-    probs *= probs.dtype.type(1) / n
+    probs *= probs.dtype.type(1) / len(probs)
     return probs
 
 

@@ -134,7 +134,7 @@ def test_analytic_gradients_match_finite_differences():
     mask[0, 0] = True
 
     def loss():
-        return cross_entropy(model.forward(inputs)[mask], labels, mask)
+        return cross_entropy(model.forward(inputs)[mask], labels[mask])
 
     _, grads = model.loss_and_grads(inputs, labels, mask)
     checked = {}

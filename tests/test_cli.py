@@ -106,6 +106,21 @@ def test_prepare_rejects_malformed_flags_in_one_line(tmp_path, capsys, flags):
         2, ("", f"data error: {source}:1: flags must be a list of strings\n"))
 
 
+@pytest.mark.parametrize("field", ["findings", "diagnosis"])
+@pytest.mark.parametrize("value", [None, ["x", "y"], {"a": 1}, 3])
+def test_prepare_rejects_text_that_is_not_a_string(tmp_path, capsys, field, value):
+    source = tmp_path / "reports.jsonl"
+    records = [{"id": i, "modality": "OSA", "findings": f"f{i}", "diagnosis": f"d{i}"}
+               for i in range(4)]
+    records[2][field] = value
+    source.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    code = main(["prepare", "--input", str(source), "--out", str(out)])
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"data error: {source}:3: {field} must be a string\n"))
+    assert not out.exists()
+
+
 # -- train --------------------------------------------------------------------
 
 

@@ -719,7 +719,7 @@ def test_pad_free_step_matches_grid_forward_and_one_row_calls():
     model = adapted_gqa_model()
     inputs, labels, mask, real = ragged_batch(model.config.vocab_size)
     loss, grads = model.loss_and_grads(inputs, labels, mask)
-    assert abs(loss - cross_entropy(model.forward(inputs)[mask], labels, mask)) < 1e-12
+    assert abs(loss - cross_entropy(model.forward(inputs)[mask], labels[mask])) < 1e-12
 
     # the batch gradient is the loss-position-weighted mean of each row's own
     expect = {name: np.zeros_like(g) for name, g in grads.items()}
@@ -769,8 +769,25 @@ def test_positions_past_the_last_loss_position_change_nothing(data):
 def test_all_false_mask_raises_numeric_error():
     model = adapted_gqa_model()
     inputs, labels, mask, _ = ragged_batch(model.config.vocab_size)
-    with pytest.raises(NumericError, match="cross_entropy: mask selects no positions"):
+    with pytest.raises(NumericError, match=r"cross_entropy needs \(n, V\) logits"):
         model.loss_and_grads(inputs, labels, np.zeros_like(mask))
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_labels_off_the_mask_change_neither_loss_nor_grads(monkeypatch, shards):
+    """Every label at a mask=False position changed, prompt, padding and
+    loss-free row alike: the loss and every gradient keep their bits."""
+    model = adapted_gqa_model()
+    vocab = model.config.vocab_size
+    inputs, labels, mask, _ = ragged_batch(vocab)
+    edited = labels.copy()
+    edited[~mask] = (labels[~mask] + 1) % vocab
+    force_shards(monkeypatch, shards)
+    loss_a, grads_a = model.loss_and_grads(inputs, labels, mask)
+    loss_b, grads_b = model.loss_and_grads(inputs, edited, mask)
+    assert loss_a == loss_b
+    for name in grads_a:
+        assert np.array_equal(grads_a[name], grads_b[name]), name
 
 
 def test_step_loss_equals_cross_entropy_over_the_kept_forward():
@@ -780,7 +797,7 @@ def test_step_loss_equals_cross_entropy_over_the_kept_forward():
     inputs, labels, mask = inputs[rows], labels[rows], mask[rows]
     kept = np.logical_or.accumulate(mask[:, ::-1], axis=1)[:, ::-1]
     logits = kept_logits(model, inputs, None, kept)[mask[kept]]
-    want = cross_entropy(logits, labels[mask], np.ones(len(logits), dtype=bool))
+    want = cross_entropy(logits, labels[mask])
     loss, _ = model.loss_and_grads(inputs, labels, mask)
     assert abs(loss - want) <= 1e-12 * want
 
@@ -888,7 +905,7 @@ def test_sharded_step_matches_one_shard(monkeypatch, batch, shards):
     loss, grads = model.loss_and_grads(inputs, labels, mask)
     loss_rows = int(mask.any(axis=1).sum())
     assert len(calls[0]) == min(shards, loss_rows)
-    assert loss == loss_one
+    assert abs(loss - loss_one) <= 1e-12 * loss_one
     for name, g in grads.items():
         assert np.max(np.abs(g - grads_one[name])) <= 1e-12 * np.max(np.abs(grads_one[name])), name
     again_loss, again = model.loss_and_grads(inputs, labels, mask)
