@@ -115,7 +115,8 @@ def ingest(path: str | Path) -> list[ReportRecord]:
 
     Identifier fields (name/gender/age) are dropped, records carrying an
     exclusion flag are filtered out. Malformed lines, findings or diagnosis
-    not a string among them, raise DataError naming the line number.
+    not a string and an id neither a string nor an integer among them, raise
+    DataError naming the line number.
     """
     path = Path(path)
     if not path.exists():
@@ -141,6 +142,8 @@ def ingest(path: str | Path) -> list[ReportRecord]:
             for name in ("findings", "diagnosis"):
                 if not isinstance(obj[name], str):
                     raise DataError(f"{name} must be a string")
+            if isinstance(obj["id"], bool) or not isinstance(obj["id"], (str, int)):
+                raise DataError("id must be a string or an integer")
             record = ReportRecord(
                 id=str(obj["id"]),
                 modality=obj["modality"],

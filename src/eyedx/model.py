@@ -15,18 +15,23 @@ One masked run, _run, serves forward, the decode prefill and the training
 step. It goes token-major over the positions a kept mask selects, the loss's
 reach in training and the real tokens in a prefill: each token-wise op is
 one GEMM per weight, and only attention sees the (batch, seq) grid. A
-cached step of one token per row keeps per-row products: faster there, and
-each row's products match one-row decoding bit for bit. From the last
-layer's output projection on, only the positions whose logits are read run:
-the loss positions in training, each prompt's last token in a prefill. Past
-its last layer's keys and values a position feeds no other.
+cached step of one token per row runs its N rows as ceil(N / BLOCK) blocks
+of BLOCK rows, zero rows after the N-th, each product one (BLOCK, K) GEMM
+per block, lm_head's one per block and HEAD_COLUMNS of its columns: each
+weight is read once per block, not once per row, and since a row of such a
+GEMM gets the same bits wherever it sits and whatever the other rows hold,
+a batched step gives each row the bits it gets stepped alone, padded to one
+block. From the last layer's output projection on, only the positions whose
+logits are read run: the loss positions in training, each prompt's last token
+in a prefill. Past its last layer's keys and values a position feeds no other.
 
 What every layer of a run shares is built once per run, not once per layer
 (_RunTables): the rotary tables, the causal mask, the cache slots the run's
-keys and values go to, and whether every position runs. Rotary positions take
-one pass over per-pair tables, x * cf + (x, each pair swapped) * sf, with cf
-each angle's cos twice and sf its (-sin, +sin); the backward passes -sf. Each
-entry is the sum the pairwise rotation computes, so the bits are its bits.
+keys and values go to, whether every position runs, and whether the run is a
+cached step. Rotary positions take one pass over per-pair tables,
+x * cf + (x, each pair swapped) * sf, with cf each angle's cos twice and sf
+its (-sin, +sin); the backward passes -sf. Each entry is the sum the pairwise
+rotation computes, so the bits are its bits.
 """
 
 from __future__ import annotations
@@ -47,6 +52,14 @@ from .numerics import (
     softmax_backward,
 )
 from .shards import threaded
+
+# the rows of a cached step's GEMM blocks: each row of a (BLOCK, K) @ (K, M)
+# product gets the same bits wherever it sits and whatever the other rows hold
+BLOCK = 4
+# lm_head's columns per GEMM in a cached step: at d_model 256 a block's GEMM
+# over a 4096-token vocabulary costs two to three one-row products, and 512
+# columns at a time under one and a half
+HEAD_COLUMNS = 512
 
 
 @dataclass(frozen=True)
@@ -202,8 +215,16 @@ def _ungroup_heads(x: np.ndarray, T: int) -> np.ndarray:
     return x.reshape(B, KV, G, T, hd).transpose(0, 3, 1, 2, 4).reshape(B, T, KV * G, hd)
 
 
+def _blocks(rows: np.ndarray) -> np.ndarray:
+    """(n, d) rows -> (ceil(n / BLOCK), BLOCK, d) blocks holding them, then zero rows."""
+    n, d = rows.shape
+    out = np.zeros((-(-n // BLOCK), BLOCK, d), rows.dtype)
+    out.reshape(-1, d)[:n] = rows
+    return out
+
+
 def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """(1, N, ...) or (N, 1, ...) token rows -> (B, T, ...) grid holding them
+    """(1, N, ...) token rows -> (B, T, ...) grid holding them
     at the N True positions of kept (B, T), in row-major order, and zeros
     elsewhere. When every position is kept the rows already are the grid and
     pass through, reshaped."""
@@ -261,11 +282,13 @@ class _RunTables:
 
     kept: np.ndarray  # (B, T) bool: the positions that run
     every: bool  # kept holds every position
-    cf: np.ndarray  # _rope_pairs' tables at the kept positions, in the rows' layout
+    n: int  # the kept positions, the run's real token rows
+    cf: np.ndarray  # _rope_pairs' tables at the kept positions, (n, 1, head_dim)
     sf: np.ndarray
     S: int  # key slots attention reads: the last position + 1
     hidden: np.ndarray  # (B, 1, 1, T, S): key s is hidden from the query at p when s > p
     slots: tuple | None  # (rows, positions): each row's cache slots for its T tokens
+    step: bool  # a cached step of one token per row, run in blocks
 
 
 class Model:
@@ -367,47 +390,58 @@ class Model:
             raise DataError(f"sequence length {S} exceeds the cache's {cache.capacity} slots")
         return positions, S
 
-    def _tables(self, positions, S, kept, lead, cache) -> _RunTables:
+    def _tables(self, positions, S, kept, cache, step) -> _RunTables:
         """The run's RoPE pair tables, causal mask and cache slots, for every
         layer; a cached row's free slots past its own length lie past the
         positions of its queries, so the mask hides them."""
         cfg = self.config
-        cos, sin = _rope_tables(positions[kept].reshape(lead), cfg.head_dim, cfg.rope_base,
-                                self.dtype)
+        cos, sin = _rope_tables(positions[kept], cfg.head_dim, cfg.rope_base, self.dtype)
         hidden = (np.arange(S) > positions[..., None])[:, None, None]
         slots = None if cache is None else (np.arange(len(positions))[:, None], positions)
-        return _RunTables(kept, bool(kept.all()), *_rope_pairs(cos, sin), S, hidden, slots)
+        return _RunTables(kept, bool(kept.all()), len(cos), *_rope_pairs(cos, sin), S, hidden,
+                          slots, step)
 
     def _run(self, tokens, cache, tape, kept=None, read=None):
         """Logits for the positions of tokens (B, T) that read, a (B, T) bool
         mask inside kept, selects; kept, a (B, T) bool mask of each row's
         first positions, selects those that run, and both default to all.
-        They run as (1, N) token rows, each token-wise op one GEMM per weight,
-        or, in a cached step of one token per row, as (N, 1), one product per
-        row. Only attention sees the (B, T) grid, with zeros where kept is
-        False. The last layer narrows to the read rows after its attention
-        context. The logits come back in the rows' layout."""
+        The N kept positions run as (1, N) token rows, each token-wise op one
+        GEMM per weight. A cached step of one token per row runs them as
+        (ceil(N / BLOCK), BLOCK) blocks, zero rows after the N-th, each
+        product one (BLOCK, K) GEMM per block, lm_head's one per block and
+        HEAD_COLUMNS columns, so each row gets the bits it gets stepped alone.
+        Only attention sees the (B, T) grid, with zeros where kept is False.
+        Token rows narrow to the read rows after the last layer's attention
+        context, blocks after lm_head. The logits come back as
+        (1, read rows, V) token rows, or (read rows, V)."""
         cfg = self.config
         positions, S = self._positions(tokens, cache)
         kept = np.ones(tokens.shape, dtype=bool) if kept is None else kept
-        if read is None or np.count_nonzero(read) == np.count_nonzero(kept):
+        n = np.count_nonzero(kept)
+        step = cache is not None and tokens.shape[1] == 1
+        if read is None or np.count_nonzero(read) == n:
             read = kept  # read lies inside kept, so as many positions are the same ones
-        lead = (-1, 1) if cache is not None and tokens.shape[1] == 1 else (1, -1)
-        run = self._tables(positions, S, kept, lead, cache)
-        x = self.params["tok_embed"][tokens[kept].reshape(lead)]
+        run = self._tables(positions, S, kept, cache, step)
+        x = self.params["tok_embed"][tokens[kept]]
+        x = _blocks(x) if step else x[None]
 
         for i in range(cfg.n_layers):
-            out = read if i == cfg.n_layers - 1 else kept
+            out = read if i == cfg.n_layers - 1 and not step else kept
             x = self._attention(x, i, cache, run, tape, out)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
             cache.lengths += kept.sum(axis=1)
 
         xn, inv = _rmsnorm_fwd(x, self.params["final_norm"], cfg.rmsnorm_eps)
-        logits = xn @ self.params["lm_head"]
         if tape is not None:
             tape.append({"x_final": x, "inv_final": inv})
-        return logits
+        head = self.params["lm_head"]
+        if not step:
+            return xn @ head
+        logits = np.concatenate([xn @ head[:, j:j + HEAD_COLUMNS]
+                                 for j in range(0, cfg.vocab_size, HEAD_COLUMNS)], axis=-1)
+        logits = logits.reshape(-1, cfg.vocab_size)[:n]  # the blocks' real rows
+        return logits if read is kept else logits[read[kept]]
 
     def _attention(self, x, layer, cache, run: _RunTables, tape, out):
         """x plus the attention block's output, over the positions of out, a
@@ -416,17 +450,18 @@ class Model:
         p = f"layers.{layer}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
-        lead = x.shape[:2]  # (1, N) token rows, or (N, 1)
+        n = run.n  # x holds (1, n) token rows, or n rows leading a cached step's blocks
         xn, inv = _rmsnorm_fwd(x, self.params[p + "attn_norm"], cfg.rmsnorm_eps)
-        q = self._project(xn, p + "wq").reshape(*lead, H, hd)
-        k = self._project(xn, p + "wk").reshape(*lead, KV, hd)
-        v = self._project(xn, p + "wv").reshape(*lead, KV, hd)
+        # the real rows, as views
+        q = self._project(xn, p + "wq").reshape(-1, H, hd)[:n]
+        k = self._project(xn, p + "wk").reshape(-1, KV, hd)[:n]
+        v = self._project(xn, p + "wv").reshape(-1, KV, hd)[:n]
         q = _apply_rope(q, run.cf, run.sf)
         k = _apply_rope(k, run.cf, run.sf)
         # token rows onto the (B, T) grid; a zero key past a row's end sits
         # after every kept query of that row, so the mask hides it
         kept, S = run.kept, run.S
-        q, k, v = _scatter(q, kept), _scatter(k, kept), _scatter(v, kept)
+        q, k, v = _scatter(q[None], kept), _scatter(k[None], kept), _scatter(v[None], kept)
         B, T = kept.shape
 
         if cache is not None:
@@ -446,10 +481,13 @@ class Model:
         np.copyto(scores, -np.inf, where=run.hidden)
         probs = softmax(scores).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
-        # the last layer goes on over the read rows alone, in the rows' layout
-        rows = (1, -1) if lead[0] == 1 else (-1, 1)
-        ctx = _gather(ctx, out, rows, run.every and out is kept)
-        residual = x if out is kept else _gather(x, out[kept].reshape(lead), rows, False)
+        residual = x
+        if run.step:  # back into blocks, whose pad rows are zero
+            ctx = _blocks(_gather(ctx, kept, (n,), run.every))
+        else:  # the last layer goes on over the read rows alone
+            ctx = _gather(ctx, out, (1, -1), run.every and out is kept)
+            if out is not kept:
+                residual = _gather(x, out[kept][None], (1, -1), False)
 
         if tape is not None:
             tape.append(

@@ -121,6 +121,33 @@ def test_prepare_rejects_text_that_is_not_a_string(tmp_path, capsys, field, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [None, [1, 2], {"a": 1}, 1.5, True, False])
+def test_prepare_rejects_an_id_neither_string_nor_integer(tmp_path, capsys, value):
+    source = tmp_path / "reports.jsonl"
+    records = [{"id": i, "modality": "OSA", "findings": f"f{i}", "diagnosis": f"d{i}"}
+               for i in range(4)]
+    records[1]["id"] = value
+    source.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    code = main(["prepare", "--input", str(source), "--out", str(out)])
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"data error: {source}:2: id must be a string or an integer\n"))
+    assert not out.exists()
+
+
+def test_prepare_stores_an_integer_id_as_its_digits(tmp_path):
+    source = tmp_path / "reports.jsonl"
+    records = [{"id": i, "modality": "OSA", "findings": f"f{i}", "diagnosis": f"d{i}"}
+               for i in range(5, 9)]
+    records[0]["id"] = "x5"
+    source.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    assert main(["prepare", "--input", str(source), "--out", str(out)]) == 0
+    ids = {json.loads(line)["id"] for name in ("train.jsonl", "test.jsonl")
+           for line in (out / name).read_text().splitlines()}
+    assert ids == {"x5", "6", "7", "8"}
+
+
 # -- train --------------------------------------------------------------------
 
 

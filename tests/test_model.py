@@ -14,6 +14,7 @@ from eyedx import model as model_module
 from eyedx import shards as shards_module
 from eyedx.lora import attach
 from eyedx.model import (
+    BLOCK,
     Model,
     ModelConfig,
     _apply_rope,
@@ -537,7 +538,10 @@ def test_cached_attention_matches_repeat_einsum_oracle(n_kv):
     assert len(ctx_inputs) == len(segments)
     for (lo, hi), got in zip(segments, ctx_inputs):
         expect, _ = oracle_attention(q[:, lo:hi], k[:, :hi], v[:, :hi], past=lo)
-        assert np.max(np.abs(got - expect)) < 1e-10, (lo, hi)
+        # a step's one real row leads a block of BLOCK rows whose pad rows are zero
+        assert got.shape[1] == (hi if lo == 0 else BLOCK)
+        assert np.max(np.abs(got[:, : hi - lo] - expect)) < 1e-10, (lo, hi)
+        assert not got[:, hi - lo :].any(), (lo, hi)
 
 
 # ------------------------------------------------------------- KV cache

@@ -15,7 +15,8 @@ from hypothesis.extra.numpy import arrays
 from eyedx import DataError, NumericError
 from eyedx import model as model_module
 from eyedx import shards as shards_module
-from eyedx.model import Model, ModelConfig, init_params
+from eyedx.lora import attach
+from eyedx.model import BLOCK, HEAD_COLUMNS, Model, ModelConfig, init_params
 from eyedx.numerics import softmax
 from eyedx.sample import DecodeParams, decode, decode_batch, draw, filter_logits
 from eyedx.tokenizer import PAD_ID
@@ -519,10 +520,11 @@ def test_prefill_runs_one_row_per_prompt_past_the_last_attention(monkeypatch):
 
 
 def test_cached_step_keeps_per_row_products():
-    """A cached step of one token per row runs each row's products alone, so
-    rows whose caches hold as many positions get, bit for bit, the logits
-    each gets stepped alone from its own copy of the cache. At d_model 64 a
-    flat GEMM over the rows rounds differently on OpenBLAS."""
+    """A cached step of one token per row runs each row's products in fixed
+    blocks of BLOCK rows, so rows whose caches hold as many positions get,
+    bit for bit, the logits each gets stepped alone from its own copy of the
+    cache. At d_model 64 a flat GEMM over the rows rounds differently on
+    OpenBLAS."""
     config = replace(CFG, d_model=64, d_ff=96)
     model = Model(config, init_params(config, seed=4, scale=0.5))
     prompts = np.random.default_rng(3).integers(0, CFG.vocab_size, (4, 9))
@@ -534,6 +536,75 @@ def test_cached_step_keeps_per_row_products():
     for row, own in enumerate(alone):
         own.keep([row])
         assert np.array_equal(got[row], model.forward(nxt[row], own))
+
+
+@pytest.mark.parametrize("adapter", [False, True], ids=["base", "adapter"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cached_step_rows_keep_their_bits_in_any_batch(dtype, adapter):
+    """For 1 to 9 rows, each row of a cached step gets, bit for bit, the
+    logits and cache entries it gets stepped alone from its own copy of the
+    cache, and the rows stepped in reverse order get the same logits: a row's
+    bits depend neither on the block it lands in, nor on its place there, nor
+    on what the block's other rows hold, zero pad rows included. The
+    vocabulary spans two full HEAD_COLUMNS-wide lm_head GEMMs and a part."""
+    config = replace(CFG, d_model=64, d_ff=96, vocab_size=2 * HEAD_COLUMNS + 77)
+    model = Model(config, init_params(config, seed=4, scale=0.5, dtype=dtype))
+    rng = np.random.default_rng(8)
+    if adapter:
+        for b in attach(model, rank=4, alpha=8.0).b.values():
+            b[...] = rng.standard_normal(b.shape)
+    for n in range(1, 10):
+        cache = model.new_cache(n)
+        model.forward(rng.integers(0, CFG.vocab_size, (n, 9)), cache)
+        nxt = rng.integers(0, CFG.vocab_size, (n, 1))
+        alone = [deepcopy(cache) for _ in range(n)]
+        backward = deepcopy(cache)
+        backward.keep(np.arange(n)[::-1])
+        got = model.forward(nxt, cache)
+        assert np.array_equal(model.forward(nxt[::-1], backward), got[::-1]), n
+        for row, own in enumerate(alone):
+            own.keep([row])
+            assert np.array_equal(got[row], model.forward(nxt[row], own)), (n, row)
+            for got_kv, own_kv in ((cache.k, own.k), (cache.v, own.v)):
+                assert all(np.array_equal(g[row], o[0]) for g, o in zip(got_kv, own_kv))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_cached_step_over_several_head_column_gemms_matches_recompute(n):
+    """With a vocabulary of two full HEAD_COLUMNS-wide lm_head GEMMs and a
+    part, each row's cached-step logits equal its last position's logits
+    recomputed from scratch, every column in its place."""
+    config = replace(CFG, vocab_size=2 * HEAD_COLUMNS + 77)
+    model = Model(config, init_params(config, seed=4, scale=0.5))
+    rng = np.random.default_rng(n)
+    prompts = rng.integers(0, config.vocab_size, (n, 7))
+    nxt = rng.integers(0, config.vocab_size, (n, 1))
+    cache = model.new_cache(n)
+    model.forward(prompts, cache)
+    got = model.forward(nxt, cache)[:, -1]
+    want = model.forward(np.concatenate([prompts, nxt], axis=1))[:, -1]
+    assert got.shape == (n, config.vocab_size)
+    assert close(got, want, 1e-5)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cached_step_runs_its_rows_in_blocks(monkeypatch, n):
+    """A cached step of n rows sends ceil(n / BLOCK) blocks of BLOCK rows
+    through each layer's FFN: the products run on fixed-shape blocks, not
+    one row at a time and not as one flat GEMM."""
+    shapes = []
+    silu = model_module.silu
+
+    def recording(z):
+        shapes.append(z.shape[:-1])
+        return silu(z)
+
+    model = tiny_model()
+    cache = model.new_cache(n)
+    model.forward(RNG.integers(0, CFG.vocab_size, (n, 3)), cache)
+    monkeypatch.setattr(model_module, "silu", recording)
+    model.forward(RNG.integers(0, CFG.vocab_size, (n, 1)), cache)
+    assert shapes == [(-(-n // BLOCK), BLOCK)] * CFG.n_layers
 
 
 def test_decode_sizes_the_cache_by_need(monkeypatch):
