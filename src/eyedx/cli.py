@@ -70,6 +70,17 @@ def _read_records(data_dir, name: str):
     return records
 
 
+def _output(flag: str, path) -> Path:
+    """path, checked before any work: a file to write, not a directory, in a
+    directory that exists."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"{flag} {path} is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"{flag} {path}: no directory {path.parent}")
+    return path
+
+
 def _template_from(args):
     return load_template(args.template) if args.template else DEFAULT_TEMPLATE
 
@@ -170,6 +181,10 @@ def _cmd_prepare(args):
 
 
 def _cmd_train(args):
+    out = _output("--out", args.out)
+    model_out = None if args.model else _output(
+        "--model-out", args.model_out or out.parent / "model.olm")
+    log_path = _output("--log", args.log or str(args.out) + ".log")
     records = _read_records(args.data, "train")
     template = _template_from(args)
     config = _from_flags(TrainConfig, args, _parse_config_file(args.config) if args.config else {})
@@ -195,12 +210,10 @@ def _cmd_train(args):
         print(line)
 
     result = train(model, records, vocab, config, template=template, log=log)
-    if not args.model:  # a run that fails leaves no base model behind; training keeps it frozen
-        model_out = Path(args.model_out) if args.model_out else Path(args.out).parent / "model.olm"
+    if model_out is not None:  # a failed run leaves no base model; training keeps it frozen
         save_model(model, model_out, vocab=vocab)
         print(f"initialized base model {model_out} (vocab {vocab.size})")
-    save_adapter(result.adapter, args.out)
-    log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
+    save_adapter(result.adapter, out)
     log_path.write_text("".join(line + "\n" for line in log_lines), encoding="utf-8")
     print(
         f"saved adapter to {args.out}: {result.steps} steps, "
@@ -243,11 +256,7 @@ def _cmd_evaluate(args):
     for i, name in enumerate(names):
         if name in names[:i]:
             raise _UsageError(f"two rows are named {name!r}; the report keys rows by name")
-    out = Path(args.out)  # checked before any model is decoded; not yet created
-    if out.is_dir():
-        raise DataError(f"--out {out} is a directory")
-    if not out.parent.is_dir():
-        raise DataError(f"--out {out}: no directory {out.parent}")
+    _output("--out", args.out)  # before any model is decoded
     records = _read_records(args.data, "test")
     if args.limit is not None:
         if args.limit < 1:

@@ -15,23 +15,26 @@ One masked run, _run, serves forward, the decode prefill and the training
 step. It goes token-major over the positions a kept mask selects, the loss's
 reach in training and the real tokens in a prefill: each token-wise op is
 one GEMM per weight, and only attention sees the (batch, seq) grid. A
-cached step of one token per row runs its N rows as ceil(N / BLOCK) blocks
-of BLOCK rows, zero rows after the N-th, each product one (BLOCK, K) GEMM
-per block, lm_head's one per block and HEAD_COLUMNS of its columns: each
-weight is read once per block, not once per row, and since a row of such a
-GEMM gets the same bits wherever it sits and whatever the other rows hold,
-a batched step gives each row the bits it gets stepped alone, padded to one
-block. From the last layer's output projection on, only the positions whose
-logits are read run: the loss positions in training, each prompt's last token
-in a prefill. Past its last layer's keys and values a position feeds no other.
+cached step of one token per row builds no kept or read mask: its rows are
+attention's grid, one position each. It runs its N rows as ceil(N / BLOCK)
+blocks of BLOCK rows, zero rows after the N-th, each product one (BLOCK, K)
+GEMM per block, lm_head's one per block and HEAD_COLUMNS of its columns:
+each weight is read once per block, not once per row, and since a row of
+such a GEMM gets the same bits wherever it sits and whatever the other rows
+hold, a batched step gives each row the bits it gets stepped alone, padded
+to one block. From the last layer's output projection on, only the
+positions whose logits are read run: the loss positions in training, each
+prompt's last token in a prefill. Past its last layer's keys and values a
+position feeds no other.
 
 What every layer of a run shares is built once per run, not once per layer
 (_RunTables): the rotary tables, the causal mask, the cache slots the run's
-keys and values go to, whether every position runs, and whether the run is a
-cached step. Rotary positions take one pass over per-pair tables,
-x * cf + (x, each pair swapped) * sf, with cf each angle's cos twice and sf
-its (-sin, +sin); the backward passes -sf. Each entry is the sum the pairwise
-rotation computes, so the bits are its bits.
+keys and values go to, whether every position runs, and a cached step's
+zeroed context blocks, which each layer's context rows overwrite. Rotary
+positions take one pass over per-pair tables, x * cf + (x, each pair
+swapped) * sf, with cf each angle's cos twice and sf its (-sin, +sin); the
+backward passes -sf. Each entry is the sum the pairwise rotation computes,
+so the bits are its bits.
 """
 
 from __future__ import annotations
@@ -280,15 +283,18 @@ class KVCache:
 class _RunTables:
     """What every layer of one _run reads, built once for the run."""
 
-    kept: np.ndarray  # (B, T) bool: the positions that run
-    every: bool  # kept holds every position
-    n: int  # the kept positions, the run's real token rows
-    cf: np.ndarray  # _rope_pairs' tables at the kept positions, (n, 1, head_dim)
+    kept: np.ndarray | None  # (B, T) bool: the positions that run; None in a cached step
+    every: bool  # every position runs
+    n: int  # the positions that run, the run's real token rows
+    cf: np.ndarray  # _rope_pairs' tables at those positions, (n, 1, head_dim)
     sf: np.ndarray
     S: int  # key slots attention reads: the last position + 1
     hidden: np.ndarray  # (B, 1, 1, T, S): key s is hidden from the query at p when s > p
     slots: tuple | None  # (rows, positions): each row's cache slots for its T tokens
-    step: bool  # a cached step of one token per row, run in blocks
+    # a cached step's (ceil(n / BLOCK), BLOCK, d_model) blocks, zeroed once: each
+    # layer writes its n context rows there, and the pad rows after them stay
+    # zero; None in any other run
+    block: np.ndarray | None
 
 
 class Model:
@@ -390,47 +396,58 @@ class Model:
             raise DataError(f"sequence length {S} exceeds the cache's {cache.capacity} slots")
         return positions, S
 
-    def _tables(self, positions, S, kept, cache, step) -> _RunTables:
+    def _tables(self, positions, S, kept, cache) -> _RunTables:
         """The run's RoPE pair tables, causal mask and cache slots, for every
-        layer; a cached row's free slots past its own length lie past the
-        positions of its queries, so the mask hides them."""
+        layer, at the kept positions, or at each row's one position in a
+        cached step (kept None), which also gets its context block. A cached
+        row's free slots past its own length lie past the positions of its
+        queries, so the mask hides them."""
         cfg = self.config
-        cos, sin = _rope_tables(positions[kept], cfg.head_dim, cfg.rope_base, self.dtype)
+        at = positions[:, 0] if kept is None else positions[kept]
+        cos, sin = _rope_tables(at, cfg.head_dim, cfg.rope_base, self.dtype)
         hidden = (np.arange(S) > positions[..., None])[:, None, None]
         slots = None if cache is None else (np.arange(len(positions))[:, None], positions)
-        return _RunTables(kept, bool(kept.all()), len(cos), *_rope_pairs(cos, sin), S, hidden,
-                          slots, step)
+        n = len(at)
+        block = None
+        if kept is None:
+            block = np.zeros((-(-n // BLOCK), BLOCK, cfg.d_model), self.dtype)
+        return _RunTables(kept, kept is None or bool(kept.all()), n, *_rope_pairs(cos, sin), S,
+                          hidden, slots, block)
 
     def _run(self, tokens, cache, tape, kept=None, read=None):
         """Logits for the positions of tokens (B, T) that read, a (B, T) bool
         mask inside kept, selects; kept, a (B, T) bool mask of each row's
         first positions, selects those that run, and both default to all.
         The N kept positions run as (1, N) token rows, each token-wise op one
-        GEMM per weight. A cached step of one token per row runs them as
-        (ceil(N / BLOCK), BLOCK) blocks, zero rows after the N-th, each
+        GEMM per weight; only attention sees the (B, T) grid, with zeros where
+        kept is False. Token rows narrow to the read rows after the last
+        layer's attention context, and the logits come back as (1, read rows,
+        V). A cached step of one token per row, every row kept, builds no
+        kept mask: its rows are attention's grid, and it runs them as
+        (ceil(B / BLOCK), BLOCK) blocks, zero rows after the B-th, each
         product one (BLOCK, K) GEMM per block, lm_head's one per block and
         HEAD_COLUMNS columns, so each row gets the bits it gets stepped alone.
-        Only attention sees the (B, T) grid, with zeros where kept is False.
-        Token rows narrow to the read rows after the last layer's attention
-        context, blocks after lm_head. The logits come back as
-        (1, read rows, V) token rows, or (read rows, V)."""
+        Its logits come back as (read rows, V)."""
         cfg = self.config
         positions, S = self._positions(tokens, cache)
-        kept = np.ones(tokens.shape, dtype=bool) if kept is None else kept
-        n = np.count_nonzero(kept)
-        step = cache is not None and tokens.shape[1] == 1
+        step = cache is not None and tokens.shape[1] == 1 and (kept is None or kept.all())
+        if step:
+            kept = None
+        elif kept is None:
+            kept = np.ones(tokens.shape, dtype=bool)
+        n = len(tokens) if step else np.count_nonzero(kept)
         if read is None or np.count_nonzero(read) == n:
             read = kept  # read lies inside kept, so as many positions are the same ones
-        run = self._tables(positions, S, kept, cache, step)
-        x = self.params["tok_embed"][tokens[kept]]
-        x = _blocks(x) if step else x[None]
+        run = self._tables(positions, S, kept, cache)
+        embed = self.params["tok_embed"]
+        x = _blocks(embed[tokens[:, 0]]) if step else embed[tokens[kept]][None]
 
         for i in range(cfg.n_layers):
             out = read if i == cfg.n_layers - 1 and not step else kept
             x = self._attention(x, i, cache, run, tape, out)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
-            cache.lengths += kept.sum(axis=1)
+            cache.lengths += 1 if step else kept.sum(axis=1)
 
         xn, inv = _rmsnorm_fwd(x, self.params["final_norm"], cfg.rmsnorm_eps)
         if tape is not None:
@@ -438,14 +455,18 @@ class Model:
         head = self.params["lm_head"]
         if not step:
             return xn @ head
-        logits = np.concatenate([xn @ head[:, j:j + HEAD_COLUMNS]
-                                 for j in range(0, cfg.vocab_size, HEAD_COLUMNS)], axis=-1)
-        logits = logits.reshape(-1, cfg.vocab_size)[:n]  # the blocks' real rows
-        return logits if read is kept else logits[read[kept]]
+        if cfg.vocab_size <= HEAD_COLUMNS:  # one GEMM per block covers the vocabulary
+            logits = xn @ head
+        else:
+            logits = np.concatenate([xn @ head[:, j:j + HEAD_COLUMNS]
+                                     for j in range(0, cfg.vocab_size, HEAD_COLUMNS)], axis=-1)
+        logits = logits.reshape(-1, cfg.vocab_size)[:run.n]  # the blocks' real rows
+        return logits if read is None else logits[read[:, 0]]
 
     def _attention(self, x, layer, cache, run: _RunTables, tape, out):
         """x plus the attention block's output, over the positions of out, a
-        (B, T) mask inside run.kept: run.kept itself but at the last layer."""
+        (B, T) mask inside run.kept: run.kept itself but at the last layer.
+        A cached step has no kept mask (out and run.kept None) and runs every row."""
         cfg = self.config
         p = f"layers.{layer}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
@@ -458,11 +479,14 @@ class Model:
         v = self._project(xn, p + "wv").reshape(-1, KV, hd)[:n]
         q = _apply_rope(q, run.cf, run.sf)
         k = _apply_rope(k, run.cf, run.sf)
-        # token rows onto the (B, T) grid; a zero key past a row's end sits
-        # after every kept query of that row, so the mask hides it
         kept, S = run.kept, run.S
-        q, k, v = _scatter(q[None], kept), _scatter(k[None], kept), _scatter(v[None], kept)
-        B, T = kept.shape
+        if kept is None:  # a cached step: row b's one token is the grid's row b
+            B, T = n, 1
+            q, k, v = q[:, None], k[:, None], v[:, None]
+        else:  # token rows onto the (B, T) grid; a zero key past a row's end
+            # sits after every kept query of that row, so the mask hides it
+            q, k, v = _scatter(q[None], kept), _scatter(k[None], kept), _scatter(v[None], kept)
+            B, T = kept.shape
 
         if cache is not None:
             cache.k[layer][run.slots] = k
@@ -482,8 +506,12 @@ class Model:
         probs = softmax(scores).reshape(B, KV, G * T, S)
         ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
         residual = x
-        if run.step:  # back into blocks, whose pad rows are zero
-            ctx = _blocks(_gather(ctx, kept, (n,), run.every))
+        if run.block is not None:  # into the step's blocks, whose pad rows stay zero
+            block = run.block
+            if block.dtype != ctx.dtype:  # weights of mixed float widths: keep ctx's
+                block = np.zeros(block.shape, ctx.dtype)
+            block.reshape(-1, H * hd)[:n] = ctx.reshape(n, -1)
+            ctx = block
         else:  # the last layer goes on over the read rows alone
             ctx = _gather(ctx, out, (1, -1), run.every and out is kept)
             if out is not kept:

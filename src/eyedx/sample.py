@@ -9,7 +9,8 @@ approximately. Greedy decoding is top_k=1 with repetition_penalty=1.
 decode_batch is the one way to decode: it steps a batch of prompts in
 lockstep through one KV cache, and samples all live rows of a step in one
 pass: filter_logits over their (R, V) logits and seen mask, then draw, which
-reproduces each row's Generator.choice.
+reproduces each row's Generator.choice. Only a step with a non-finite row
+splits its rows, so that such a row fails alone.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ def filter_logits(logits: np.ndarray, seen: np.ndarray, params: DecodeParams) ->
     z = logits.astype(np.float64)
     vocab = z.shape[1]
 
-    if params.repetition_penalty != 1.0:
+    if params.repetition_penalty != 1.0:  # only the seen entries change
         penalty = params.repetition_penalty
-        z = np.where(seen, np.where(z > 0, z / penalty, z * penalty), z)
+        zs = z[seen]
+        z[seen] = np.where(zs > 0, zs / penalty, zs * penalty)
 
     if params.temperature != 1.0:
-        z = z / params.temperature
+        z /= params.temperature
 
     if params.top_k < vocab:
         cut = np.partition(z, -params.top_k, axis=1)[:, -params.top_k, None]
@@ -81,11 +83,12 @@ def filter_logits(logits: np.ndarray, seen: np.ndarray, params: DecodeParams) ->
 
     if params.top_p < 1.0:
         order = np.argsort(-probs, axis=1, kind="stable")
-        ranked = np.take_along_axis(probs, order, axis=1)
+        rows = np.arange(len(probs))[:, None]
+        ranked = probs[rows, order]
         # smallest prefix whose mass reaches top_p; the top token always stays
         keep = (ranked.cumsum(axis=1) < params.top_p).sum(axis=1, keepdims=True) + 1
         ranked[np.arange(vocab) >= keep] = 0.0
-        np.put_along_axis(probs, order, ranked, axis=1)
+        probs[rows, order] = ranked
 
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
@@ -190,20 +193,12 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
     seen = np.zeros((len(live), vocab), dtype=bool)
     seen[np.nonzero(kept)[0], batch[kept]] = True
     while live:
-        finite = np.isfinite(logits).all(axis=1)
-        rows = np.flatnonzero(finite)
-        probs = filter_logits(logits[rows], seen[rows], params)
-        # an overflowing temperature or penalty leaves a row no distribution
-        drawable = np.isfinite(probs).all(axis=1)
-        failed = [(row, "logits") for row in np.flatnonzero(~finite)]
-        failed += [(row, "probabilities (the temperature or penalty overflowed)")
-                   for row in rows[~drawable]]
-        for row, what in failed:
-            out = results[live[row]].tokens
-            error = NumericError(f"non-finite {what} at generation step {len(out)}")
-            results[live[row]] = Generation(out, "error", error)
-        rows = rows[drawable]
-        drawn = draw(probs[drawable], [rngs[r] for r in rows])
+        probs = filter_logits(logits, seen, params) if _finite(logits) else None
+        if probs is not None and _finite(probs):  # every row draws
+            rows = np.arange(len(live))
+            drawn = draw(probs, rngs)
+        else:  # a row with non-finite logits or probabilities fails alone
+            rows, drawn = _draw_rows(logits, seen, rngs, params, live, results)
         seen[rows, drawn] = True
         nxt, keep = [], []
         for row, tok in zip(rows.tolist(), drawn.tolist()):
@@ -224,6 +219,32 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
         if live:
             logits = model.forward(np.array(nxt)[:, None], cache)[:, -1]
     return results
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite: while a step's logits and
+    probabilities are, its rows all draw at once."""
+    return bool(np.isfinite(a).all())
+
+
+def _draw_rows(logits, seen, rngs, params: DecodeParams, live, results):
+    """A step's draws row by row: the rows whose logits and filtered
+    probabilities are finite draw, the others fail, each with its error put
+    in results. Returns the rows that drew and their tokens."""
+    finite = np.isfinite(logits).all(axis=1)
+    rows = np.flatnonzero(finite)
+    probs = filter_logits(logits[rows], seen[rows], params)
+    # an overflowing temperature or penalty leaves a row no distribution
+    drawable = np.isfinite(probs).all(axis=1)
+    failed = [(row, "logits") for row in np.flatnonzero(~finite)]
+    failed += [(row, "probabilities (the temperature or penalty overflowed)")
+               for row in rows[~drawable]]
+    for row, what in failed:
+        out = results[live[row]].tokens
+        error = NumericError(f"non-finite {what} at generation step {len(out)}")
+        results[live[row]] = Generation(out, "error", error)
+    rows = rows[drawable]
+    return rows, draw(probs[drawable], [rngs[r] for r in rows])
 
 
 def decode(model: Model, prompt_ids, params: DecodeParams) -> list[int]:

@@ -646,6 +646,36 @@ def test_train_that_fails_without_a_base_model_writes_no_base_model(workspace, t
     assert list(tmp_path.iterdir()) == []  # no model.olm, adapter or log
 
 
+# the output flags of a fresh-model train run, given an existing empty folder,
+# where one output is a directory or lies in a missing one
+UNWRITABLE_TRAIN_OUTPUTS = {
+    "--out directory": lambda folder: ["--out", folder],
+    "--out in a missing directory": lambda folder: ["--out", folder / "missing" / "adapter.olr"],
+    "--model-out directory": lambda folder: [
+        "--out", folder / "adapter.olr", "--model-out", folder],
+    "--model-out in a missing directory": lambda folder: [
+        "--out", folder / "adapter.olr", "--model-out", folder / "missing" / "model.olm"],
+    "--log directory": lambda folder: ["--out", folder / "adapter.olr", "--log", folder],
+    "--log in a missing directory": lambda folder: [
+        "--out", folder / "adapter.olr", "--log", folder / "missing" / "train.log"],
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_TRAIN_OUTPUTS)
+def test_train_checks_its_outputs_before_it_trains(workspace, tmp_path, capsys, case):
+    """An output that is a directory, or whose directory is missing, is a
+    one-line data error found before the first step: train prints no step
+    line and writes no file, neither the base model nor the adapter nor the
+    log."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = ["train", "--data", workspace["data"], "--epochs", "1", "--max-seq-len", "96",
+            "--lora-r", "2", *UNWRITABLE_TRAIN_OUTPUTS[case](folder)]
+    assert assert_one_line_data_error(main([str(arg) for arg in argv]), capsys) == ""
+    assert list(tmp_path.iterdir()) == [folder]
+    assert list(folder.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["rope_base", "rmsnorm_eps"])
 def test_non_finite_config_in_a_checkpoint_is_a_one_line_data_error(

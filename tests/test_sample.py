@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from eyedx import DataError, NumericError
 from eyedx import model as model_module
+from eyedx import sample as sample_module
 from eyedx import shards as shards_module
 from eyedx.lora import attach
 from eyedx.model import BLOCK, HEAD_COLUMNS, Model, ModelConfig, init_params
@@ -236,6 +237,36 @@ def test_row_wise_filter_equals_the_per_row_filter(
         assert np.array_equal(got[row], want)
         alone = filter_logits(logits[row : row + 1], seen[row : row + 1], params)
         assert np.array_equal(alone[0], want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 8),
+    vocab=st.integers(100, 300),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    params=st.just(DecodeParams()) | st.builds(
+        DecodeParams,
+        temperature=st.just(1.0) | st.floats(0.05, 5.0),
+        repetition_penalty=st.just(1.0) | st.floats(1.0, 3.0),
+        top_k=st.integers(1, 320),
+        top_p=st.just(1.0) | st.floats(1e-6, 1.0),
+    ),
+)
+def test_filter_at_the_benchmark_vocabulary_equals_the_per_row_oracle(
+    data, rows, vocab, dtype, params
+):
+    """At the benchmark's vocabulary (162) and around it, with default and
+    random settings, every row of filter_logits is, bit for bit, the per-row
+    oracle's. Logits drawn from a few values tie at the top-k cut and in the
+    top-p ranking."""
+    values = st.sampled_from([-4.0, -1.0, 0.0, 0.5, 2.5, 7.0]) | st.floats(-30, 30, width=32)
+    logits = data.draw(arrays(dtype, (rows, vocab), elements=values))
+    seen = data.draw(arrays(np.bool_, (rows, vocab)))
+    got = filter_logits(logits, seen, params)
+    for row in range(rows):
+        want = filter_logits_row(logits[row], np.flatnonzero(seen[row]), params)
+        assert np.array_equal(got[row], want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -587,6 +618,23 @@ def test_cached_step_over_several_head_column_gemms_matches_recompute(n):
     assert close(got, want, 1e-5)
 
 
+def test_cached_step_of_mixed_width_weights_keeps_the_wider_dtype():
+    """With one float64 norm gain in a float32 model, attention's context is
+    float64; a cached step keeps it so, as the full forward does, and its
+    logits match the recomputed ones."""
+    params = init_params(CFG, seed=4, scale=0.5)
+    params["layers.0.attn_norm"] = params["layers.0.attn_norm"].astype(np.float64)
+    model = Model(CFG, params)
+    prompts = RNG.integers(0, CFG.vocab_size, (3, 6))
+    nxt = RNG.integers(0, CFG.vocab_size, (3, 1))
+    cache = model.new_cache(3)
+    model.forward(prompts, cache)
+    got = model.forward(nxt, cache)[:, -1]
+    want = model.forward(np.concatenate([prompts, nxt], axis=1))[:, -1]
+    assert got.dtype == want.dtype == np.float64
+    assert close(got, want, 1e-5)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_cached_step_runs_its_rows_in_blocks(monkeypatch, n):
     """A cached step of n rows sends ceil(n / BLOCK) blocks of BLOCK rows
@@ -645,6 +693,39 @@ def test_failing_rows_fail_alone():
         assert got[i].tokens == decode(model, prompts[i], params)
     with pytest.raises(NumericError, match="non-finite"):
         got[1].unwrap()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    sampled=st.booleans(),
+    seed=st.integers(0, 2**16),
+    prompts=st.lists(st.lists(st.integers(0, CFG.vocab_size - 1), min_size=1, max_size=20),
+                     min_size=1, max_size=6),
+)
+def test_all_finite_steps_draw_as_the_per_row_path(dtype, sampled, seed, prompts):
+    """While every row's logits and probabilities are finite, a step filters
+    and draws all its rows at once. Ragged batches, greedy and sampled, give
+    the same Generations as when every step goes through the per-row split."""
+    model = Model(CFG, init_params(CFG, seed=4, scale=0.5, dtype=dtype))
+    params = DecodeParams(max_new_tokens=12, seed=seed) if sampled else greedy(12, seed=seed)
+    split_steps = []
+    draw_rows = sample_module._draw_rows
+
+    def counting(*args):
+        split_steps.append(1)
+        return draw_rows(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards_module, "_shard_count", lambda rows: 1)  # count in this process
+        patch.setattr(sample_module, "_draw_rows", counting)
+        fast = decode_batch(model, prompts, params)
+        assert split_steps == []  # every step took the all-rows path
+        patch.setattr(sample_module, "_finite", lambda a: False)
+        per_row = decode_batch(model, prompts, params)
+        assert split_steps  # and here every step split its rows
+    assert all(g.error is None for g in fast)
+    assert fast == per_row
 
 
 def test_one_overflowing_row_fails_alone(monkeypatch):
