@@ -93,19 +93,18 @@ print(f"wk projects {wk.shape[0]} -> {wk.shape[1]} "
 
 # ------------------------------------------------------------------ cache
 #
-# Greedy-decode ten tokens twice: once feeding one token at a time through
-# the cache, once recomputing the whole prefix at every step. Same tokens,
-# same final logits.
+# Greedy-decode ten tokens twice: once as decoding runs, a prefill of the
+# prompt into the cache and then one-token steps through it, once
+# recomputing the whole prefix at every step. Same tokens, same final logits.
 
 prompt = list(rng.integers(4, config.vocab_size, size=6))
 
-cache = model.new_cache()
-logits = model.forward(np.asarray(prompt), cache)[-1]
+cache, (logits,) = model.prefill([prompt], config.max_seq_len)
 cached_seq = list(prompt)
 for _ in range(10):
     nxt = int(np.argmax(logits))
     cached_seq.append(nxt)
-    logits = model.forward(np.array([nxt]), cache)[-1]
+    logits = model.step(np.array([nxt]), cache)[0]
 
 full_seq = list(prompt)
 for _ in range(10):

@@ -11,21 +11,23 @@ Weights live in a flat dict keyed "tok_embed", "layers.{i}.wq", ...,
 hand in loss_and_grads, computes only the attached adapter's gradients, and
 the finite-difference oracle in tests/oracles.py keeps it honest.
 
-One masked run, _run, serves forward, the decode prefill and the training
-step. It goes token-major over the positions a kept mask selects, the loss's
-reach in training and the real tokens in a prefill: each token-wise op is
-one GEMM per weight, and only attention sees the (batch, seq) grid. A
-cached step of one token per row builds no kept or read mask: its rows are
-attention's grid, one position each. It runs its N rows as ceil(N / BLOCK)
-blocks of BLOCK rows, zero rows after the N-th, each product one (BLOCK, K)
-GEMM per block, lm_head's one per block and HEAD_COLUMNS of its columns:
-each weight is read once per block, not once per row, and since a row of
-such a GEMM gets the same bits wherever it sits and whatever the other rows
-hold, a batched step gives each row the bits it gets stepped alone, padded
-to one block. From the last layer's output projection on, only the
-positions whose logits are read run: the loss positions in training, each
-prompt's last token in a prefill. Past its last layer's keys and values a
-position feeds no other.
+Decoding runs in two phases. Model.prefill(prompts, capacity) runs the
+prompts into a new cache and returns each prompt's last-token logits, and
+Model.step(tokens, cache) runs one token per cached row. One masked run,
+_run, serves both, forward and the training step. It goes token-major over
+the positions a kept mask selects, the loss's reach in training and the real
+tokens in a prefill: each token-wise op is one GEMM per weight, and only
+attention sees the (batch, seq) grid. A step, which _run is told it runs,
+builds no kept or read mask: its rows are attention's grid, one position
+each. It runs its N rows as ceil(N / BLOCK) blocks of BLOCK rows, zero rows
+after the N-th, each product one (BLOCK, K) GEMM per block, lm_head's one
+per block and HEAD_COLUMNS of its columns: each weight is read once per
+block, not once per row, and since a row of such a GEMM gets the same bits
+wherever it sits and whatever the other rows hold, a batched step gives
+each row the bits it gets stepped alone, padded to one block. From the last
+layer's output projection on, only the positions whose logits are read run:
+the loss positions in training, each prompt's last token in a prefill. Past
+its last layer's keys and values a position feeds no other.
 
 What every layer of a run shares is built once per run, not once per layer
 (_RunTables): the rotary tables, the causal mask, the cache slots the run's
@@ -364,12 +366,41 @@ class Model:
     def forward(self, tokens, cache: KVCache | None = None) -> np.ndarray:
         """Logits for each input position: (T, vocab) for a 1D token array,
         (B, T, vocab) for a batch. With a cache, row b of tokens is the new
-        segment appended after cache.lengths[b] and only it gets logits."""
+        segment appended after cache.lengths[b] and only it gets logits.
+        forward always runs the general token-major path, one token per row
+        included: decoding goes through prefill and step, and forward is the
+        oracle the tests hold them to."""
         tokens = np.asarray(tokens)
         if tokens.ndim not in (1, 2):
             raise DataError(f"tokens must be 1D or 2D, got shape {tokens.shape}")
         tokens2d = tokens[None, :] if tokens.ndim == 1 else tokens
         return self._run(tokens2d, cache, None).reshape(*tokens.shape, -1)
+
+    def prefill(self, prompts, capacity: int) -> tuple[KVCache, np.ndarray]:
+        """A new cache of len(prompts) rows and capacity slots holding the
+        prompts, and each prompt's last-token logits, (R, vocab). The prompts
+        run right-padded but pad-free: only their real tokens run, each row's
+        length advances by them alone, so its pad slots lie past its length,
+        and the last layer's output side runs over each prompt's last token."""
+        lengths = np.array([len(ids) for ids in prompts])
+        if not (lengths.size and lengths.all()):
+            raise DataError("prefill needs at least one prompt, and no empty one")
+        kept = np.arange(lengths.max()) < lengths[:, None]
+        # pads never run: one of the prompts' own ids keeps them out of the id check
+        tokens = np.full(kept.shape, prompts[0][0], dtype=np.int64)
+        tokens[kept] = np.concatenate(prompts)
+        cache = self.new_cache(len(prompts), capacity)
+        last = np.arange(kept.shape[1]) == lengths[:, None] - 1
+        return cache, self._run(tokens, cache, None, kept, last)[0]
+
+    def step(self, tokens, cache: KVCache) -> np.ndarray:
+        """Logits (R, vocab) of tokens (R,), one token per row of cache, each
+        appended after its row's cached positions; the 4-row block path."""
+        tokens = np.asarray(tokens)
+        if tokens.shape != (cache.batch,):
+            raise DataError(f"a step takes one token per cached row, shape ({cache.batch},), "
+                            f"got {tokens.shape}")
+        return self._run(tokens[:, None], cache, None, step=True)
 
     def _positions(self, tokens, cache):
         """Positions (B, T) of tokens (B, T) after the cache's rows, from 0
@@ -414,7 +445,7 @@ class Model:
         return _RunTables(kept, kept is None or bool(kept.all()), n, *_rope_pairs(cos, sin), S,
                           hidden, slots, block)
 
-    def _run(self, tokens, cache, tape, kept=None, read=None):
+    def _run(self, tokens, cache, tape, kept=None, read=None, step=False):
         """Logits for the positions of tokens (B, T) that read, a (B, T) bool
         mask inside kept, selects; kept, a (B, T) bool mask of each row's
         first positions, selects those that run, and both default to all.
@@ -422,28 +453,27 @@ class Model:
         GEMM per weight; only attention sees the (B, T) grid, with zeros where
         kept is False. Token rows narrow to the read rows after the last
         layer's attention context, and the logits come back as (1, read rows,
-        V). A cached step of one token per row, every row kept, builds no
-        kept mask: its rows are attention's grid, and it runs them as
-        (ceil(B / BLOCK), BLOCK) blocks, zero rows after the B-th, each
-        product one (BLOCK, K) GEMM per block, lm_head's one per block and
-        HEAD_COLUMNS columns, so each row gets the bits it gets stepped alone.
-        Its logits come back as (read rows, V)."""
+        V). forward, prefill and the training step run this way.
+
+        With step, which only Model.step sets, tokens is (B, 1), one token for
+        each row of cache, and the run builds no kept or read mask: its rows
+        are attention's grid, and it runs them as (ceil(B / BLOCK), BLOCK)
+        blocks, zero rows after the B-th, each product one (BLOCK, K) GEMM
+        per block, lm_head's one per block and HEAD_COLUMNS columns, so each
+        row gets the bits it gets stepped alone. Its logits come back as
+        (B, V)."""
         cfg = self.config
         positions, S = self._positions(tokens, cache)
-        step = cache is not None and tokens.shape[1] == 1 and (kept is None or kept.all())
-        if step:
-            kept = None
-        elif kept is None:
+        if kept is None and not step:
             kept = np.ones(tokens.shape, dtype=bool)
-        n = len(tokens) if step else np.count_nonzero(kept)
-        if read is None or np.count_nonzero(read) == n:
+        if read is None or np.count_nonzero(read) == np.count_nonzero(kept):
             read = kept  # read lies inside kept, so as many positions are the same ones
         run = self._tables(positions, S, kept, cache)
         embed = self.params["tok_embed"]
         x = _blocks(embed[tokens[:, 0]]) if step else embed[tokens[kept]][None]
 
         for i in range(cfg.n_layers):
-            out = read if i == cfg.n_layers - 1 and not step else kept
+            out = read if i == cfg.n_layers - 1 else kept
             x = self._attention(x, i, cache, run, tape, out)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
@@ -460,8 +490,7 @@ class Model:
         else:
             logits = np.concatenate([xn @ head[:, j:j + HEAD_COLUMNS]
                                      for j in range(0, cfg.vocab_size, HEAD_COLUMNS)], axis=-1)
-        logits = logits.reshape(-1, cfg.vocab_size)[:run.n]  # the blocks' real rows
-        return logits if read is None else logits[read[:, 0]]
+        return logits.reshape(-1, cfg.vocab_size)[:run.n]  # the blocks' real rows
 
     def _attention(self, x, layer, cache, run: _RunTables, tape, out):
         """x plus the attention block's output, over the positions of out, a

@@ -6,11 +6,12 @@ top-p, then renormalize and sample. Each stage at its neutral value
 neutral settings reproduce plain softmax sampling exactly rather than
 approximately. Greedy decoding is top_k=1 with repetition_penalty=1.
 
-decode_batch is the one way to decode: it steps a batch of prompts in
-lockstep through one KV cache, and samples all live rows of a step in one
-pass: filter_logits over their (R, V) logits and seen mask, then draw, which
-reproduces each row's Generator.choice. Only a step with a non-finite row
-splits its rows, so that such a row fails alone.
+decode_batch is the one way to decode: it prefills a batch of prompts into
+one KV cache with Model.prefill, steps the live rows in lockstep with
+Model.step, and samples all live rows of a step in one pass: filter_logits
+over their (R, V) logits and seen mask, then draw, which reproduces each
+row's Generator.choice. Only a step with a non-finite row splits its rows,
+so that such a row fails alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import DataError, EyedxError, NumericError
 from .model import Model
 from .numerics import softmax
 from .shards import forked
-from .tokenizer import EOS_ID, PAD_ID
+from .tokenizer import EOS_ID
 
 
 @dataclass(frozen=True)
@@ -174,24 +175,14 @@ def decode_batch(model: Model, prompts, params: DecodeParams) -> list[Generation
 def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Generation]:
     """decode_batch's continuations of prompts that can start, each with a
     positive budget."""
-    vocab = model.config.vocab_size
     results = [Generation([], "budget") for _ in prompts]
     live = list(range(len(prompts)))
-
-    # one pad-free prefill of the right-padded prompts: only the kept, real
-    # tokens run, and each row's pad slots lie past its length
-    lengths = np.array([len(ids) for ids in prompts])
-    kept = np.arange(lengths.max()) < lengths[:, None]
-    batch = np.full(kept.shape, PAD_ID, dtype=np.int64)
-    batch[kept] = np.concatenate(prompts)
     # as many slots as the neediest row's prompt plus budget, not the whole window
-    cache = model.new_cache(len(live), int((lengths + budget).max()))
-    last = kept & (np.arange(kept.shape[1]) == lengths[:, None] - 1)
-    logits = model._run(batch, cache, None, kept, last).reshape(-1, vocab)
-
+    cache, logits = model.prefill(prompts, max(len(ids) + n for ids, n in zip(prompts, budget)))
     rngs = [np.random.default_rng(params.seed) for _ in live]
-    seen = np.zeros((len(live), vocab), dtype=bool)
-    seen[np.nonzero(kept)[0], batch[kept]] = True
+    seen = np.zeros(logits.shape, dtype=bool)
+    for row, ids in enumerate(prompts):
+        seen[row, ids] = True
     while live:
         probs = filter_logits(logits, seen, params) if _finite(logits) else None
         if probs is not None and _finite(probs):  # every row draws
@@ -217,7 +208,7 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
             rngs = [rngs[row] for row in keep]
             seen = seen[keep]
         if live:
-            logits = model.forward(np.array(nxt)[:, None], cache)[:, -1]
+            logits = model.step(np.array(nxt), cache)
     return results
 
 

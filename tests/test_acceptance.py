@@ -155,15 +155,14 @@ def test_cached_decode_matches_full_recompute():
     model = Model(config, init_params(config, seed=7))
     prompt = list(np.random.default_rng(8).integers(0, config.vocab_size, 8))
 
-    cache = model.new_cache()
-    cached_logits = model.forward(np.array(prompt), cache)[-1]
+    cache, (cached_logits,) = model.prefill([prompt], config.max_seq_len)
     cached_tokens = []
     seq = list(prompt)
     for _ in range(32):
         nxt = int(np.argmax(cached_logits))
         cached_tokens.append(nxt)
         seq.append(nxt)
-        cached_logits = model.forward(np.array([nxt]), cache)[-1]
+        cached_logits = model.step(np.array([nxt]), cache)[0]
 
     recomputed_tokens = []
     seq2 = list(prompt)

@@ -784,14 +784,14 @@ def test_non_finite_weights_give_one_line_numeric_error(workspace, tmp_path, com
 def test_killed_decode_worker_gives_one_line_numeric_error(
     workspace, tmp_path, capsys, monkeypatch, single_threaded
 ):
-    forward, parent = Model.forward, os.getpid()
+    step, parent = Model.step, os.getpid()
 
     def dying(self, *args, **kw):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return forward(self, *args, **kw)
+        return step(self, *args, **kw)
 
-    monkeypatch.setattr(Model, "forward", dying)
+    monkeypatch.setattr(Model, "step", dying)
     monkeypatch.setattr(shards, "_shard_count", lambda rows: min(2, rows))
     code = main(evaluate_args(workspace, tmp_path / "r.json", "--model", str(workspace["model"])))
     assert code == 3
@@ -857,12 +857,12 @@ def test_ctrl_c_outside_mains_handlers(when, ends):
 def test_ctrl_c_in_forked_decode_reaps_the_workers_first(
     workspace, tmp_path, capsys, monkeypatch, single_threaded
 ):
-    forward, parent, fork, children = Model.forward, os.getpid(), os.fork, []
+    step, parent, fork, children = Model.step, os.getpid(), os.fork, []
 
     def interrupted(self, *args, **kw):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return forward(self, *args, **kw)
+        return step(self, *args, **kw)
 
     def recording_fork():
         pid = fork()
@@ -870,7 +870,7 @@ def test_ctrl_c_in_forked_decode_reaps_the_workers_first(
             children.append(pid)
         return pid
 
-    monkeypatch.setattr(Model, "forward", interrupted)
+    monkeypatch.setattr(Model, "step", interrupted)
     monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(shards, "_shard_count", lambda rows: min(2, rows))
     code = main(evaluate_args(workspace, tmp_path / "r.json", "--model", str(workspace["model"])))

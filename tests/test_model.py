@@ -253,10 +253,10 @@ def test_kept_prefill_advances_each_cached_row_by_its_kept_positions():
     kept_logits(model, KEPT_TOKENS, cache, KEPT)
     assert cache.lengths.tolist() == KEPT.sum(axis=1).tolist() == [4, 2]
     # the next token of each row goes to its own next slot
-    step = model.forward(np.array([[6], [6]]), cache)
+    step = model.step(np.array([6, 6]), cache)
     assert cache.lengths.tolist() == [5, 3]
     full = model.forward(np.array([2, 4, 6]))[-1]
-    assert np.max(np.abs(step[1, -1] - full)) <= 1e-5 * np.max(np.abs(full))
+    assert np.max(np.abs(step[1] - full)) <= 1e-5 * np.max(np.abs(full))
 
 
 def ragged_masks(data, B, T):
@@ -454,7 +454,7 @@ def test_per_run_tables_are_built_once_per_run_not_per_layer(monkeypatch):
     cache = model.new_cache(3, 8)
     steps = {
         "prefill": lambda: model._run(tokens, cache, None, kept, None),
-        "cached step": lambda: model.forward(tokens[:, :1], cache),
+        "cached step": lambda: model.step(tokens[:, 0], cache),
         "training step": lambda: model.loss_and_grads(tokens, tokens, kept),
     }
     for phase, step in steps.items():
@@ -530,7 +530,7 @@ def test_cached_attention_matches_repeat_einsum_oracle(n_kv):
     cache = model.new_cache()
     model.forward(tokens[:5], cache)  # prefill, then one token per step
     for t in range(5, 9):
-        model.forward(tokens[t : t + 1], cache)
+        model.step(tokens[t : t + 1], cache)
 
     _, _, _, q, k, v, _, _ = first_layer_qkv(model, tokens[None, :])
     segments = [(0, 5), (5, 6), (6, 7), (7, 8), (8, 9)]
@@ -548,20 +548,27 @@ def test_cached_attention_matches_repeat_einsum_oracle(n_kv):
 
 
 def test_cached_forward_matches_recompute():
+    """Decoding through a cache, with forward and with prefill and step,
+    gives each step the logits recomputed from scratch."""
     model = tiny_model()
     prompt = RNG.integers(0, TINY.vocab_size, 5)
-    cache = model.new_cache()
-    cached_logits = model.forward(prompt, cache)[-1]
-
-    seq = list(prompt)
-    for _ in range(8):
-        nxt = int(np.argmax(cached_logits))
-        full_logits = model.forward(np.array(seq))[-1]
-        assert int(np.argmax(full_logits)) == nxt
-        assert np.max(np.abs(cached_logits - full_logits)) < 1e-5
-        seq.append(nxt)
-        cached_logits = model.forward(np.array([nxt]), cache)[-1]
-    assert cache.lengths.tolist() == [5 + 8]
+    forward_cache = model.new_cache()
+    prefilled, logits = model.prefill([prompt], TINY.max_seq_len)
+    paths = [  # each path's cache, its prompt's last logits and its one-token step
+        (forward_cache, model.forward(prompt, forward_cache)[-1],
+         lambda nxt, cache: model.forward(np.array([nxt]), cache)[-1]),
+        (prefilled, logits[0], lambda nxt, cache: model.step(np.array([nxt]), cache)[0]),
+    ]
+    for cache, cached_logits, advance in paths:
+        seq = list(prompt)
+        for _ in range(8):
+            nxt = int(np.argmax(cached_logits))
+            full_logits = model.forward(np.array(seq))[-1]
+            assert int(np.argmax(full_logits)) == nxt
+            assert np.max(np.abs(cached_logits - full_logits)) < 1e-5
+            seq.append(nxt)
+            cached_logits = advance(nxt, cache)
+        assert cache.lengths.tolist() == [5 + 8]
 
 
 def test_cache_reset_and_overflow():
@@ -631,6 +638,69 @@ def test_batched_cache_overflow():
         model.forward(RNG.integers(0, TINY.vocab_size, (2, 1)), cache)
     with pytest.raises(DataError, match="2 sequences"):
         model.forward(RNG.integers(0, TINY.vocab_size, (3, 1)), cache)
+
+
+# ------------------------------------------------------------- prefill and step
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=5), pad=st.integers(0, 12),
+       seed=st.integers(0, 2**16))
+def test_prefill_runs_the_prompts_real_tokens_alone(lengths, pad, seed):
+    """prefill's cache and logits are, bit for bit, those of the masked run
+    over its prompts right-padded with any id, since no pad runs; each row's
+    logits are its prompt's last ones, and its length is its prompt's."""
+    model = adapted_gqa_model()
+    vocab = model.config.vocab_size
+    rng = np.random.default_rng(seed)
+    prompts = [list(rng.integers(0, vocab, n)) for n in lengths]
+    cache, logits = model.prefill(prompts, 12)
+    assert logits.shape == (len(prompts), vocab)
+    assert cache.capacity == 12 and cache.lengths.tolist() == lengths
+
+    kept = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    padded = np.full(kept.shape, pad)
+    padded[kept] = np.concatenate(prompts)
+    last = kept & (np.arange(kept.shape[1]) == np.array(lengths)[:, None] - 1)
+    grid = model.new_cache(len(prompts), 12)
+    assert np.array_equal(logits, model._run(padded, grid, None, kept, last)[0])
+    for layer in range(model.config.n_layers):
+        assert np.array_equal(cache.k[layer], grid.k[layer])
+        assert np.array_equal(cache.v[layer], grid.v[layer])
+    for row, prompt in enumerate(prompts):
+        alone = model.forward(np.array(prompt))[-1]
+        assert np.max(np.abs(logits[row] - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
+MISUSE = {
+    "a step of fewer tokens than cached rows":
+        lambda m: m.step(np.array([1]), m.prefill([[3], [4, 5]], 8)[0]),
+    "a step of more tokens than cached rows":
+        lambda m: m.step(np.array([1, 2, 3]), m.prefill([[3], [4, 5]], 8)[0]),
+    "a step of one token per row as a column":
+        lambda m: m.step(np.array([[1], [2]]), m.prefill([[3], [4, 5]], 8)[0]),
+    "a step on a full cache": lambda m: m.step(np.array([1]), m.prefill([[3, 4, 5]], 3)[0]),
+    "a step past the vocabulary":
+        lambda m: m.step(np.array([TINY.vocab_size]), m.prefill([[3]], 8)[0]),
+    "a step of a negative id": lambda m: m.step(np.array([-1]), m.prefill([[3]], 8)[0]),
+    "a prefill with an empty prompt": lambda m: m.prefill([[3, 4], []], 8),
+    "a prefill of no prompts": lambda m: m.prefill([], 8),
+    "a prompt longer than the capacity": lambda m: m.prefill([[3], [3, 4, 5]], 2),
+    "a prompt longer than the window":
+        lambda m: m.prefill([[3] * (TINY.max_seq_len + 1)], TINY.max_seq_len + 1),
+}
+
+
+@pytest.mark.parametrize("case", list(MISUSE))
+def test_prefill_and_step_misuse_is_a_one_line_data_error(case):
+    with pytest.raises(DataError) as caught:
+        MISUSE[case](tiny_model())
+    assert "\n" not in str(caught.value)
+
+
+def test_a_prefill_id_error_names_the_prompts_ids_not_a_pad():
+    with pytest.raises(DataError, match=r"5\.\.20$"):
+        tiny_model().prefill([[5, 20], [5]], 8)
 
 
 # ------------------------------------------------------------- gradients

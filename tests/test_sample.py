@@ -397,10 +397,9 @@ def test_greedy_with_cache_matches_full_recompute():
     seq = prompt + out
 
     # and the final-position logits agree closely between the two paths
-    cache = model.new_cache()
-    cached_logits = model.forward(np.asarray(seq[: len(prompt)]), cache)[-1]
+    cache, (cached_logits,) = model.prefill([seq[: len(prompt)]], CFG.max_seq_len)
     for tok in seq[len(prompt) :]:
-        cached_logits = model.forward(np.array([tok]), cache)[-1]
+        cached_logits = model.step(np.array([tok]), cache)[0]
     full_logits = model.forward(np.asarray(seq))[-1]
     assert np.max(np.abs(cached_logits - full_logits)) < 1e-5
 
@@ -484,10 +483,10 @@ def test_batched_prefill_matches_one_row_prefill():
         alone = model.forward(np.array(p))[-1]
         assert np.max(np.abs(logits[row, len(p) - 1] - alone)) < 1e-5
     # one step on: each row sees its prompt and the new token, not the pads
-    step = model.forward(np.array([[4], [6], [8]]), cache)
+    step = model.step(np.array([4, 6, 8]), cache)
     for row, (p, tok) in enumerate(zip(prompts, (4, 6, 8))):
         full = model.forward(np.array(p + [tok]))[-1]
-        assert np.max(np.abs(step[row, -1] - full)) < 1e-5
+        assert np.max(np.abs(step[row] - full)) < 1e-5
 
 
 def close(got, want, rtol):
@@ -521,7 +520,7 @@ def test_pad_free_prefill_matches_one_row_prefill(lengths, same, seed):
     assert logits.shape == (lengths.sum(), CFG.vocab_size)
     assert np.array_equal(cache.lengths, lengths)
     nxt = rng.integers(0, CFG.vocab_size, (len(prompts), 1))
-    step = model.forward(nxt, cache)
+    step = model.step(nxt[:, 0], cache)
 
     for row, (prompt, last) in enumerate(zip(prompts, np.cumsum(lengths) - 1)):
         alone = model.new_cache()
@@ -531,7 +530,7 @@ def test_pad_free_prefill_matches_one_row_prefill(lengths, same, seed):
             for got_kv, want_kv in ((cache.k, alone.k), (cache.v, alone.v)):
                 assert close(got_kv[layer][row, : len(prompt)], want_kv[layer][0, : len(prompt)],
                              1e-6)
-        assert close(step[row, -1], model.forward(nxt[row], alone)[-1], 1e-5)
+        assert close(step[row], model.forward(nxt[row], alone)[-1], 1e-5)
 
 
 def test_prefill_runs_one_row_per_prompt_past_the_last_attention(monkeypatch):
@@ -563,10 +562,10 @@ def test_cached_step_keeps_per_row_products():
     model.forward(prompts, cache)
     alone = [deepcopy(cache) for _ in range(4)]
     nxt = np.array([[4], [6], [8], [1]])
-    got = model.forward(nxt, cache)
+    got = model.step(nxt[:, 0], cache)
     for row, own in enumerate(alone):
         own.keep([row])
-        assert np.array_equal(got[row], model.forward(nxt[row], own))
+        assert np.array_equal(got[row], model.step(nxt[row], own)[0])
 
 
 @pytest.mark.parametrize("adapter", [False, True], ids=["base", "adapter"])
@@ -591,11 +590,11 @@ def test_cached_step_rows_keep_their_bits_in_any_batch(dtype, adapter):
         alone = [deepcopy(cache) for _ in range(n)]
         backward = deepcopy(cache)
         backward.keep(np.arange(n)[::-1])
-        got = model.forward(nxt, cache)
-        assert np.array_equal(model.forward(nxt[::-1], backward), got[::-1]), n
+        got = model.step(nxt[:, 0], cache)
+        assert np.array_equal(model.step(nxt[::-1, 0], backward), got[::-1]), n
         for row, own in enumerate(alone):
             own.keep([row])
-            assert np.array_equal(got[row], model.forward(nxt[row], own)), (n, row)
+            assert np.array_equal(got[row], model.step(nxt[row], own)[0]), (n, row)
             for got_kv, own_kv in ((cache.k, own.k), (cache.v, own.v)):
                 assert all(np.array_equal(g[row], o[0]) for g, o in zip(got_kv, own_kv))
 
@@ -612,7 +611,7 @@ def test_cached_step_over_several_head_column_gemms_matches_recompute(n):
     nxt = rng.integers(0, config.vocab_size, (n, 1))
     cache = model.new_cache(n)
     model.forward(prompts, cache)
-    got = model.forward(nxt, cache)[:, -1]
+    got = model.step(nxt[:, 0], cache)
     want = model.forward(np.concatenate([prompts, nxt], axis=1))[:, -1]
     assert got.shape == (n, config.vocab_size)
     assert close(got, want, 1e-5)
@@ -629,7 +628,7 @@ def test_cached_step_of_mixed_width_weights_keeps_the_wider_dtype():
     nxt = RNG.integers(0, CFG.vocab_size, (3, 1))
     cache = model.new_cache(3)
     model.forward(prompts, cache)
-    got = model.forward(nxt, cache)[:, -1]
+    got = model.step(nxt[:, 0], cache)
     want = model.forward(np.concatenate([prompts, nxt], axis=1))[:, -1]
     assert got.dtype == want.dtype == np.float64
     assert close(got, want, 1e-5)
@@ -651,7 +650,7 @@ def test_cached_step_runs_its_rows_in_blocks(monkeypatch, n):
     cache = model.new_cache(n)
     model.forward(RNG.integers(0, CFG.vocab_size, (n, 3)), cache)
     monkeypatch.setattr(model_module, "silu", recording)
-    model.forward(RNG.integers(0, CFG.vocab_size, (n, 1)), cache)
+    model.step(RNG.integers(0, CFG.vocab_size, n), cache)
     assert shapes == [(-(-n // BLOCK), BLOCK)] * CFG.n_layers
 
 
@@ -733,17 +732,15 @@ def test_one_overflowing_row_fails_alone(monkeypatch):
     keep their streams and decode as they do alone."""
     model = tiny_model()
     marker = 12  # the prefill logits of a prompt starting with it overflow the temperature
-    run = model._run
+    prefill = model.prefill
 
-    def stub(tokens, cache, tape, kept=None, read=None):
-        logits = run(tokens, cache, tape, kept, read)
-        if read is None:
-            return logits
-        logits = logits.reshape(-1, logits.shape[-1]).astype(np.float64)
-        logits[tokens[:, 0] == marker] = np.finfo(np.float64).max * 0.95
-        return logits
+    def stub(prompts, capacity):
+        cache, logits = prefill(prompts, capacity)
+        logits = logits.astype(np.float64)
+        logits[[ids[0] == marker for ids in prompts]] = np.finfo(np.float64).max * 0.95
+        return cache, logits
 
-    monkeypatch.setattr(model, "_run", stub)
+    monkeypatch.setattr(model, "prefill", stub)
     prompts = [RAGGED[0], [marker] + RAGGED[1], RAGGED[2], RAGGED[4]]
     params = DecodeParams(max_new_tokens=20, seed=3)
     with np.errstate(all="ignore"):
@@ -832,14 +829,14 @@ def test_sharded_decode_equals_one_shard(monkeypatch, single_threaded, dtype, pa
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_killed_worker_is_a_one_line_numeric_error(monkeypatch, single_threaded):
     model = tiny_model()
-    forward, parent = model.forward, os.getpid()
+    step, parent = model.step, os.getpid()
 
     def dying(*args, **kw):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return forward(*args, **kw)
+        return step(*args, **kw)
 
-    monkeypatch.setattr(model, "forward", dying)
+    monkeypatch.setattr(model, "step", dying)
     forks = shard_into(monkeypatch, 2)
     with pytest.raises(NumericError, match=f"killed by signal {int(signal.SIGKILL)}") as caught:
         decode_batch(model, RAGGED, greedy(8))
@@ -854,14 +851,14 @@ def test_an_error_in_either_process_is_raised_and_every_child_reaped(monkeypatch
     """A child's error is raised here as it was raised there; an error in
     this process's shard kills the children still running."""
     model = tiny_model()
-    forward, parent = model.forward, os.getpid()
+    step, parent = model.step, os.getpid()
 
     def failing(*args, **kw):
         if (os.getpid() == parent) == (where == "parent"):
             raise NumericError(f"failed in the {where}")
-        return forward(*args, **kw)
+        return step(*args, **kw)
 
-    monkeypatch.setattr(model, "forward", failing)
+    monkeypatch.setattr(model, "step", failing)
     forks = shard_into(monkeypatch, 3)
     with pytest.raises(NumericError, match=f"^failed in the {where}$"):
         decode_batch(model, RAGGED, DecodeParams(max_new_tokens=30))
