@@ -36,6 +36,7 @@ from .corpus import (
     write_jsonl,
 )
 from .errors import DataError, NumericError
+from .files import write_atomic
 from .lora import attach, load_adapter, merge, save_adapter
 from .model import Model, ModelConfig, init_params
 from .quant import QuantizedModel, quantize_model
@@ -174,9 +175,8 @@ def _cmd_prepare(args):
         "train": {"total": len(parts.train), "by_modality": modality_counts(parts.train)},
         "test": {"total": len(parts.test), "by_modality": modality_counts(parts.test)},
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(out / "manifest.json",
+                 (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"wrote {len(parts.train)} train / {len(parts.test)} test records to {out}")
 
 
@@ -214,7 +214,7 @@ def _cmd_train(args):
         save_model(model, model_out, vocab=vocab)
         print(f"initialized base model {model_out} (vocab {vocab.size})")
     save_adapter(result.adapter, out)
-    log_path.write_text("".join(line + "\n" for line in log_lines), encoding="utf-8")
+    write_atomic(log_path, "".join(line + "\n" for line in log_lines).encode("utf-8"))
     print(
         f"saved adapter to {args.out}: {result.steps} steps, "
         f"final loss {result.loss_history[-1]:.4f}, "

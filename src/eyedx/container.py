@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .files import write_atomic
 from .model import Model, ModelConfig
 from .quant import QuantizedModel, QuantTensor
 from .tokenizer import SPECIAL_TOKENS, Vocabulary
@@ -103,7 +104,7 @@ def write_container(path: str | Path, header: dict, tensors: dict) -> None:
             parts += [np.ascontiguousarray(arr).tobytes("C")]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def read_container(path: str | Path) -> tuple[dict, dict]:

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DataError
+from .files import write_atomic
 
 MODALITIES = ("OSA", "CFP", "OCT")
 
@@ -165,10 +166,9 @@ def write_jsonl(records: list[ReportRecord] | tuple[ReportRecord, ...], path: st
     """Write records to a JSON-lines file (the inverse of ingest)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            row = {**asdict(rec), "flags": sorted(rec.flags)}
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    rows = ({**asdict(rec), "flags": sorted(rec.flags)} for rec in records)
+    write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+                 .encode("utf-8"))
 
 
 def dedup(records: list[ReportRecord]) -> list[ReportRecord]:

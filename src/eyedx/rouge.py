@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .corpus import DEFAULT_TEMPLATE, PromptTemplate, render_prompt
 from .errors import DataError
+from .files import write_atomic
 from .sample import DecodeParams, decode_batch
 
 # Nothing here calls decode any more; the binding stays because
@@ -194,4 +194,4 @@ def format_table(named_reports) -> str:
 def write_report(path, named_reports) -> None:
     """Write the full componentwise report for each model as JSON."""
     payload = {name: asdict(report) for name, report in named_reports}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))

@@ -10,8 +10,9 @@ decode_batch is the one way to decode: it prefills a batch of prompts into
 one KV cache with Model.prefill, steps the live rows in lockstep with
 Model.step, and samples all live rows of a step in one pass: filter_logits
 over their (R, V) logits and seen mask, then draw, which reproduces each
-row's Generator.choice. Only a step with a non-finite row splits its rows,
-so that such a row fails alone.
+row's Generator.choice. A greedy step (top_k=1) whose rows each have one
+finite top takes the argmax instead, with the same tokens and streams. Only a
+step with a non-finite row splits its rows, so that such a row fails alone.
 """
 
 from __future__ import annotations
@@ -65,16 +66,8 @@ def filter_logits(logits: np.ndarray, seen: np.ndarray, params: DecodeParams) ->
     if logits.ndim != 2 or seen.dtype != bool or seen.shape != logits.shape:
         raise DataError(f"filter_logits takes (R, V) logits and a bool seen mask of their "
                         f"shape, got logits {logits.shape} and seen {seen.dtype} {seen.shape}")
-    z = logits.astype(np.float64)
+    z = _scaled(logits, seen, params)
     vocab = z.shape[1]
-
-    if params.repetition_penalty != 1.0:  # only the seen entries change
-        penalty = params.repetition_penalty
-        zs = z[seen]
-        z[seen] = np.where(zs > 0, zs / penalty, zs * penalty)
-
-    if params.temperature != 1.0:
-        z /= params.temperature
 
     if params.top_k < vocab:
         cut = np.partition(z, -params.top_k, axis=1)[:, -params.top_k, None]
@@ -93,6 +86,36 @@ def filter_logits(logits: np.ndarray, seen: np.ndarray, params: DecodeParams) ->
 
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
+
+
+def _scaled(logits: np.ndarray, seen: np.ndarray, params: DecodeParams) -> np.ndarray:
+    """The stages ahead of the top-k cut: the logits in float64, with the
+    repetition penalty on the seen entries and the temperature applied."""
+    z = logits.astype(np.float64)
+    if params.repetition_penalty != 1.0:  # only the seen entries change
+        penalty = params.repetition_penalty
+        zs = z[seen]
+        z[seen] = np.where(zs > 0, zs / penalty, zs * penalty)
+    if params.temperature != 1.0:
+        z /= params.temperature
+    return z
+
+
+def _argmax(logits: np.ndarray, seen: np.ndarray, rngs, params: DecodeParams):
+    """A top_k=1 step's draws without the sampling stages, or None.
+
+    Where every scaled logit is finite and each row's top is unique, the
+    top-k cut leaves each row one token of probability 1, so draw returns its
+    argmax whatever random() gives. Each row takes that argmax, and its
+    generator advances by the one random() draw takes. Otherwise this returns
+    None and the step runs filter_logits and draw: a tie breaks by the row's
+    stream, and a non-finite row fails alone."""
+    z = _scaled(logits, seen, params)
+    if not _finite(z) or np.count_nonzero(z == z.max(axis=1, keepdims=True)) != len(z):
+        return None
+    for rng in rngs:
+        rng.random()
+    return z.argmax(axis=1)
 
 
 def draw(probs: np.ndarray, rngs) -> np.ndarray:
@@ -184,12 +207,14 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
     for row, ids in enumerate(prompts):
         seen[row, ids] = True
     while live:
-        probs = filter_logits(logits, seen, params) if _finite(logits) else None
-        if probs is not None and _finite(probs):  # every row draws
-            rows = np.arange(len(live))
-            drawn = draw(probs, rngs)
-        else:  # a row with non-finite logits or probabilities fails alone
-            rows, drawn = _draw_rows(logits, seen, rngs, params, live, results)
+        rows = np.arange(len(live))  # every row draws, unless one fails
+        drawn = _argmax(logits, seen, rngs, params) if params.top_k == 1 else None
+        if drawn is None:
+            probs = filter_logits(logits, seen, params) if _finite(logits) else None
+            if probs is not None and _finite(probs):
+                drawn = draw(probs, rngs)
+            else:  # a row with non-finite logits or probabilities fails alone
+                rows, drawn = _draw_rows(logits, seen, rngs, params, live, results)
         seen[rows, drawn] = True
         nxt, keep = [], []
         for row, tok in zip(rows.tolist(), drawn.tolist()):

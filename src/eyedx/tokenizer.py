@@ -7,6 +7,7 @@ token. Ids 0..3 are reserved for bos/eos/pad/unk; corpus tokens start at 4.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,40 +39,49 @@ def _is_cjk(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 
+def _kind(ch: str) -> str:
+    """Which token ch belongs to: " " none (a space), "c" a token of its own
+    (CJK, punctuation, symbols), "d" a run of digits, "l" a run of letters
+    and marks."""
+    if ch.isspace():
+        return " "
+    if _is_cjk(ch):
+        return "c"
+    cat = unicodedata.category(ch)
+    if cat[0] == "N":
+        return "d"
+    return "l" if cat[0] in ("L", "M") else "c"
+
+
+_KINDS_MAX = 1 << 14
+
+
+class _Kinds(dict):
+    """Codepoint -> _kind, the table segment translates text through, filled
+    as codepoints are first met. It holds at most _KINDS_MAX of them; past
+    that a codepoint's kind is worked out each time, so text of many distinct
+    codepoints cannot grow it without bound. (Threads segmenting at once can
+    pass the bound by one entry each; every entry is still its _kind.)"""
+
+    def __missing__(self, cp: int) -> str:
+        kind = _kind(chr(cp))
+        if len(self) < _KINDS_MAX:
+            self[cp] = kind
+        return kind
+
+
+_KINDS = _Kinds()
+_TOKEN = re.compile("l+|d+|c")
+
+
 def segment(text: str) -> list[str]:
-    """Split text into tokens; pure function of the NFC-normalized input."""
-    tokens: list[str] = []
-    run: list[str] = []
-    run_kind = ""  # "L" letters, "D" digits
+    """Split text into tokens; pure function of the NFC-normalized input.
 
-    def flush():
-        if run:
-            tokens.append("".join(run))
-            run.clear()
-
-    for ch in unicodedata.normalize("NFC", text):
-        if ch.isspace():
-            flush()
-            continue
-        if _is_cjk(ch):
-            flush()
-            tokens.append(ch)
-            continue
-        cat = unicodedata.category(ch)
-        if cat.startswith("N"):
-            kind = "D"
-        elif cat[0] in ("L", "M"):
-            kind = "L"
-        else:
-            flush()
-            tokens.append(ch)
-            continue
-        if run and run_kind != kind:
-            flush()
-        run.append(ch)
-        run_kind = kind
-    flush()
-    return tokens
+    Two passes in C: str.translate maps each character to its _kind, and one
+    regex cuts the string of kinds into tokens, whose spans slice the text.
+    """
+    text = unicodedata.normalize("NFC", text)
+    return [text[a:b] for a, b in map(re.Match.span, _TOKEN.finditer(text.translate(_KINDS)))]
 
 
 @dataclass(frozen=True)

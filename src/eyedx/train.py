@@ -142,6 +142,11 @@ def _micro_batches(records, order, vocab, template, config, result):
             yield batch
 
 
+def _norm(tensors) -> float:
+    """The L2 norm of tensors taken together as one vector."""
+    return math.hypot(*(float(np.linalg.norm(t)) for t in tensors))
+
+
 def train(
     model: Model,
     records,
@@ -157,6 +162,11 @@ def train(
     left), combining micro-gradients weighted by unmasked token count. Loss
     history holds one entry per optimizer step. Fully deterministic for a
     given seed.
+
+    With a log callback, each step passes it one line: the step, its loss,
+    the L2 norms of the combined gradient and of the step's change to the
+    adapter, the records skipped while its micro-batches were built, and its
+    non-pad input tokens per second. Without one, none of these is computed.
     """
     adapter = model.adapter
     if adapter is None:
@@ -176,7 +186,7 @@ def train(
             order = rng.permutation(len(records))
             batches = _micro_batches(records, order, vocab, template, config, result)
             while True:
-                started = time.perf_counter()
+                started, skipped = time.perf_counter(), result.skipped
                 grad_sum = {name: np.zeros_like(w) for name, w in trainable.items()}
                 loss_sum = 0.0
                 n_tokens = 0
@@ -196,6 +206,8 @@ def train(
                     break
                 for name in trainable:
                     grad_sum[name] /= n_tokens
+                if log is not None:
+                    before = {name: w.copy() for name, w in trainable.items()}
                 opt.step(trainable, grad_sum)
                 loss = loss_sum / n_tokens
                 result.loss_history.append(loss)
@@ -203,8 +215,11 @@ def train(
                 result.tokens_seen += n_tokens
                 if log is not None:
                     elapsed = max(time.perf_counter() - started, 1e-9)
-                    tokens_per_sec = input_tokens / elapsed
-                    log(f"step={result.steps} loss={loss:.6f} tokens_per_sec={tokens_per_sec:.1f}")
+                    grad_norm = _norm(grad_sum.values())
+                    update_norm = _norm(w - before[name] for name, w in trainable.items())
+                    log(f"step={result.steps} loss={loss:.6f} grad_norm={grad_norm:.6g} "
+                        f"update_norm={update_norm:.6g} skipped={result.skipped - skipped} "
+                        f"tokens_per_sec={input_tokens / elapsed:.1f}")
     finally:
         end_shard_threads()
     if result.steps == 0:

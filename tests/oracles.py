@@ -5,6 +5,7 @@ no code path with what it checks.
 """
 
 import itertools
+import unicodedata
 
 import numpy as np
 
@@ -171,6 +172,45 @@ def is_cjk_scan(ch: str) -> bool:
     """Whether ch falls in a CJK range, by scanning every range."""
     cp = ord(ch)
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+
+
+def segment_loop(text: str) -> list[str]:
+    """eyedx.tokenizer.segment one character at a time: after NFC, a space
+    ends a run, a CJK codepoint (by the range scan) or any character that is
+    not a letter, mark or digit is a token of its own, and runs of N*
+    categories or of L*/M* categories are tokens."""
+    tokens: list[str] = []
+    run: list[str] = []
+    run_kind = ""  # "L" letters, "D" digits
+
+    def flush():
+        if run:
+            tokens.append("".join(run))
+            run.clear()
+
+    for ch in unicodedata.normalize("NFC", text):
+        if ch.isspace():
+            flush()
+            continue
+        if is_cjk_scan(ch):
+            flush()
+            tokens.append(ch)
+            continue
+        cat = unicodedata.category(ch)
+        if cat.startswith("N"):
+            kind = "D"
+        elif cat[0] in ("L", "M"):
+            kind = "L"
+        else:
+            flush()
+            tokens.append(ch)
+            continue
+        if run and run_kind != kind:
+            flush()
+        run.append(ch)
+        run_kind = kind
+    flush()
+    return tokens
 
 
 def filter_logits_row(logits, seen_ids, params):

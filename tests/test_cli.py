@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main()."""
 
+import errno
 import io
 import json
 import os
@@ -156,7 +157,9 @@ def test_train_writes_adapter_model_and_log(workspace):
     assert workspace["model"].exists()
     log = (workspace["root"] / "adapter.olm.log").read_text().splitlines()
     assert log
-    assert all(re.fullmatch(r"step=\d+ loss=\d+\.\d{6} tokens_per_sec=\d+\.\d", line)
+    number = r"\d[\d.e+-]*"
+    assert all(re.fullmatch(rf"step=\d+ loss=\d+\.\d{{6}} grad_norm={number} "
+                            rf"update_norm={number} skipped=\d+ tokens_per_sec=\d+\.\d", line)
                for line in log)
     assert load_adapter(workspace["adapter"]).rank == 2
 
@@ -1042,3 +1045,96 @@ def test_bench_is_no_longer_a_command(workspace, capsys):
     assert printed == ""
     assert err.startswith("usage error: argument command: invalid choice: 'bench'")
     assert err.count("\n") == 1
+
+
+# -- whole-or-nothing writes ---------------------------------------------------
+
+# Each case's code runs in a subprocess that ignores SIGXFSZ and whose cap(n)
+# lowers that process's own RLIMIT_FSIZE to n bytes, so the write of the file
+# at TARGET fails with EFBIG there alone; `hook` names what cap runs after in
+# a command, once the command's earlier files are written
+CAPPED = """
+import errno, resource, signal, sys
+from dataclasses import dataclass
+import numpy as np
+from eyedx import cli, container, corpus, rouge
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+TARGET, DATA = sys.argv[1], sys.argv[2]
+
+
+def cap(n=16):
+    resource.setrlimit(resource.RLIMIT_FSIZE, (n, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+def hook(name):
+    original = getattr(cli, name)
+
+    def capping(*args):
+        out = original(*args)
+        cap()
+        return out
+    setattr(cli, name, capping)
+
+
+def efbig(write):
+    try:
+        write()
+    except OSError as exc:
+        sys.exit(0 if exc.errno == errno.EFBIG else 4)
+    sys.exit(5)
+
+
+@dataclass
+class Report:
+    text: str
+"""
+
+WRITES = {
+    "write_container": ("model.olm", "cap(); efbig(lambda: container.write_container("
+                        "TARGET, {}, {'w': np.ones((8, 8), np.float32)}))"),
+    "write_jsonl": ("records.jsonl",
+                    "records = corpus.synthesize(2, 0); cap(); "
+                    "efbig(lambda: corpus.write_jsonl(records, TARGET))"),
+    "write_report": ("report.json", "cap(); efbig(lambda: rouge.write_report("
+                     "TARGET, [('m', Report('x' * 100))]))"),
+    # the manifest's counts are taken once train.jsonl and test.jsonl are written
+    "prepare manifest": ("manifest.json", "hook('modality_counts'); sys.exit(cli.main(["
+                         "'prepare', '--synthesize', '6', '--seed', '0', '--out', DATA]))"),
+    "train log": ("adapter.olr.log", "hook('save_adapter'); sys.exit(cli.main(["
+                  "'train', '--data', DATA, '--out', DATA + '/adapter.olr', '--epochs', '1', "
+                  "'--max-seq-len', '96', '--lora-r', '2']))"),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("writer", list(WRITES))
+def test_a_failed_write_leaves_no_truncated_file(workspace, tmp_path, writer, existing):
+    """A write that fails partway (here past a file size limit) leaves no
+    file of that write: no target and no temporary, and a target that was
+    there keeps its bytes. A command reports it as a one-line data error."""
+    name, code = WRITES[writer]
+    data = tmp_path / "data"
+    data.mkdir()
+    for part in ("train.jsonl", "test.jsonl"):
+        (data / part).write_bytes((workspace["data"] / part).read_bytes())
+    target = data / name
+    old = b"the bytes of an earlier run\n"
+    if existing:
+        target.write_bytes(old)
+    before = {p.name for p in data.iterdir()}
+    src = str(Path(eyedx.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CAPPED + code, str(target), str(data)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    if " " in writer:  # a command
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stderr == f"data error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    else:
+        assert proc.returncode == 0, proc.stderr[-500:]
+    left = {p.name for p in data.iterdir()} - before
+    assert not [n for n in left if n.endswith(".tmp")]
+    if existing:
+        assert target.read_bytes() == old
+    else:
+        assert not target.exists()

@@ -727,6 +727,92 @@ def test_all_finite_steps_draw_as_the_per_row_path(dtype, sampled, seed, prompts
     assert fast == per_row
 
 
+def rounded(model, levels):
+    """model with its prefill and step logits rounded to multiples of
+    1/levels, so that tops tie; levels None leaves them as they are."""
+    if levels is None:
+        return model
+    prefill, step = model.prefill, model.step
+
+    def round_prefill(prompts, capacity):
+        cache, logits = prefill(prompts, capacity)
+        return cache, np.round(logits * levels) / levels
+
+    model.prefill = round_prefill
+    model.step = lambda tokens, cache: np.round(step(tokens, cache) * levels) / levels
+    return model
+
+
+def greedy_both_ways(model, prompts, params):
+    """decode_batch's Generations with the argmax path, those with every step
+    forced through filter_logits and draw, and how many steps took the argmax
+    and how many fell back from it, all in this process."""
+    taken = {"argmax": 0, "fallback": 0}
+    argmax = sample_module._argmax
+
+    def counting(*args):
+        drawn = argmax(*args)
+        taken["fallback" if drawn is None else "argmax"] += 1
+        return drawn
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards_module, "_shard_count", lambda rows: 1)
+        patch.setattr(sample_module, "_argmax", counting)
+        fast = decode_batch(model, prompts, params)
+        patch.setattr(sample_module, "_argmax", lambda *args: None)
+        general = decode_batch(model, prompts, params)
+    return fast, general, taken
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    levels=st.sampled_from([None, 1, 2, 8]),
+    penalty=st.sampled_from([1.0, 1.3, 2.0]),
+    temperature=st.sampled_from([1.0, 0.5, 0.9, 2.0]),
+    top_p=st.sampled_from([1.0, 0.5]),
+    seed=st.integers(0, 2**16),
+    prompts=st.lists(st.lists(st.integers(0, CFG.vocab_size - 1), min_size=1, max_size=60),
+                     min_size=1, max_size=6),
+)
+def test_greedy_argmax_steps_match_the_sampling_pipeline(dtype, levels, penalty, temperature,
+                                                         top_p, seed, prompts):
+    """A top_k=1 step that takes each row's argmax gives the Generations of
+    the same step run through filter_logits and draw: ragged batches whose
+    rows retire at eos or at their budget, logits rounded so that tops tie
+    (a tied step falls back and breaks the tie by the row's stream, which
+    the argmax steps before it advanced), penalty, temperature and top_p."""
+    model = rounded(Model(CFG, init_params(CFG, seed=4, scale=0.5, dtype=dtype)), levels)
+    params = DecodeParams(max_new_tokens=12, top_k=1, repetition_penalty=penalty,
+                          temperature=temperature, top_p=top_p, seed=seed)
+    fast, general, _ = greedy_both_ways(model, prompts, params)
+    assert fast == general
+
+
+def test_greedy_ties_fall_back_and_overflow_fails_alone():
+    """On rounded logits a greedy decode takes the argmax at some steps and
+    falls back at tied ones, with the Generations of the general path; a row
+    whose scaled logits overflow fails alone there too."""
+    model = rounded(tiny_model(), 1)
+    fast, general, taken = greedy_both_ways(model, RAGGED, greedy(20, seed=5))
+    assert fast == general
+    assert taken["argmax"] > 0 and taken["fallback"] > 0
+    assert {g.stop for g in fast} == {"eos", "budget"}
+    prefill = model.prefill
+
+    def overflowing(prompts, capacity):  # RAGGED[1], the one prompt starting with 3
+        cache, logits = prefill(prompts, capacity)
+        big = np.finfo(np.float64).max  # finite, but not once the temperature divides it
+        return cache, np.where([[ids[0] == 3] for ids in prompts], big, logits.astype(np.float64))
+
+    model.prefill = overflowing
+    with np.errstate(all="ignore"):
+        fast, general, _ = greedy_both_ways(model, RAGGED, greedy(20, seed=5, temperature=0.5))
+    assert [outcome(g) for g in fast] == [outcome(g) for g in general]
+    assert [g.stop == "error" for g in fast] == [i == 1 for i in range(len(RAGGED))]
+    assert "non-finite probabilities" in str(fast[1].error)
+
+
 def test_one_overflowing_row_fails_alone(monkeypatch):
     """A row whose filtered probabilities overflow fails alone; the other rows
     keep their streams and decode as they do alone."""

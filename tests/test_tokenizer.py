@@ -1,10 +1,13 @@
 """Tokenizer segmentation, vocabulary build, encode/decode."""
 
+import unicodedata
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eyedx import DataError
+from eyedx import tokenizer as tokenizer_module
 from eyedx.corpus import synthesize
 from eyedx.tokenizer import (
     BOS_ID,
@@ -16,7 +19,7 @@ from eyedx.tokenizer import (
     build,
     segment,
 )
-from oracles import is_cjk_scan, normalize
+from oracles import is_cjk_scan, normalize, segment_loop
 
 
 # ------------------------------------------------------------- segmentation
@@ -47,17 +50,56 @@ def test_segment_nfc_stability():
     assert segment("café") == segment("café")
 
 
-@given(st.text(max_size=60))
-@settings(max_examples=300, deadline=None)
-@example(  # ends of the ranges between letters, and code points just outside them
+RANGE_ENDS = (  # ends of the CJK ranges between letters, and code points just outside them
     "a\u3041b\u30ffc\u3400d\u4dbfe\u4e00f\u9fffg\uac00h\ud7a3i\uf900j\U00020000k\U0002a6dfl"
     " \u303f\u3040\u3100\uabff\ud7b0\ufaff\U0002a6e0 眼底"
 )
+
+
+@given(st.text(max_size=60))
+@settings(max_examples=300, deadline=None)
+@example(RANGE_ENDS)
 def test_segment_matches_the_range_scan_predicate(text):
+    """segment's kinds come from _is_cjk: with the range scan patched in and
+    an empty kind table, every non-space character reaches the scan, and the
+    tokens stay the same."""
     want = segment(text)
+    reached = set()
+
+    def scan(ch):
+        reached.add(ch)
+        return is_cjk_scan(ch)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("eyedx.tokenizer._is_cjk", is_cjk_scan)
+        patch.setattr("eyedx.tokenizer._is_cjk", scan)
+        patch.setattr("eyedx.tokenizer._KINDS", tokenizer_module._Kinds())
         assert segment(text) == want
+    assert reached == {ch for ch in unicodedata.normalize("NFC", text) if not ch.isspace()}
+
+
+@given(st.text())
+@settings(max_examples=500, deadline=None)
+@example(RANGE_ENDS)
+@example("cafe\u0301 e\u0301\u0327t\u00e9 x\u20dd2\u0663\u00b2 \u2003a\u3000b\xa0c\u2028d")
+@example("\U0002a6df\U0002a6e0\U00020000\U0001ffff 12\U0002a6dfab\u0300")
+def test_segment_matches_the_per_character_loop(text):
+    """The translate-and-regex segment gives the tokens of the per-character
+    loop it replaced, which scans the CJK ranges itself."""
+    assert segment(text) == segment_loop(text)
+
+
+def test_the_kind_table_stays_bounded():
+    """Text of more distinct codepoints than the kind table holds fills it to
+    its bound and no further, and still segments as the loop does."""
+    table = tokenizer_module._Kinds()
+    cap = tokenizer_module._KINDS_MAX
+    text = "".join(map(chr, range(0x20000, 0x20000 + 2 * cap))) + " ab1 " + "\u4e00\u0300" * 3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("eyedx.tokenizer._KINDS", table)
+        assert segment(text) == segment_loop(text)
+        assert len(table) == cap
+        assert segment(text) == segment_loop(text)
+        assert len(table) == cap
 
 
 @given(st.text(alphabet="ab12.,眼 \t", max_size=40))

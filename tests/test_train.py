@@ -8,6 +8,7 @@ import pytest
 
 from eyedx import DataError, NumericError
 from eyedx import shards as shards_module
+from eyedx import train as train_module
 from eyedx.corpus import DEFAULT_TEMPLATE, ReportRecord, synthesize
 from eyedx.lora import attach
 from eyedx.model import Model, ModelConfig, init_params
@@ -230,8 +231,53 @@ def test_train_logs_machine_readable_lines():
     assert lines
     for line in lines:
         fields = dict(kv.split("=") for kv in line.split())
-        assert set(fields) == {"step", "loss", "tokens_per_sec"}
+        assert list(fields) == ["step", "loss", "grad_norm", "update_norm", "skipped",
+                                "tokens_per_sec"]
         float(fields["loss"])
+        assert float(fields["grad_norm"]) > 0 and float(fields["update_norm"]) > 0
+        assert int(fields["skipped"]) == 0
+
+
+def test_train_log_norms_are_the_steps_gradient_and_update(monkeypatch):
+    """Each line's grad_norm is the L2 norm of the step's combined gradient,
+    its update_norm that of the change Adam made to the adapter, and skipped
+    counts the records its micro-batches dropped."""
+    records, vocab = corpus_and_vocab(6)
+    long = ReportRecord(id="long", modality="OSA", findings=" ".join(["gland"] * 200),
+                        diagnosis="percent")
+    model = fresh()
+    steps = []
+    adam_step = Adam.step
+
+    def recording(self, params, grads):
+        before = {name: w.copy() for name, w in params.items()}
+        adam_step(self, params, grads)
+        steps.append((np.concatenate([g.ravel() for g in grads.values()]),
+                      np.concatenate([(w - before[n]).ravel() for n, w in params.items()])))
+
+    monkeypatch.setattr(Adam, "step", recording)
+    lines = []
+    config = small_train_config()
+    chosen = [long] + records[:3] + [long] + records[3:6]
+    train(model, chosen, vocab, config, log=lines.append)
+    assert len(lines) == len(steps) == 2
+    order = np.random.default_rng(config.seed).permutation(len(chosen))  # train's epoch order
+    for k, (line, (grad, update)) in enumerate(zip(lines, steps)):
+        fields = dict(kv.split("=") for kv in line.split())
+        assert float(fields["grad_norm"]) == pytest.approx(np.linalg.norm(grad), rel=1e-5)
+        assert float(fields["update_norm"]) == pytest.approx(np.linalg.norm(update), rel=1e-5)
+        chunk = order[k * config.batch_size : (k + 1) * config.batch_size]
+        assert int(fields["skipped"]) == sum(chosen[i] is long for i in chunk)
+
+
+def test_train_without_a_log_computes_no_norm(monkeypatch):
+    records, vocab = corpus_and_vocab(6)
+    calls = []
+    monkeypatch.setattr(train_module, "_norm", lambda tensors: calls.append(1) or 1.0)
+    result = train(fresh(), records, vocab, small_train_config())
+    assert result.steps > 0 and calls == []
+    train(fresh(), records, vocab, small_train_config(), log=lambda line: None)
+    assert len(calls) == 2 * result.steps
 
 
 def test_train_aborts_on_non_finite_loss():
