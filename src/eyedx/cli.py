@@ -82,6 +82,21 @@ def _output(flag: str, path) -> Path:
     return path
 
 
+def _distinct(outputs, inputs=()):
+    """A usage error unless each output names a file of its own, no other
+    output's and no input's once resolved; both are (flag, path) pairs, and
+    a pair whose path is None names no file."""
+    named = {}
+    for i, (flag, path) in enumerate([*outputs, *inputs]):
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in named:
+            raise _UsageError(f"{named[key]} and {flag} both name {path}")
+        if i < len(outputs):
+            named[key] = flag
+
+
 def _template_from(args):
     return load_template(args.template) if args.template else DEFAULT_TEMPLATE
 
@@ -185,6 +200,9 @@ def _cmd_train(args):
     model_out = None if args.model else _output(
         "--model-out", args.model_out or out.parent / "model.olm")
     log_path = _output("--log", args.log or str(args.out) + ".log")
+    _distinct([("--out", out), ("--model-out", model_out), ("--log", log_path)],
+              [("--model", args.model), ("--data", Path(args.data) / "train.jsonl"),
+               ("--config", args.config), ("--template", args.template)])
     records = _read_records(args.data, "train")
     template = _template_from(args)
     config = _from_flags(TrainConfig, args, _parse_config_file(args.config) if args.config else {})
@@ -257,6 +275,9 @@ def _cmd_evaluate(args):
         if name in names[:i]:
             raise _UsageError(f"two rows are named {name!r}; the report keys rows by name")
     _output("--out", args.out)  # before any model is decoded
+    _distinct([("--out", args.out)], [("--model", m) for m in args.model]
+              + [("--adapter", a) for a in adapters if a != "-"]
+              + [("--data", Path(args.data) / "test.jsonl"), ("--template", args.template)])
     records = _read_records(args.data, "test")
     if args.limit is not None:
         if args.limit < 1:

@@ -17,23 +17,24 @@ Model.step(tokens, cache) runs one token per cached row. One masked run,
 _run, serves both, forward and the training step. It goes token-major over
 the positions a kept mask selects, the loss's reach in training and the real
 tokens in a prefill: each token-wise op is one GEMM per weight, and only
-attention sees the (batch, seq) grid. A step, which _run is told it runs,
-builds no kept or read mask: its rows are attention's grid, one position
-each. It runs its N rows as ceil(N / BLOCK) blocks of BLOCK rows, zero rows
-after the N-th, each product one (BLOCK, K) GEMM per block, lm_head's one
-per block and HEAD_COLUMNS of its columns: each weight is read once per
-block, not once per row, and since a row of such a GEMM gets the same bits
-wherever it sits and whatever the other rows hold, a batched step gives
-each row the bits it gets stepped alone, padded to one block. From the last
-layer's output projection on, only the positions whose logits are read run:
-the loss positions in training, each prompt's last token in a prefill. Past
-its last layer's keys and values a position feeds no other.
+attention sees the (batch, seq) grid. A step passes no mask: every position
+runs, and its rows are attention's grid, one position each. What the step
+flag adds is a step's own layout: it runs its N rows as ceil(N / BLOCK)
+blocks of BLOCK rows, zero rows after the N-th, each product one (BLOCK, K)
+GEMM per block, lm_head's one per block and HEAD_COLUMNS of its columns:
+each weight is read once per block, not once per row, and since a row of
+such a GEMM gets the same bits wherever it sits and whatever the other rows
+hold, a batched step gives each row the bits it gets stepped alone, padded
+to one block. From the last layer's output projection on, only the
+positions whose logits are read run: the loss positions in training, each
+prompt's last token in a prefill. Past its last layer's keys and values a
+position feeds no other.
 
 What every layer of a run shares is built once per run, not once per layer
 (_RunTables): the rotary tables, the causal mask, the cache slots the run's
-keys and values go to, whether every position runs, and a cached step's
-zeroed context blocks, which each layer's context rows overwrite. Rotary
-positions take one pass over per-pair tables, x * cf + (x, each pair
+keys and values go to, the positions that run (kept, None when every one
+does) and the rows the last layer reads (tail, None when it reads all).
+Rotary positions take one pass over per-pair tables, x * cf + (x, each pair
 swapped) * sf, with cf each angle's cos twice and sf its (-sin, +sin); the
 backward passes -sf. Each entry is the sum the pairwise rotation computes,
 so the bits are its bits.
@@ -228,23 +229,27 @@ def _blocks(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """(1, N, ...) token rows -> (B, T, ...) grid holding them
-    at the N True positions of kept (B, T), in row-major order, and zeros
-    elsewhere. When every position is kept the rows already are the grid and
-    pass through, reshaped."""
-    if rows.shape[0] * rows.shape[1] == kept.size:
-        return rows.reshape(kept.shape + rows.shape[2:])
-    grid = np.zeros(kept.shape + rows.shape[2:], dtype=rows.dtype)
-    grid[kept] = rows.reshape(-1, *rows.shape[2:])
+def _scatter(rows: np.ndarray, run: _RunTables) -> np.ndarray:
+    """(n, ...) token rows -> the run's (B, T, ...) grid holding them at its
+    kept positions, in row-major order, and zeros elsewhere; when every
+    position runs, the rows themselves, reshaped."""
+    if run.kept is None:
+        return rows.reshape(run.grid + rows.shape[1:])
+    grid = np.zeros(run.grid + rows.shape[1:], dtype=rows.dtype)
+    grid[run.kept] = rows
     return grid
 
 
-def _gather(grid: np.ndarray, kept: np.ndarray, lead: tuple, every: bool) -> np.ndarray:
-    """Inverse of _scatter: the kept positions of a (B, T, ...) grid as token
-    rows of shape lead + (...), the grid itself when every position is kept."""
-    rows = grid if every else grid[kept]
-    return rows.reshape(lead + grid.shape[2:])
+def _gather(grid: np.ndarray, run: _RunTables) -> np.ndarray:
+    """Inverse of _scatter: the run's (n, ...) token rows of a (B, T, ...) grid."""
+    return grid.reshape(-1, *grid.shape[2:]) if run.kept is None else grid[run.kept]
+
+
+def _widen(rows: np.ndarray, tail: np.ndarray, n: int) -> np.ndarray:
+    """(1, len(tail), ...) read rows -> (1, n, ...) rows holding them at tail, zeros elsewhere."""
+    out = np.zeros((1, n) + rows.shape[2:], dtype=rows.dtype)
+    out[0, tail] = rows[0]
+    return out
 
 
 # ------------------------------------------------------------------ cache
@@ -285,18 +290,15 @@ class KVCache:
 class _RunTables:
     """What every layer of one _run reads, built once for the run."""
 
-    kept: np.ndarray | None  # (B, T) bool: the positions that run; None in a cached step
-    every: bool  # every position runs
-    n: int  # the positions that run, the run's real token rows
-    cf: np.ndarray  # _rope_pairs' tables at those positions, (n, 1, head_dim)
+    grid: tuple  # (B, T): the rows and positions of attention's grid
+    kept: np.ndarray | None  # (B, T) bool: the positions that run; None when every one runs
+    n: int  # the positions that run, the run's token rows
+    tail: np.ndarray | None  # the rows the last layer reads, indices of the n; None for all
+    cf: np.ndarray  # _rope_pairs' tables at the n positions, (n, 1, head_dim)
     sf: np.ndarray
     S: int  # key slots attention reads: the last position + 1
     hidden: np.ndarray  # (B, 1, 1, T, S): key s is hidden from the query at p when s > p
     slots: tuple | None  # (rows, positions): each row's cache slots for its T tokens
-    # a cached step's (ceil(n / BLOCK), BLOCK, d_model) blocks, zeroed once: each
-    # layer writes its n context rows there, and the pad rows after them stay
-    # zero; None in any other run
-    block: np.ndarray | None
 
 
 class Model:
@@ -427,57 +429,52 @@ class Model:
             raise DataError(f"sequence length {S} exceeds the cache's {cache.capacity} slots")
         return positions, S
 
-    def _tables(self, positions, S, kept, cache) -> _RunTables:
+    def _tables(self, positions, S, kept, read, cache) -> _RunTables:
         """The run's RoPE pair tables, causal mask and cache slots, for every
-        layer, at the kept positions, or at each row's one position in a
-        cached step (kept None), which also gets its context block. A cached
-        row's free slots past its own length lie past the positions of its
-        queries, so the mask hides them."""
+        layer, at the positions kept selects, and the rows of them that read
+        selects; kept None when every position runs, the read rows None when
+        the last layer reads them all. A cached row's free slots past its own
+        length lie past the positions of its queries, so the mask hides them."""
         cfg = self.config
-        at = positions[:, 0] if kept is None else positions[kept]
+        if kept is not None and kept.all():
+            kept = None
+        at = positions.reshape(-1) if kept is None else positions[kept]
+        tail = None if read is None else np.flatnonzero(read if kept is None else read[kept])
+        if tail is not None and len(tail) == len(at):
+            tail = None
         cos, sin = _rope_tables(at, cfg.head_dim, cfg.rope_base, self.dtype)
         hidden = (np.arange(S) > positions[..., None])[:, None, None]
         slots = None if cache is None else (np.arange(len(positions))[:, None], positions)
-        n = len(at)
-        block = None
-        if kept is None:
-            block = np.zeros((-(-n // BLOCK), BLOCK, cfg.d_model), self.dtype)
-        return _RunTables(kept, kept is None or bool(kept.all()), n, *_rope_pairs(cos, sin), S,
-                          hidden, slots, block)
+        return _RunTables(positions.shape, kept, len(at), tail, *_rope_pairs(cos, sin), S,
+                          hidden, slots)
 
     def _run(self, tokens, cache, tape, kept=None, read=None, step=False):
         """Logits for the positions of tokens (B, T) that read, a (B, T) bool
         mask inside kept, selects; kept, a (B, T) bool mask of each row's
         first positions, selects those that run, and both default to all.
-        The N kept positions run as (1, N) token rows, each token-wise op one
+        The n kept positions run as (1, n) token rows, each token-wise op one
         GEMM per weight; only attention sees the (B, T) grid, with zeros where
         kept is False. Token rows narrow to the read rows after the last
         layer's attention context, and the logits come back as (1, read rows,
         V). forward, prefill and the training step run this way.
 
         With step, which only Model.step sets, tokens is (B, 1), one token for
-        each row of cache, and the run builds no kept or read mask: its rows
-        are attention's grid, and it runs them as (ceil(B / BLOCK), BLOCK)
-        blocks, zero rows after the B-th, each product one (BLOCK, K) GEMM
-        per block, lm_head's one per block and HEAD_COLUMNS columns, so each
-        row gets the bits it gets stepped alone. Its logits come back as
+        each row of cache, and the run holds its B rows as (ceil(B / BLOCK),
+        BLOCK) blocks, zero rows after the B-th, each product one (BLOCK, K)
+        GEMM per block, lm_head's one per block and HEAD_COLUMNS columns, so
+        each row gets the bits it gets stepped alone. Its logits come back as
         (B, V)."""
         cfg = self.config
         positions, S = self._positions(tokens, cache)
-        if kept is None and not step:
-            kept = np.ones(tokens.shape, dtype=bool)
-        if read is None or np.count_nonzero(read) == np.count_nonzero(kept):
-            read = kept  # read lies inside kept, so as many positions are the same ones
-        run = self._tables(positions, S, kept, cache)
-        embed = self.params["tok_embed"]
-        x = _blocks(embed[tokens[:, 0]]) if step else embed[tokens[kept]][None]
+        run = self._tables(positions, S, kept, read, cache)
+        x = self.params["tok_embed"][_gather(tokens, run)]
+        x = _blocks(x) if step else x[None]
 
         for i in range(cfg.n_layers):
-            out = read if i == cfg.n_layers - 1 else kept
-            x = self._attention(x, i, cache, run, tape, out)
+            x = self._attention(x, i, cache, run, tape)
             x = x + self._ffn(x, i, tape)
         if cache is not None:
-            cache.lengths += 1 if step else kept.sum(axis=1)
+            cache.lengths += positions.shape[1] if run.kept is None else run.kept.sum(axis=1)
 
         xn, inv = _rmsnorm_fwd(x, self.params["final_norm"], cfg.rmsnorm_eps)
         if tape is not None:
@@ -492,30 +489,23 @@ class Model:
                                      for j in range(0, cfg.vocab_size, HEAD_COLUMNS)], axis=-1)
         return logits.reshape(-1, cfg.vocab_size)[:run.n]  # the blocks' real rows
 
-    def _attention(self, x, layer, cache, run: _RunTables, tape, out):
-        """x plus the attention block's output, over the positions of out, a
-        (B, T) mask inside run.kept: run.kept itself but at the last layer.
-        A cached step has no kept mask (out and run.kept None) and runs every row."""
+    def _attention(self, x, layer, cache, run: _RunTables, tape):
+        """x plus the attention block's output over the run's rows, and at the
+        last layer over the rows it reads, run.tail, alone."""
         cfg = self.config
         p = f"layers.{layer}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
 
         n = run.n  # x holds (1, n) token rows, or n rows leading a cached step's blocks
         xn, inv = _rmsnorm_fwd(x, self.params[p + "attn_norm"], cfg.rmsnorm_eps)
-        # the real rows, as views
+        # the real rows onto the (B, T) grid; a zero key past a row's end sits
+        # after every kept query of that row, so the mask hides it
         q = self._project(xn, p + "wq").reshape(-1, H, hd)[:n]
         k = self._project(xn, p + "wk").reshape(-1, KV, hd)[:n]
-        v = self._project(xn, p + "wv").reshape(-1, KV, hd)[:n]
-        q = _apply_rope(q, run.cf, run.sf)
-        k = _apply_rope(k, run.cf, run.sf)
-        kept, S = run.kept, run.S
-        if kept is None:  # a cached step: row b's one token is the grid's row b
-            B, T = n, 1
-            q, k, v = q[:, None], k[:, None], v[:, None]
-        else:  # token rows onto the (B, T) grid; a zero key past a row's end
-            # sits after every kept query of that row, so the mask hides it
-            q, k, v = _scatter(q[None], kept), _scatter(k[None], kept), _scatter(v[None], kept)
-            B, T = kept.shape
+        v = _scatter(self._project(xn, p + "wv").reshape(-1, KV, hd)[:n], run)
+        q = _scatter(_apply_rope(q, run.cf, run.sf), run)
+        k = _scatter(_apply_rope(k, run.cf, run.sf), run)
+        (B, T), S = run.grid, run.S
 
         if cache is not None:
             cache.k[layer][run.slots] = k
@@ -533,18 +523,15 @@ class Model:
         scores /= math.sqrt(hd)
         np.copyto(scores, -np.inf, where=run.hidden)
         probs = softmax(scores).reshape(B, KV, G * T, S)
-        ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T).reshape(B, T, H * hd)
+        ctx = _ungroup_heads(probs @ v_all.transpose(0, 2, 1, 3), T)
+        ctx = _gather(ctx, run).reshape(n, H * hd)
+        # back into x's layout: a reshape when the rows fill it, else a cached
+        # step's blocks, zero rows after the n-th
+        ctx = ctx.reshape(*x.shape[:2], H * hd) if n == x.shape[0] * x.shape[1] else _blocks(ctx)
+        tail = run.tail if layer == cfg.n_layers - 1 else None
         residual = x
-        if run.block is not None:  # into the step's blocks, whose pad rows stay zero
-            block = run.block
-            if block.dtype != ctx.dtype:  # weights of mixed float widths: keep ctx's
-                block = np.zeros(block.shape, ctx.dtype)
-            block.reshape(-1, H * hd)[:n] = ctx.reshape(n, -1)
-            ctx = block
-        else:  # the last layer goes on over the read rows alone
-            ctx = _gather(ctx, out, (1, -1), run.every and out is kept)
-            if out is not kept:
-                residual = _gather(x, out[kept][None], (1, -1), False)
+        if tail is not None:  # the last layer goes on over the read rows alone
+            ctx, residual = ctx[:, tail], x[:, tail]
 
         if tape is not None:
             tape.append(
@@ -560,7 +547,7 @@ class Model:
                     "probs": probs,
                     "ctx": ctx,
                     "run": run,
-                    "out": out,
+                    "tail": tail,
                 }
             )
         return residual + self._project(ctx, p + "wo")
@@ -659,19 +646,19 @@ class Model:
         return grads
 
     def _attention_bwd(self, rec, d_out, grads, need_dx=True):
-        """d loss / d the block's input x from d_out over its out rows, and the
-        adapters' gradients; only those when not need_dx, then None."""
+        """d loss / d the block's input x from d_out over its rows, the read
+        ones at the last layer, and the adapters' gradients; only those when
+        not need_dx, then None."""
         cfg = self.config
         p = f"layers.{rec['layer']}."
         H, KV, hd = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-        lead = rec["x"].shape[:2]  # (1, N) token rows
-        run = rec["run"]
-        kept, every = run.kept, run.every
-        T = kept.shape[1]
+        run, tail = rec["run"], rec["tail"]
+        lead, T = (1, run.n), run.grid[1]  # x's (1, n) token rows
 
-        ctx = rec["ctx"]
-        dctx = self._project_bwd(ctx, p + "wo", d_out, grads).reshape(*ctx.shape[:2], H, hd)
-        dctx = _group_heads(_scatter(dctx, rec["out"]), KV)  # (B, KV, G*T, hd)
+        dctx = self._project_bwd(rec["ctx"], p + "wo", d_out, grads)
+        if tail is not None:  # the read rows back among the run's rows
+            dctx, d_out = _widen(dctx, tail, run.n), _widen(d_out, tail, run.n)
+        dctx = _group_heads(_scatter(dctx.reshape(run.n, H, hd), run), KV)  # (B, KV, G*T, hd)
         probs = rec["probs"]  # (B, KV, G*T, S)
         k = rec["k"].transpose(0, 2, 1, 3)  # (B, KV, S, hd)
 
@@ -680,25 +667,22 @@ class Model:
         dv = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = softmax_backward(probs, dprobs)
         dscores /= math.sqrt(hd)
-        dq = _gather(_ungroup_heads(dscores @ k, T), kept, lead, every)
+        dq = _gather(_ungroup_heads(dscores @ k, T), run)
         # the backward of a rotation is the rotation by the negated angle
         back = -run.sf
         dq = _apply_rope(dq, run.cf, back).reshape(*lead, H * hd)
-        dv = _gather(dv.transpose(0, 2, 1, 3), kept, lead, every).reshape(*lead, KV * hd)
+        dv = _gather(dv.transpose(0, 2, 1, 3), run).reshape(*lead, KV * hd)
         if not need_dx:  # the adapters sit on wq and wv; wk's dk would feed dx alone
             self._project_bwd(rec["xn"], p + "wq", dq, grads, False)
             self._project_bwd(rec["xn"], p + "wv", dv, grads, False)
             return None
-        dk = _gather((dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3), kept, lead,
-                     every)
+        dk = _gather((dscores.transpose(0, 1, 3, 2) @ rec["qg"]).transpose(0, 2, 1, 3), run)
         dk = _apply_rope(dk, run.cf, back)
 
         dxn = self._project_bwd(rec["xn"], p + "wq", dq, grads)
         dxn += self._project_bwd(rec["xn"], p + "wk", dk.reshape(*lead, KV * hd), grads)
         dxn += self._project_bwd(rec["xn"], p + "wv", dv, grads)
-        # residual: out = x + attn(norm(x)), x narrowed to the out rows
-        if rec["out"] is not kept:
-            d_out = _scatter(d_out, rec["out"][kept].reshape(lead))
+        # residual: out = x + attn(norm(x)), x narrowed to the read rows at the last layer
         dx = _rmsnorm_bwd(rec["x"], self.params[p + "attn_norm"], rec["inv"], dxn)
         dx += d_out
         return dx

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -677,6 +678,62 @@ def test_train_checks_its_outputs_before_it_trains(workspace, tmp_path, capsys, 
     assert assert_one_line_data_error(main([str(arg) for arg in argv]), capsys) == ""
     assert list(tmp_path.iterdir()) == [folder]
     assert list(folder.iterdir()) == []
+
+
+# a command and its file flags, given a folder that holds model.olm,
+# adapter.olr, data/, a template t.txt and a config c.cfg, where an output
+# resolves to the file of another of the command's flags
+COLLIDING_FILES = {
+    "train --out on the default --model-out": lambda f: ["train", "--out", f / "model.olm"],
+    "train --out and --log": lambda f: ["train", "--out", f / "a.olr", "--log", f / "a.olr"],
+    "train --model-out and --log": lambda f: [
+        "train", "--out", f / "a.olr", "--model-out", f / "b", "--log", f / "data" / ".." / "b"],
+    "train --model and --out": lambda f: [
+        "train", "--model", f / "model.olm", "--out", f / "model.olm"],
+    "train --model and --log": lambda f: [
+        "train", "--model", f / "model.olm", "--out", f / "a.olr", "--log", f / "model.olm"],
+    "train --out and the train split": lambda f: ["train", "--out", f / "data" / "train.jsonl"],
+    "train --log and --template": lambda f: [
+        "train", "--out", f / "a.olr", "--template", f / "t.txt", "--log", f / "t.txt"],
+    "train --out and --config": lambda f: [
+        "train", "--config", f / "c.cfg", "--out", f / "c.cfg"],
+    "evaluate --out and --model": lambda f: [
+        "evaluate", "--model", f / "model.olm", "--out", f / "model.olm"],
+    "evaluate --out and --adapter": lambda f: [
+        "evaluate", "--model", f / "model.olm", "--adapter", f / "adapter.olr",
+        "--out", f / "adapter.olr"],
+    "evaluate --out and the test split": lambda f: [
+        "evaluate", "--model", f / "model.olm", "--out", f / "data" / "test.jsonl"],
+    "evaluate --out and --template": lambda f: [
+        "evaluate", "--model", f / "model.olm", "--template", f / "t.txt", "--out", f / "t.txt"],
+}
+
+
+@pytest.mark.parametrize("case", COLLIDING_FILES)
+def test_an_output_that_names_another_file_of_the_command_is_a_usage_error(
+    workspace, tmp_path, capsys, case
+):
+    """train's adapter, base model and log, and evaluate's report, each go to
+    a file of their own: an output that resolves to another output or to an
+    input is a one-line usage error before any work, and no file is written."""
+    shutil.copytree(workspace["data"], tmp_path / "data")
+    shutil.copy(workspace["model"], tmp_path / "model.olm")
+    shutil.copy(workspace["adapter"], tmp_path / "adapter.olr")
+    (tmp_path / "t.txt").write_text("Modality: {modality}\nFindings: {findings}\nDiagnosis:\n")
+    (tmp_path / "c.cfg").write_text("lora_r = 2\n")
+
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = files()
+    command, *flags = COLLIDING_FILES[case](tmp_path)
+    rest = {"train": ["--epochs", "1", "--max-seq-len", "96", "--lora-r", "2"],
+            "evaluate": ["--limit", "2", "--max-new-tokens", "4", "--top-k", "1"]}[command]
+    code = main([command, "--data", str(tmp_path / "data"), *map(str, flags), *rest])
+    printed, err = capsys.readouterr()
+    assert (code, printed) == (1, "")
+    assert re.fullmatch(r"usage error: --[a-z-]+ and --[a-z-]+ both name \S+\n", err), err
+    assert files() == before
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -424,12 +424,14 @@ def first_layer_qkv(model, tokens):
 
 def test_per_run_tables_are_built_once_per_run_not_per_layer(monkeypatch):
     """The RoPE pair tables, causal mask and cache slots of a run are built
-    once by Model._tables and read by each of the 4 layers: in a ragged
-    prefill, a cached step and a training step."""
+    once by Model._tables and read by each of the 4 layers: in a forward, a
+    ragged prefill, a cached step, a training step and one whose every
+    position is a loss position. Each run's kept is None exactly when every
+    position of it runs."""
     config = ModelConfig(d_model=16, n_layers=4, n_heads=4, n_kv_heads=2, d_ff=24,
                          vocab_size=13, max_seq_len=32)
     model = Model(config, init_params(config, seed=3))
-    runs, built, pairs, read = [], [], [], []
+    runs, built, pairs, read, masks = [], [], [], [], []
     run, tables, attention, rope_pairs = (
         Model._run, Model._tables, Model._attention, model_module._rope_pairs)
 
@@ -440,32 +442,44 @@ def test_per_run_tables_are_built_once_per_run_not_per_layer(monkeypatch):
             return got
         return wrapper
 
+    def tables_of(self, positions, S, kept, *rest):
+        masks.append(kept)
+        return tables(self, positions, S, kept, *rest)
+
     def attention_reading(self, x, layer, cache, run_tables, *rest):
         read.append(run_tables)
         return attention(self, x, layer, cache, run_tables, *rest)
 
     monkeypatch.setattr(Model, "_run", counted(runs, run))
-    monkeypatch.setattr(Model, "_tables", counted(built, tables))
+    monkeypatch.setattr(Model, "_tables", counted(built, tables_of))
     monkeypatch.setattr(Model, "_attention", attention_reading)
     monkeypatch.setattr(model_module, "_rope_pairs", counted(pairs, rope_pairs))
 
     tokens = RNG.integers(0, config.vocab_size, (3, 6))
     kept = np.arange(6) < np.array([[6], [4], [2]])
     cache = model.new_cache(3, 8)
-    steps = {
-        "prefill": lambda: model._run(tokens, cache, None, kept, None),
-        "cached step": lambda: model.step(tokens[:, 0], cache),
-        "training step": lambda: model.loss_and_grads(tokens, tokens, kept),
+    steps = {  # each phase, and whether every position of its runs runs (None: of some)
+        "forward": (lambda: model.forward(tokens), True),
+        "prefill": (lambda: model._run(tokens, cache, None, kept, None), False),
+        "cached step": (lambda: model.step(tokens[:, 0], cache), True),
+        # a shard of the training step may hold the full row alone
+        "training step": (lambda: model.loss_and_grads(tokens, tokens, kept), None),
+        "full training step": (
+            lambda: model.loss_and_grads(tokens, tokens, np.ones_like(kept)), True),
     }
-    for phase, step in steps.items():
+    for phase, (step, every) in steps.items():
         if phase == "training step":
             attach(model, rank=2, alpha=4.0)
-        for record in (runs, built, pairs, read):
+        for record in (runs, built, pairs, read, masks):
             record.clear()
         step()
         assert runs and len(built) == len(pairs) == len(runs), phase
         assert len(read) == config.n_layers * len(runs), phase
         assert {id(t) for t in read} == {id(t) for t in built}, phase
+        for tables_built, mask in zip(built, masks):
+            runs_every = mask is None or bool(mask.all())
+            assert every in (None, runs_every), phase
+            assert (tables_built.kept is None) == runs_every, phase
 
 
 def record_calls(model, method):
