@@ -111,7 +111,7 @@ _FIELD_HELP = {
     TrainConfig: {
         "learning_rate": "Adam learning rate",
         "batch_size": "records per micro-batch",
-        "max_seq_len": "token window per record",
+        "max_seq_len": "token window per record, the model's with --model",
         "grad_accum_steps": "micro-batches per optimizer step",
         "lora_r": "adapter rank",
         "lora_alpha": "adapter scale numerator",
@@ -173,14 +173,15 @@ def _parse_config_file(path) -> dict:
 def _cmd_prepare(args):
     if (args.input is None) == (args.synthesize is None):
         raise _UsageError("prepare needs exactly one of --input or --synthesize")
+    out = Path(args.out)
+    _distinct([("--out", out / name) for name in ("train.jsonl", "test.jsonl", "manifest.json")],
+              [("--input", args.input)])
     if args.synthesize is not None:
         records = synthesize(args.synthesize, seed=args.seed)
     else:
         records = ingest(args.input)
     records = dedup(records)
     parts = split(records, ratio=args.ratio, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_jsonl(parts.train, out / "train.jsonl")
     write_jsonl(parts.test, out / "test.jsonl")
     manifest = {
@@ -205,11 +206,14 @@ def _cmd_train(args):
                ("--config", args.config), ("--template", args.template)])
     records = _read_records(args.data, "train")
     template = _template_from(args)
-    config = _from_flags(TrainConfig, args, _parse_config_file(args.config) if args.config else {})
-
+    values = _parse_config_file(args.config) if args.config else {}
     if args.model:
         model, vocab = load_bundle(args.model)
-    else:
+        # train at the model's window unless --config or a flag sets one
+        values.setdefault("max_seq_len", model.config.max_seq_len)
+    config = _from_flags(TrainConfig, args, values)
+
+    if not args.model:
         texts = [" ".join(render_prompt(r, template)) for r in records]
         vocab = build(texts)
         model_config = ModelConfig(vocab_size=vocab.size, max_seq_len=config.max_seq_len)

@@ -102,8 +102,6 @@ def write_container(path: str | Path, header: dict, tensors: dict) -> None:
                 raise DataError(f"tensor {name}: unsupported dtype {arr.dtype}")
             parts += [bytes([_CODE_OF[arr.dtype]])]
             parts += [np.ascontiguousarray(arr).tobytes("C")]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, b"".join(parts))
 
 

@@ -164,8 +164,6 @@ def ingest(path: str | Path) -> list[ReportRecord]:
 
 def write_jsonl(records: list[ReportRecord] | tuple[ReportRecord, ...], path: str | Path) -> None:
     """Write records to a JSON-lines file (the inverse of ingest)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = ({**asdict(rec), "flags": sorted(rec.flags)} for rec in records)
     write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
                  .encode("utf-8"))

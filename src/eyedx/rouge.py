@@ -181,13 +181,17 @@ def evaluate(
 
 
 def format_table(named_reports) -> str:
-    """Markdown table of F-measures: one row per model, columns R-1/R-2/R-L."""
+    """Markdown table of F-measures, columns R-1/R-2/R-L: a row per model,
+    each followed by a row per modality of its report, named model/modality."""
+    def row(label, means):
+        cells = [label] + [f"{means[metric].f1:.4f}" for metric in ("rouge1", "rouge2", "rouge_l")]
+        return "| " + " | ".join(cells) + " |"
+
     lines = ["| model | R-1 | R-2 | R-L |", "| --- | --- | --- | --- |"]
     for name, report in named_reports:
-        lines.append(
-            f"| {name} | {report.means['rouge1'].f1:.4f} | {report.means['rouge2'].f1:.4f} "
-            f"| {report.means['rouge_l'].f1:.4f} |"
-        )
+        lines.append(row(name, report.means))
+        lines += [row(f"{name}/{modality}", means)
+                  for modality, means in report.by_modality.items()]
     return "\n".join(lines) + "\n"
 
 

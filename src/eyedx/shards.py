@@ -7,10 +7,13 @@ can be, then its lightest as heavy, with the earliest cuts on ties.
 
 Each cut comes with its runner, run(fn, shards) = [fn(shard) for shard in
 shards]: threaded's runs the training step's shards on threads, forked's runs
-decode_batch's in forked children. A child gets only the forking thread, so
-forked ends the shard threads first and, while another thread is alive, cuts
-one shard. A decode row keeps its seed stream in any shard, though its logits
-may differ in the last bit, as ragged rows round with the batch they step in.
+decode_batch's in forked children. The shard threads belong to the process,
+and only this module ends them: the first step of several shards starts
+them, and they last until forked's cut or the process's exit. A child gets
+only the forking thread, so forked ends the shard threads first and, while
+another thread is alive, cuts one shard. A decode row keeps its seed stream
+in any shard, though its logits may differ in the last bit, as ragged rows
+round with the batch they step in.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ _pool = None  # the process's shard threads; cores and the fork rule are per pro
 def _thread_map(fn, items) -> list:
     """[fn(item) for item in items]: the first on the calling thread, the rest
     on the process's shard threads, started by the first call of several items
-    and kept, with their malloc arenas, until end_shard_threads; one caller at a time."""
+    and kept, with their malloc arenas, until end_shard_threads or the
+    process's exit; one caller at a time."""
     global _pool
     if len(items) > 1 and _pool is None:
         _pool = ThreadPoolExecutor(thread_name_prefix="eyedx-shard")
@@ -110,7 +114,7 @@ def _thread_map(fn, items) -> list:
 
 
 def end_shard_threads() -> None:
-    """End the shard threads, if any run."""
+    """End the shard threads, if any run; forked calls it first."""
     global _pool
     if _pool is not None:
         _pool.shutdown()

@@ -19,7 +19,6 @@ import numpy as np
 from .corpus import DEFAULT_TEMPLATE, PromptTemplate, render_prompt
 from .errors import DataError, NumericError
 from .model import Model
-from .shards import end_shard_threads
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
 
@@ -181,47 +180,44 @@ def train(
     result = TrainResult(adapter=adapter)
 
     t0 = time.perf_counter()
-    try:
-        for _epoch in range(config.epochs):
-            order = rng.permutation(len(records))
-            batches = _micro_batches(records, order, vocab, template, config, result)
-            while True:
-                started, skipped = time.perf_counter(), result.skipped
-                grad_sum = {name: np.zeros_like(w) for name, w in trainable.items()}
-                loss_sum = 0.0
-                n_tokens = 0
-                input_tokens = 0
-                for batch in islice(batches, config.grad_accum_steps):
-                    loss, grads = model.loss_and_grads(batch.inputs, batch.labels, batch.mask)
-                    if not np.isfinite(loss):
-                        raise NumericError(f"non-finite loss at optimizer step {result.steps + 1}")
-                    n = batch.n_tokens
-                    for name in trainable:
-                        grad_sum[name] += n * grads[name]
-                    loss_sum += n * loss
-                    n_tokens += n
-                    if log is not None:
-                        input_tokens += int((batch.inputs != PAD_ID).sum())
-                if n_tokens == 0:  # the epoch's batches are spent
-                    break
+    for _epoch in range(config.epochs):
+        order = rng.permutation(len(records))
+        batches = _micro_batches(records, order, vocab, template, config, result)
+        while True:
+            started, skipped = time.perf_counter(), result.skipped
+            grad_sum = {name: np.zeros_like(w) for name, w in trainable.items()}
+            loss_sum = 0.0
+            n_tokens = 0
+            input_tokens = 0
+            for batch in islice(batches, config.grad_accum_steps):
+                loss, grads = model.loss_and_grads(batch.inputs, batch.labels, batch.mask)
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at optimizer step {result.steps + 1}")
+                n = batch.n_tokens
                 for name in trainable:
-                    grad_sum[name] /= n_tokens
+                    grad_sum[name] += n * grads[name]
+                loss_sum += n * loss
+                n_tokens += n
                 if log is not None:
-                    before = {name: w.copy() for name, w in trainable.items()}
-                opt.step(trainable, grad_sum)
-                loss = loss_sum / n_tokens
-                result.loss_history.append(loss)
-                result.steps += 1
-                result.tokens_seen += n_tokens
-                if log is not None:
-                    elapsed = max(time.perf_counter() - started, 1e-9)
-                    grad_norm = _norm(grad_sum.values())
-                    update_norm = _norm(w - before[name] for name, w in trainable.items())
-                    log(f"step={result.steps} loss={loss:.6f} grad_norm={grad_norm:.6g} "
-                        f"update_norm={update_norm:.6g} skipped={result.skipped - skipped} "
-                        f"tokens_per_sec={input_tokens / elapsed:.1f}")
-    finally:
-        end_shard_threads()
+                    input_tokens += int((batch.inputs != PAD_ID).sum())
+            if n_tokens == 0:  # the epoch's batches are spent
+                break
+            for name in trainable:
+                grad_sum[name] /= n_tokens
+            if log is not None:
+                before = {name: w.copy() for name, w in trainable.items()}
+            opt.step(trainable, grad_sum)
+            loss = loss_sum / n_tokens
+            result.loss_history.append(loss)
+            result.steps += 1
+            result.tokens_seen += n_tokens
+            if log is not None:
+                elapsed = max(time.perf_counter() - started, 1e-9)
+                grad_norm = _norm(grad_sum.values())
+                update_norm = _norm(w - before[name] for name, w in trainable.items())
+                log(f"step={result.steps} loss={loss:.6f} grad_norm={grad_norm:.6g} "
+                    f"update_norm={update_norm:.6g} skipped={result.skipped - skipped} "
+                    f"tokens_per_sec={input_tokens / elapsed:.1f}")
     if result.steps == 0:
         raise DataError(f"no optimizer step ran: all {len(records)} records were skipped, "
                         f"none leaves room for a target within max_seq_len {config.max_seq_len}")

@@ -456,7 +456,10 @@ def test_evaluate_one_model_gives_single_row_table(workspace, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "| model | R-1 | R-2 | R-L |"
     assert lines[2].startswith("| model |")
-    assert lines[3] == f"wrote {out}"
+    modalities = json.loads(out.read_text())["model"]["by_modality"]
+    assert [line.split(" | ")[0] for line in lines[3:3 + len(modalities)]] == [
+        f"| model/{modality}" for modality in modalities]
+    assert lines[3 + len(modalities)] == f"wrote {out}"
 
 
 def test_evaluate_pairs_models_with_adapters(workspace, tmp_path, capsys):
@@ -641,6 +644,20 @@ def test_train_with_a_base_model_rejects_model_out(workspace, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no adapter, log or base model
 
 
+def test_train_on_a_base_model_takes_its_window_unless_told_otherwise(workspace, tmp_path, capsys):
+    """train --model with no max_seq_len from a flag or --config trains at the
+    model's window, as if it were given; a larger one given is a data error."""
+    argv = ["train", "--data", str(workspace["data"]), "--model", str(workspace["model"]),
+            "--epochs", "1", "--lora-r", "2"]
+    assert main([*argv, "--out", str(tmp_path / "default.olr")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "given.olr"), "--max-seq-len", "96"]) == 0
+    assert (tmp_path / "default.olr").read_bytes() == (tmp_path / "given.olr").read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "wider.olr"), "--max-seq-len", "97"]) == 2
+    assert capsys.readouterr() == (
+        "", "data error: max_seq_len 97 exceeds the model's window 96\n")
+
+
 def test_train_that_fails_without_a_base_model_writes_no_base_model(workspace, tmp_path, capsys):
     """Without --model the base model is saved and announced only once
     training has run: a failed run leaves no model.olm and prints nothing."""
@@ -706,6 +723,10 @@ COLLIDING_FILES = {
         "evaluate", "--model", f / "model.olm", "--out", f / "data" / "test.jsonl"],
     "evaluate --out and --template": lambda f: [
         "evaluate", "--model", f / "model.olm", "--template", f / "t.txt", "--out", f / "t.txt"],
+    "prepare --input and the train split": lambda f: [
+        "prepare", "--input", f / "data" / "train.jsonl", "--out", f / "data"],
+    "prepare --input and the test split": lambda f: [
+        "prepare", "--input", f / "data" / "test.jsonl", "--out", f / "data" / ".." / "data"],
 }
 
 
@@ -713,9 +734,10 @@ COLLIDING_FILES = {
 def test_an_output_that_names_another_file_of_the_command_is_a_usage_error(
     workspace, tmp_path, capsys, case
 ):
-    """train's adapter, base model and log, and evaluate's report, each go to
-    a file of their own: an output that resolves to another output or to an
-    input is a one-line usage error before any work, and no file is written."""
+    """train's adapter, base model and log, evaluate's report and prepare's
+    split, each go to a file of their own: an output that resolves to another
+    output or to an input is a one-line usage error before any work, and no
+    file is written."""
     shutil.copytree(workspace["data"], tmp_path / "data")
     shutil.copy(workspace["model"], tmp_path / "model.olm")
     shutil.copy(workspace["adapter"], tmp_path / "adapter.olr")
@@ -727,9 +749,11 @@ def test_an_output_that_names_another_file_of_the_command_is_a_usage_error(
 
     before = files()
     command, *flags = COLLIDING_FILES[case](tmp_path)
-    rest = {"train": ["--epochs", "1", "--max-seq-len", "96", "--lora-r", "2"],
-            "evaluate": ["--limit", "2", "--max-new-tokens", "4", "--top-k", "1"]}[command]
-    code = main([command, "--data", str(tmp_path / "data"), *map(str, flags), *rest])
+    data = ["--data", str(tmp_path / "data")]
+    rest = {"prepare": [],
+            "train": [*data, "--epochs", "1", "--max-seq-len", "96", "--lora-r", "2"],
+            "evaluate": [*data, "--limit", "2", "--max-new-tokens", "4", "--top-k", "1"]}[command]
+    code = main([command, *map(str, flags), *rest])
     printed, err = capsys.readouterr()
     assert (code, printed) == (1, "")
     assert re.fullmatch(r"usage error: --[a-z-]+ and --[a-z-]+ both name \S+\n", err), err

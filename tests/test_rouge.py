@@ -399,12 +399,19 @@ def two_reports(monkeypatch):
 
 
 def test_format_table_one_row_per_model(monkeypatch):
-    table = format_table(two_reports(monkeypatch))
-    lines = table.strip().splitlines()
+    """A row per model, each followed by a row per modality of its report in
+    sorted order, each row holding its own means."""
+    records = small_records()
+    only_oct = stub_evaluate(
+        monkeypatch, records, lambda r, vocab: (echo if r.modality == "OCT" else silent)(r, vocab))
+    lines = format_table([*two_reports(monkeypatch), ("oct", only_oct)]).strip().splitlines()
     assert lines[0] == "| model | R-1 | R-2 | R-L |"
-    assert len(lines) == 4
-    assert lines[2] == "| tuned | 1.0000 | 1.0000 | 1.0000 |"
-    assert lines[3] == "| base | 0.0000 | 0.0000 | 0.0000 |"
+    assert lines[2:] == [f"| {name} | {f1} | {f1} | {f1} |" for name, f1 in [
+        ("tuned", "1.0000"), ("tuned/CFP", "1.0000"), ("tuned/OCT", "1.0000"),
+        ("tuned/OSA", "1.0000"),
+        ("base", "0.0000"), ("base/CFP", "0.0000"), ("base/OCT", "0.0000"),
+        ("base/OSA", "0.0000"),
+        ("oct", "0.3333"), ("oct/CFP", "0.0000"), ("oct/OCT", "1.0000"), ("oct/OSA", "0.0000")]]
 
 
 def test_written_report_is_valid_json_with_all_components(tmp_path, monkeypatch):

@@ -313,9 +313,10 @@ def test_accumulation_steps_change_step_count_not_token_count():
     assert r2.steps == 3
 
 
-def test_train_ends_its_shard_threads(monkeypatch, single_threaded):
-    """The step's shard threads end with train, as it returns and as it
-    raises, so decode_batch forks its decode shards straight after."""
+def test_train_shares_the_process_shard_threads(monkeypatch, single_threaded):
+    """The step's shard threads belong to the process: a second train steps
+    on the thread the first one started, and decode_batch straight after
+    ends it and forks its decode shards."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(shards_module, "_usable_cores", lambda: 2)
 
@@ -325,9 +326,11 @@ def test_train_ends_its_shard_threads(monkeypatch, single_threaded):
     records, vocab = corpus_and_vocab(4)
     model = fresh()
     during = []
-    train(model, records, vocab, small_train_config(), log=lambda _: during.append(shard_threads()))
-    assert during and all(during)  # every step ran on a second thread
-    assert shard_threads() == []
+    for _ in range(2):
+        train(model, records, vocab, small_train_config(),
+              log=lambda _: during.append(shard_threads()))
+    assert len(during) > 2 and all(during)  # every step of both ran on a second thread
+    assert all(set(during[0]) <= set(threads) for threads in during)
 
     splits = []
     split = shards_module._split_rows
@@ -335,10 +338,4 @@ def test_train_ends_its_shard_threads(monkeypatch, single_threaded):
                         lambda weights, n: splits.append(split(weights, n)) or splits[-1])
     decode_batch(model, [[BOS_ID, 5, 6], [BOS_ID, 7]], DecodeParams(max_new_tokens=2))
     assert [len(shards) for shards in splits] == [2]
-
-    poisoned = fresh()
-    for t in poisoned.adapter.targets:
-        poisoned.adapter.b[t][:] = np.nan
-    with pytest.raises(NumericError, match="step 1"):
-        train(poisoned, records, vocab, small_train_config())
     assert shard_threads() == []
