@@ -278,15 +278,13 @@ def _cmd_evaluate(args):
     for i, name in enumerate(names):
         if name in names[:i]:
             raise _UsageError(f"two rows are named {name!r}; the report keys rows by name")
+    if args.limit is not None and args.limit < 1:
+        raise _UsageError("--limit must be >= 1")
     _output("--out", args.out)  # before any model is decoded
     _distinct([("--out", args.out)], [("--model", m) for m in args.model]
               + [("--adapter", a) for a in adapters if a != "-"]
               + [("--data", Path(args.data) / "test.jsonl"), ("--template", args.template)])
-    records = _read_records(args.data, "test")
-    if args.limit is not None:
-        if args.limit < 1:
-            raise _UsageError("--limit must be >= 1")
-        records = records[: args.limit]
+    records = _read_records(args.data, "test")[: args.limit]
     template = _template_from(args)
     params = _from_flags(DecodeParams, args)
 

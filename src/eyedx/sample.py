@@ -9,10 +9,11 @@ approximately. Greedy decoding is top_k=1 with repetition_penalty=1.
 decode_batch is the one way to decode: it prefills a batch of prompts into
 one KV cache with Model.prefill, steps the live rows in lockstep with
 Model.step, and samples all live rows of a step in one pass: filter_logits
-over their (R, V) logits and seen mask, then draw, which reproduces each
-row's Generator.choice. A greedy step (top_k=1) whose rows each have one
-finite top takes the argmax instead, with the same tokens and streams. Only a
-step with a non-finite row splits its rows, so that such a row fails alone.
+over the (R, V) logits and seen mask of its rows with finite logits, then
+draw over those with finite probabilities, which reproduces each row's
+Generator.choice; a row whose logits or probabilities are not finite fails
+alone. A greedy step (top_k=1) whose rows each have one finite top takes
+the argmax instead, with the same tokens and streams.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ class DecodeParams:
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise DataError(f"temperature must be finite and > 0, got {self.temperature}")
-        if self.max_new_tokens < 0:
-            raise DataError(f"max_new_tokens must be >= 0, got {self.max_new_tokens}")
-        if self.top_k < 1:
-            raise DataError(f"top_k must be >= 1, got {self.top_k}")
+        if not (isinstance(self.max_new_tokens, numbers.Integral) and self.max_new_tokens >= 0):
+            raise DataError(f"max_new_tokens must be an integer >= 0, got {self.max_new_tokens}")
+        if not (isinstance(self.top_k, numbers.Integral) and self.top_k >= 1):
+            raise DataError(f"top_k must be an integer >= 1, got {self.top_k}")
         if not 0 < self.top_p <= 1:
             raise DataError(f"top_p must be in (0, 1], got {self.top_p}")
         if not (math.isfinite(self.repetition_penalty) and self.repetition_penalty >= 1):
@@ -108,10 +109,10 @@ def _argmax(logits: np.ndarray, seen: np.ndarray, rngs, params: DecodeParams):
     top-k cut leaves each row one token of probability 1, so draw returns its
     argmax whatever random() gives. Each row takes that argmax, and its
     generator advances by the one random() draw takes. Otherwise this returns
-    None and the step runs filter_logits and draw: a tie breaks by the row's
+    None and the step samples as any other: a tie breaks by the row's
     stream, and a non-finite row fails alone."""
     z = _scaled(logits, seen, params)
-    if not _finite(z) or np.count_nonzero(z == z.max(axis=1, keepdims=True)) != len(z):
+    if not np.isfinite(z).all() or np.count_nonzero(z == z.max(axis=1, keepdims=True)) != len(z):
         return None
     for rng in rngs:
         rng.random()
@@ -207,14 +208,10 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
     for row, ids in enumerate(prompts):
         seen[row, ids] = True
     while live:
-        rows = np.arange(len(live))  # every row draws, unless one fails
+        rows = np.arange(len(live))  # an argmax step draws every row
         drawn = _argmax(logits, seen, rngs, params) if params.top_k == 1 else None
         if drawn is None:
-            probs = filter_logits(logits, seen, params) if _finite(logits) else None
-            if probs is not None and _finite(probs):
-                drawn = draw(probs, rngs)
-            else:  # a row with non-finite logits or probabilities fails alone
-                rows, drawn = _draw_rows(logits, seen, rngs, params, live, results)
+            rows, drawn = _draw_rows(logits, seen, rngs, params, live, results)
         seen[rows, drawn] = True
         nxt, keep = [], []
         for row, tok in zip(rows.tolist(), drawn.tolist()):
@@ -237,30 +234,26 @@ def _lockstep(model: Model, prompts, budget, params: DecodeParams) -> list[Gener
     return results
 
 
-def _finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite: while a step's logits and
-    probabilities are, its rows all draw at once."""
-    return bool(np.isfinite(a).all())
-
-
 def _draw_rows(logits, seen, rngs, params: DecodeParams, live, results):
-    """A step's draws row by row: the rows whose logits and filtered
-    probabilities are finite draw, the others fail, each with its error put
-    in results. Returns the rows that drew and their tokens."""
+    """A sampled step's draws: the rows whose logits and filtered
+    probabilities are finite draw, in one filter_logits and one draw; the
+    others fail, each with its error put in results. Returns the rows that
+    drew and their tokens."""
     finite = np.isfinite(logits).all(axis=1)
     rows = np.flatnonzero(finite)
     probs = filter_logits(logits[rows], seen[rows], params)
     # an overflowing temperature or penalty leaves a row no distribution
     drawable = np.isfinite(probs).all(axis=1)
-    failed = [(row, "logits") for row in np.flatnonzero(~finite)]
-    failed += [(row, "probabilities (the temperature or penalty overflowed)")
-               for row in rows[~drawable]]
-    for row, what in failed:
-        out = results[live[row]].tokens
-        error = NumericError(f"non-finite {what} at generation step {len(out)}")
-        results[live[row]] = Generation(out, "error", error)
-    rows = rows[drawable]
-    return rows, draw(probs[drawable], [rngs[r] for r in rows])
+    if len(rows) < len(live) or not drawable.all():  # a row fails alone
+        failed = [(row, "logits") for row in np.flatnonzero(~finite)]
+        failed += [(row, "probabilities (the temperature or penalty overflowed)")
+                   for row in rows[~drawable]]
+        for row, what in failed:
+            out = results[live[row]].tokens
+            error = NumericError(f"non-finite {what} at generation step {len(out)}")
+            results[live[row]] = Generation(out, "error", error)
+        rows, probs = rows[drawable], probs[drawable]
+    return rows, draw(probs, [rngs[row] for row in rows.tolist()])
 
 
 def decode(model: Model, prompt_ids, params: DecodeParams) -> list[int]:

@@ -35,8 +35,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "max_seq_len", "grad_accum_steps", "lora_r", "epochs"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"TrainConfig.{name} must be positive")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value > 0):
+                raise DataError(f"TrainConfig.{name} must be a positive integer, got {value}")
         for name in ("learning_rate", "lora_alpha"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

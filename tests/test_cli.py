@@ -504,6 +504,20 @@ def test_evaluate_rows_of_one_name_are_a_usage_error(workspace, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_evaluate_limit_below_one_is_a_usage_error_before_any_file_is_read(
+    workspace, tmp_path, capsys, limit
+):
+    """--limit is checked with the other usage checks, ahead of the test split:
+    a data directory without test.jsonl does not turn it into a data error."""
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--model", str(workspace["model"]), "--data", str(tmp_path),
+            "--out", str(out), "--limit", limit]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "usage error: --limit must be >= 1\n")
+    assert not out.exists()
+
+
 def test_evaluate_prints_each_models_decode_time_after_the_report(workspace, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(evaluate_args(

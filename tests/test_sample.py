@@ -702,29 +702,29 @@ def test_failing_rows_fail_alone():
     prompts=st.lists(st.lists(st.integers(0, CFG.vocab_size - 1), min_size=1, max_size=20),
                      min_size=1, max_size=6),
 )
-def test_all_finite_steps_draw_as_the_per_row_path(dtype, sampled, seed, prompts):
-    """While every row's logits and probabilities are finite, a step filters
-    and draws all its rows at once. Ragged batches, greedy and sampled, give
-    the same Generations as when every step goes through the per-row split."""
+def test_every_sampled_step_draws_through_the_per_row_split(dtype, sampled, seed, prompts):
+    """A step that does not take the argmax draws through _draw_rows once,
+    every row finite or not: ragged sampled batches call it once per prefill
+    and per cached step, and greedy batches on untied logits never."""
     model = Model(CFG, init_params(CFG, seed=4, scale=0.5, dtype=dtype))
     params = DecodeParams(max_new_tokens=12, seed=seed) if sampled else greedy(12, seed=seed)
-    split_steps = []
-    draw_rows = sample_module._draw_rows
+    calls = {"logits": 0, "split": 0}
 
-    def counting(*args):
-        split_steps.append(1)
-        return draw_rows(*args)
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shards_module, "_shard_count", lambda rows: 1)  # count in this process
-        patch.setattr(sample_module, "_draw_rows", counting)
-        fast = decode_batch(model, prompts, params)
-        assert split_steps == []  # every step took the all-rows path
-        patch.setattr(sample_module, "_finite", lambda a: False)
-        per_row = decode_batch(model, prompts, params)
-        assert split_steps  # and here every step split its rows
-    assert all(g.error is None for g in fast)
-    assert fast == per_row
+        patch.setattr(model, "prefill", counting("logits", model.prefill))
+        patch.setattr(model, "step", counting("logits", model.step))
+        patch.setattr(sample_module, "_draw_rows", counting("split", sample_module._draw_rows))
+        got = decode_batch(model, prompts, params)
+    assert all(g.error is None for g in got)
+    assert calls["logits"] > 0
+    assert calls["split"] == (calls["logits"] if sampled else 0)
 
 
 def rounded(model, levels):

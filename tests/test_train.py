@@ -57,6 +57,20 @@ def test_train_config_defaults_and_validation():
         TrainConfig(seed=-1)
 
 
+COUNTS = [(DecodeParams, "max_new_tokens"), (DecodeParams, "top_k")] + [
+    (TrainConfig, name)
+    for name in ("batch_size", "max_seq_len", "grad_accum_steps", "lora_r", "epochs")]
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0])
+@pytest.mark.parametrize("settings, name", COUNTS)
+def test_a_count_that_is_not_an_integer_is_a_one_line_data_error(settings, name, value):
+    """A count is checked when the settings are built, not where a loop, a
+    cache or numpy first meets it."""
+    with pytest.raises(DataError, match=f"{name} must be .*integer.*, got {value}$"):
+        settings(**{name: value})
+
+
 # ------------------------------------------------------------- make_batch
 
 
