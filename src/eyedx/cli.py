@@ -7,6 +7,11 @@ comparison across checkpoints, with each checkpoint's decode time).
 Exit codes: 0 success, 1 usage error, 2 data error (also a file that cannot
 be read or written), 3 numeric failure, 130 interrupted (Ctrl-C), 141 stdout
 closed by its reader (a broken pipe).
+
+The commands leave every file-system decision to eyedx.files: each input is
+read there, so a missing one reads "<path> not found" whatever its flag, and
+prepare, train and evaluate hand it their output and input paths, checked
+by one rule before any work.
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from .corpus import (
     ingest,
     load_template,
     modality_counts,
-    read_text,
     render_prompt,
     split,
     synthesize,
     write_jsonl,
 )
-from .errors import DataError, NumericError
-from .files import write_atomic
+from .errors import DataError, NumericError, UsageError
+from .files import check_outputs, input_text, write_atomic
 from .lora import attach, load_adapter, merge, save_adapter
 from .model import Model, ModelConfig, init_params
 from .quant import QuantizedModel, quantize_model
@@ -47,15 +51,11 @@ from .tokenizer import BOS_ID, build
 from .train import TrainConfig, train
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse normally exits 2 on bad flags; route that through exit code 1."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 # ------------------------------------------------------------------ helpers
@@ -63,38 +63,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_records(data_dir, name: str):
     path = Path(data_dir) / f"{name}.jsonl"
-    if not path.exists():
-        raise DataError(f"{path} not found; run prepare first")
     records = ingest(path)
     if not records:
         raise DataError(f"{path} contains no records")
     return records
-
-
-def _output(flag: str, path) -> Path:
-    """path, checked before any work: a file to write, not a directory, in a
-    directory that exists."""
-    path = Path(path)
-    if path.is_dir():
-        raise DataError(f"{flag} {path} is a directory")
-    if not path.parent.is_dir():
-        raise DataError(f"{flag} {path}: no directory {path.parent}")
-    return path
-
-
-def _distinct(outputs, inputs=()):
-    """A usage error unless each output names a file of its own, no other
-    output's and no input's once resolved; both are (flag, path) pairs, and
-    a pair whose path is None names no file."""
-    named = {}
-    for i, (flag, path) in enumerate([*outputs, *inputs]):
-        if path is None:
-            continue
-        key = Path(path).resolve()
-        if key in named:
-            raise _UsageError(f"{named[key]} and {flag} both name {path}")
-        if i < len(outputs):
-            named[key] = flag
 
 
 def _template_from(args):
@@ -144,13 +116,10 @@ def _from_flags(cls, args, values=()):
 
 
 def _parse_config_file(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
     hints = typing.get_type_hints(TrainConfig)
     valid = {f.name for f in fields(TrainConfig)}
     values: dict = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(input_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -172,10 +141,12 @@ def _parse_config_file(path) -> dict:
 
 def _cmd_prepare(args):
     if (args.input is None) == (args.synthesize is None):
-        raise _UsageError("prepare needs exactly one of --input or --synthesize")
+        raise UsageError("prepare needs exactly one of --input or --synthesize")
+    if args.synthesize is not None and args.synthesize < 1:
+        raise UsageError("--synthesize must be >= 1")
     out = Path(args.out)
-    _distinct([("--out", out / name) for name in ("train.jsonl", "test.jsonl", "manifest.json")],
-              [("--input", args.input)])
+    check_outputs([("--out", out / name) for name in ("train.jsonl", "test.jsonl", "manifest.json")],
+                  [("--input", args.input)])
     if args.synthesize is not None:
         records = synthesize(args.synthesize, seed=args.seed)
     else:
@@ -197,13 +168,12 @@ def _cmd_prepare(args):
 
 
 def _cmd_train(args):
-    out = _output("--out", args.out)
-    model_out = None if args.model else _output(
-        "--model-out", args.model_out or out.parent / "model.olm")
-    log_path = _output("--log", args.log or str(args.out) + ".log")
-    _distinct([("--out", out), ("--model-out", model_out), ("--log", log_path)],
-              [("--model", args.model), ("--data", Path(args.data) / "train.jsonl"),
-               ("--config", args.config), ("--template", args.template)])
+    out = Path(args.out)
+    model_out = None if args.model else Path(args.model_out or out.parent / "model.olm")
+    log_path = args.log or str(args.out) + ".log"
+    check_outputs([("--out", out), ("--model-out", model_out), ("--log", log_path)],
+                  [("--model", args.model), ("--data", Path(args.data) / "train.jsonl"),
+                   ("--config", args.config), ("--template", args.template)])
     records = _read_records(args.data, "train")
     template = _template_from(args)
     values = _parse_config_file(args.config) if args.config else {}
@@ -255,10 +225,7 @@ def _cmd_infer(args):
 
     findings = args.report
     if findings.startswith("@"):
-        path = Path(findings[1:])
-        if not path.exists():
-            raise DataError(f"report file not found: {path}")
-        findings = read_text(path)
+        findings = input_text(findings[1:])
     findings = findings.strip()
     if not findings:
         raise DataError("empty report text")
@@ -271,19 +238,18 @@ def _cmd_infer(args):
 def _cmd_evaluate(args):
     adapters = args.adapter or ["-"] * len(args.model)
     if len(adapters) != len(args.model):
-        raise _UsageError("--adapter count must match --model count (use '-' for none)")
+        raise UsageError("--adapter count must match --model count (use '-' for none)")
     # the report is keyed by row name, so two rows of one name would lose one
     names = [Path(m).stem + ("" if a == "-" else "+" + Path(a).stem)
              for m, a in zip(args.model, adapters)]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise _UsageError(f"two rows are named {name!r}; the report keys rows by name")
+            raise UsageError(f"two rows are named {name!r}; the report keys rows by name")
     if args.limit is not None and args.limit < 1:
-        raise _UsageError("--limit must be >= 1")
-    _output("--out", args.out)  # before any model is decoded
-    _distinct([("--out", args.out)], [("--model", m) for m in args.model]
-              + [("--adapter", a) for a in adapters if a != "-"]
-              + [("--data", Path(args.data) / "test.jsonl"), ("--template", args.template)])
+        raise UsageError("--limit must be >= 1")
+    check_outputs([("--out", args.out)], [("--model", m) for m in args.model]
+                  + [("--adapter", a) for a in adapters if a != "-"]
+                  + [("--data", Path(args.data) / "test.jsonl"), ("--template", args.template)])
     records = _read_records(args.data, "test")[: args.limit]
     template = _template_from(args)
     params = _from_flags(DecodeParams, args)
@@ -371,7 +337,7 @@ def main(argv=None) -> int:
             args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush
         return 0
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # the reader left; on devnull the exit-time flush cannot fail

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .files import write_atomic
+from .files import input_bytes, write_atomic
 from .model import Model, ModelConfig
 from .quant import QuantizedModel, QuantTensor
 from .tokenizer import SPECIAL_TOKENS, Vocabulary
@@ -107,9 +107,7 @@ def write_container(path: str | Path, header: dict, tensors: dict) -> None:
 
 def read_container(path: str | Path) -> tuple[dict, dict]:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"container file not found: {path}")
-    r = _Reader(path.read_bytes(), path)
+    r = _Reader(input_bytes(path), path)
     if r.take(4) != MAGIC:
         raise DataError(f"{path}: not a container file (bad magic)")
     version = r.u32()

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DataError
-from .files import write_atomic
+from .files import input_text, write_atomic
 
 MODALITIES = ("OSA", "CFP", "OCT")
 
@@ -92,18 +92,9 @@ def normalize_text(text: str) -> str:
     return _WS_RE.sub(" ", unicodedata.normalize("NFC", text)).strip()
 
 
-def read_text(path: Path) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise DataError."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-
-
 def load_template(path: str | Path) -> PromptTemplate:
     """Read a template file: instruction text, last non-empty line = response prefix."""
-    text = read_text(Path(path))
-    lines = text.splitlines()
+    lines = input_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -120,11 +111,8 @@ def ingest(path: str | Path) -> list[ReportRecord]:
     DataError naming the line number.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
-
     records: list[ReportRecord] = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(input_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -150,6 +150,38 @@ def test_prepare_stores_an_integer_id_as_its_digits(tmp_path):
     assert ids == {"x5", "6", "7", "8"}
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_prepare_synthesize_below_one_is_a_usage_error_naming_the_flag(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert main(["prepare", "--synthesize", n, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "usage error: --synthesize must be >= 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("source", ["--synthesize", "--input"])
+def test_prepare_out_under_a_file_is_a_data_error_before_the_corpus_is_read(
+    tmp_path, capsys, monkeypatch, source, below
+):
+    """An --out that is a file, or lies under one, is found before the corpus
+    is synthesized or read: neither runs."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the corpus was made before --out was checked")
+
+    monkeypatch.setattr(cli, "synthesize", must_not_run)
+    monkeypatch.setattr(cli, "ingest", must_not_run)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    reports = tmp_path / "reports.jsonl"
+    write_jsonl(synthesize(3, seed=2), reports)
+    value = {"--synthesize": "3", "--input": str(reports)}[source]
+    out = taken / below if below else taken
+    code = main(["prepare", source, value, "--out", str(out)])
+    assert assert_one_line_data_error(code, capsys) == ""
+    assert sorted(tmp_path.iterdir()) == [reports, taken]
+    assert taken.read_text() == "a file\n"
+
+
 # -- train --------------------------------------------------------------------
 
 
@@ -682,26 +714,20 @@ def test_train_that_fails_without_a_base_model_writes_no_base_model(workspace, t
 
 
 # the output flags of a fresh-model train run, given an existing empty folder,
-# where one output is a directory or lies in a missing one
+# where one output is a directory
 UNWRITABLE_TRAIN_OUTPUTS = {
     "--out directory": lambda folder: ["--out", folder],
-    "--out in a missing directory": lambda folder: ["--out", folder / "missing" / "adapter.olr"],
     "--model-out directory": lambda folder: [
         "--out", folder / "adapter.olr", "--model-out", folder],
-    "--model-out in a missing directory": lambda folder: [
-        "--out", folder / "adapter.olr", "--model-out", folder / "missing" / "model.olm"],
     "--log directory": lambda folder: ["--out", folder / "adapter.olr", "--log", folder],
-    "--log in a missing directory": lambda folder: [
-        "--out", folder / "adapter.olr", "--log", folder / "missing" / "train.log"],
 }
 
 
 @pytest.mark.parametrize("case", UNWRITABLE_TRAIN_OUTPUTS)
 def test_train_checks_its_outputs_before_it_trains(workspace, tmp_path, capsys, case):
-    """An output that is a directory, or whose directory is missing, is a
-    one-line data error found before the first step: train prints no step
-    line and writes no file, neither the base model nor the adapter nor the
-    log."""
+    """An output that is a directory is a one-line data error found before
+    the first step: train prints no step line and writes no file, neither
+    the base model nor the adapter nor the log."""
     folder = tmp_path / "folder"
     folder.mkdir()
     argv = ["train", "--data", workspace["data"], "--epochs", "1", "--max-seq-len", "96",
@@ -709,6 +735,74 @@ def test_train_checks_its_outputs_before_it_trains(workspace, tmp_path, capsys, 
     assert assert_one_line_data_error(main([str(arg) for arg in argv]), capsys) == ""
     assert list(tmp_path.iterdir()) == [folder]
     assert list(folder.iterdir()) == []
+
+
+# a command's argv, given the workspace and an existing empty folder, where
+# one output lies in a directory that is missing, and the files the command
+# then writes under the folder
+MISSING_DIRECTORY_OUTPUTS = {
+    "train --out": lambda w, folder: (
+        ["train", "--data", w["data"], "--out", folder / "missing" / "adapter.olr"],
+        ["missing/adapter.olr", "missing/adapter.olr.log", "missing/model.olm"]),
+    "train --model-out": lambda w, folder: (
+        ["train", "--data", w["data"], "--out", folder / "adapter.olr",
+         "--model-out", folder / "missing" / "model.olm"],
+        ["adapter.olr", "adapter.olr.log", "missing/model.olm"]),
+    "train --log": lambda w, folder: (
+        ["train", "--data", w["data"], "--out", folder / "adapter.olr",
+         "--log", folder / "missing" / "train.log"],
+        ["adapter.olr", "missing/train.log", "model.olm"]),
+    "evaluate --out": lambda w, folder: (
+        evaluate_args(w, folder / "missing" / "report.json", "--model", w["model"]),
+        ["missing/report.json"]),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_DIRECTORY_OUTPUTS)
+def test_an_output_in_a_missing_directory_is_written_into_the_directory_made(
+    workspace, tmp_path, capsys, case
+):
+    """A missing directory is no error: write_atomic makes it, so the command
+    runs and writes its files, that one among them, where they were named."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv, written = MISSING_DIRECTORY_OUTPUTS[case](workspace, folder)
+    if argv[0] == "train":
+        argv += ["--epochs", "1", "--max-seq-len", "96", "--lora-r", "2"]
+    assert main([str(arg) for arg in argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(path.relative_to(folder).as_posix()
+                  for path in folder.rglob("*") if path.is_file()) == written
+
+
+# a command's argv, given the workspace, an existing empty folder and a file,
+# where one output lies under that file
+OUTPUTS_UNDER_A_FILE = {
+    "train --out": lambda w, folder, taken: [
+        "train", "--data", w["data"], "--out", taken / "adapter.olr"],
+    "train --model-out": lambda w, folder, taken: [
+        "train", "--data", w["data"], "--out", folder / "adapter.olr",
+        "--model-out", taken / "sub" / "model.olm"],
+    "train --log": lambda w, folder, taken: [
+        "train", "--data", w["data"], "--out", folder / "adapter.olr", "--log", taken / "t.log"],
+    "evaluate --out": lambda w, folder, taken: evaluate_args(
+        w, taken / "sub" / "report.json", "--model", w["model"]),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUTS_UNDER_A_FILE)
+def test_an_output_under_a_file_is_a_one_line_data_error_before_any_work(
+    workspace, tmp_path, capsys, case
+):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    argv = OUTPUTS_UNDER_A_FILE[case](workspace, folder, taken)
+    code = main([str(arg) for arg in argv])
+    assert assert_one_line_data_error(code, capsys) == ""
+    assert list(folder.iterdir()) == []
+    assert taken.read_text() == "a file\n"
 
 
 # a command and its file flags, given a folder that holds model.olm,
@@ -809,8 +903,6 @@ UNREADABLE = {
     "--report @directory": lambda w, bad, folder: infer_args(w, "--report", f"@{folder}"),
     "evaluate --out directory": lambda w, bad, folder: evaluate_args(
         w, folder, "--model", w["model"]),
-    "evaluate --out in a missing directory": lambda w, bad, folder: evaluate_args(
-        w, folder / "missing" / "report.json", "--model", w["model"]),
 }
 
 
@@ -823,6 +915,60 @@ def test_unreadable_input_is_a_one_line_data_error(workspace, tmp_path, capsys, 
     code = main([str(arg) for arg in UNREADABLE[case](workspace, bad, folder)])
     # found before any work is done: evaluate prints no table first
     assert assert_one_line_data_error(code, capsys) == ""
+    assert list(folder.iterdir()) == []
+
+
+# argv for each input flag, given the workspace, a path that names no file
+# and an existing empty folder, and the file the command then misses
+MISSING_INPUTS = {
+    "prepare --input": lambda w, ghost, folder: (
+        ["prepare", "--input", ghost, "--out", folder / "out"], ghost),
+    "train --data": lambda w, ghost, folder: (
+        ["train", "--data", ghost, "--out", folder / "a.olr"], ghost / "train.jsonl"),
+    "train --config": lambda w, ghost, folder: (
+        ["train", "--data", w["data"], "--model", w["model"], "--out", folder / "a.olr",
+         "--config", ghost], ghost),
+    "train --template": lambda w, ghost, folder: (
+        ["train", "--data", w["data"], "--model", w["model"], "--out", folder / "a.olr",
+         "--template", ghost], ghost),
+    "train --model": lambda w, ghost, folder: (
+        ["train", "--data", w["data"], "--model", ghost, "--out", folder / "a.olr"], ghost),
+    "infer --model": lambda w, ghost, folder: (
+        infer_args({"model": ghost}, "--report", FINDINGS), ghost),
+    "infer --adapter": lambda w, ghost, folder: (
+        infer_args(w, "--report", FINDINGS, "--adapter", ghost), ghost),
+    "infer --template": lambda w, ghost, folder: (
+        infer_args(w, "--report", FINDINGS, "--template", ghost), ghost),
+    "infer --report @file": lambda w, ghost, folder: (
+        infer_args(w, "--report", f"@{ghost}"), ghost),
+    "evaluate --data": lambda w, ghost, folder: (
+        evaluate_args({"data": ghost}, folder / "r.json", "--model", w["model"]),
+        ghost / "test.jsonl"),
+    "evaluate --model": lambda w, ghost, folder: (
+        evaluate_args(w, folder / "r.json", "--model", ghost), ghost),
+    "evaluate --adapter": lambda w, ghost, folder: (
+        evaluate_args(w, folder / "r.json", "--model", w["model"], "--adapter", ghost), ghost),
+    "evaluate --template": lambda w, ghost, folder: (
+        evaluate_args(w, folder / "r.json", "--model", w["model"], "--template", ghost), ghost),
+}
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+@pytest.mark.parametrize("case", MISSING_INPUTS)
+def test_a_missing_input_is_a_data_error_naming_its_path(
+    workspace, tmp_path, capsys, case, under_a_file
+):
+    """Every input goes through one reader, so a missing one, or one under a
+    file, reads the same whatever its flag, and no file is written."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    ghost = tmp_path / "ghost"
+    if under_a_file:
+        (tmp_path / "taken").write_text("a file\n")
+        ghost = tmp_path / "taken" / "ghost"
+    argv, missing = MISSING_INPUTS[case](workspace, ghost, folder)
+    code = main([str(arg) for arg in argv])
+    assert (code, capsys.readouterr()) == (2, ("", f"data error: {missing} not found\n"))
     assert list(folder.iterdir()) == []
 
 

@@ -93,3 +93,45 @@ def test_the_check_sees_each_kind_of_side_effect():
         (5, "file"), (6, "file"), (7, "file"), (8, "file"), (9, "file"), (9, "file"),
         (9, "file"), (11, "process"), (12, "process"), (13, "environment"), (13, "print"),
     ]
+
+
+# the names that read the file system, which only files.py calls, and the one
+# read elsewhere: a decode shard's reply, read from its pipe
+READS = {"read_text", "read_bytes", "exists", "is_dir", "is_file"}
+READS_ALLOWED = {("shards.py", "open(read, 'rb')")}
+
+
+def _opens_to_read(call) -> bool:
+    """Whether call, open(file, ...) or a path's open(...), not os.open,
+    opens a file without a literal mode that writes."""
+    return ("open" in _names(call.func) and "os.open" not in _names(call.func)
+            and not _opens_to_write(call))
+
+
+def reads(tree):
+    """(line, code) of each name in tree that reads the file system, and of
+    each open that does not write."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _opens_to_read(node)) or _names(node) & READS:
+            yield node.lineno, ast.unparse(node)
+
+
+def test_only_files_reads_the_file_system():
+    found = [f"{path.name}:{line}: {code}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "files.py"
+             for line, code in reads(ast.parse(path.read_text(), str(path)))
+             if (path.name, code) not in READS_ALLOWED]
+    assert found == []
+
+
+def test_the_read_check_sees_each_way_to_read():
+    source = (
+        "from os.path import exists\n"
+        "def run(path, files):\n"
+        "    path.read_text(), path.read_bytes()\n"
+        "    path.exists(), os.path.exists(path), path.is_dir(), path.is_file()\n"
+        "    open(path), open(path, 'rb'), open(path, mode='r'), path.open()\n"
+        "    open(path, 'w'), path.open('ab'), os.open(path, os.O_RDONLY)\n"
+        "    files.input_text(path), files.input_bytes(path), path.read()\n"
+    )
+    assert sorted(line for line, _ in reads(ast.parse(source))) == [1, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5]
